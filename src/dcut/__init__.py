@@ -8,9 +8,9 @@ brute-force oracle to check it against at desk scale.
 """
 
 from .graph import (Bipartition, DisconnectedGraph, Graph, InvalidBipartition,
-                    SubgraphView, connected_components, edge_cut,
-                    global_min_cut, global_min_cut_at_most, is_connected,
-                    is_d_cut, is_d_matching)
+                    connected_components, edge_cut, global_min_cut,
+                    global_min_cut_at_most, is_connected, is_d_cut,
+                    is_d_matching)
 from .multisets import EMPTY_MULTISET, VertexMultiset, bounded_multisets
 from .decomposition import (DecompositionError, NodeContext,
                             RootedDecomposition, VerificationReport,
@@ -28,7 +28,7 @@ from .generators import (generate_instance, gnm_random, grid_graph,
 
 __all__ = [
     "Bipartition", "DisconnectedGraph", "Graph", "InvalidBipartition",
-    "SubgraphView", "connected_components", "edge_cut", "global_min_cut",
+    "connected_components", "edge_cut", "global_min_cut",
     "global_min_cut_at_most", "is_connected", "is_d_cut", "is_d_matching",
     "EMPTY_MULTISET", "VertexMultiset", "bounded_multisets",
     "DecompositionError", "NodeContext", "RootedDecomposition",

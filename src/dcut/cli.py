@@ -19,7 +19,7 @@ from . import decomposition as tdio
 from .dimacs import DimacsParseError, parse_graph
 from .generators import generate_instance
 from .graph import edge_cut
-from .oracle import OracleSizeLimit, brute_force_min_dcut, oracle_decide
+from .oracle import OracleSizeLimit, brute_force_min_dcut
 from .setfamily import FamilySizeLimit
 from .solver import EnumerationBudgetExceeded, SolveOptions, solve
 
@@ -143,8 +143,10 @@ def run(config: RunConfig):
             raise ValueError(
                 f"brute force limited to {ORACLE_LIMIT} vertices, got {graph.n}")
         start = time.perf_counter()
-        brute_answer = oracle_decide(graph, config.k, config.d)
         oracle = brute_force_min_dcut(graph, config.d)
+        # A disconnected graph's minimum is the empty cut, size 0.
+        brute_answer = (oracle.min_cut_size is not None
+                        and oracle.min_cut_size <= config.k)
         timings["brute"] = time.perf_counter() - start
         doc["brute"] = {
             "answer": "yes" if brute_answer else "no",

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import DisconnectedGraph, Graph, SubgraphView, is_connected
+from .graph import DisconnectedGraph, Graph, is_connected
 
 
 class SizeLimitExceeded(RuntimeError):
@@ -111,14 +111,15 @@ class RootedDecomposition:
 class NodeContext:
     """Per-node derived quantities: adhesion (bag shared with the parent),
     cone (union of descendant bags), interior (cone minus adhesion) and the
-    local graph (induced on the cone, minus edges internal to the adhesion)."""
+    bag edges (edges inside the bag, minus those internal to the adhesion).
+    The node's local graph is the cone with the edges not internal to the
+    adhesion; the bag edges are the part of it the node itself pays for."""
 
     node: int
     bag: frozenset
     adhesion: frozenset
     cone: frozenset
     interior: frozenset
-    local_graph: SubgraphView
     bag_edges: tuple
 
 
@@ -169,15 +170,13 @@ def derive_contexts(graph: Graph, td: RootedDecomposition) -> list:
         p = td.parent[t]
         adhesion = frozenset() if p is None else td.bags[t] & td.bags[p]
         cone = cones[t]
-        local_edges = [e for e in graph.edges
-                       if e[0] in cone and e[1] in cone
-                       and not (e[0] in adhesion and e[1] in adhesion)]
-        view = SubgraphView(graph, cone, local_edges)
         bag = td.bags[t]
-        bag_edges = tuple(e for e in view.edges if e[0] in bag and e[1] in bag)
+        bag_edges = tuple(e for e in graph.edges
+                          if e[0] in bag and e[1] in bag
+                          and not (e[0] in adhesion and e[1] in adhesion))
         contexts.append(NodeContext(
             node=t, bag=bag, adhesion=adhesion, cone=cone,
-            interior=cone - adhesion, local_graph=view, bag_edges=bag_edges))
+            interior=cone - adhesion, bag_edges=bag_edges))
     return contexts
 
 
@@ -203,6 +202,11 @@ class VerificationReport:
     def failures(self) -> list:
         return [c for c in self.checks if c.status == "fail"]
 
+    def summary(self) -> str:
+        """Every check that did not pass, with its status and detail."""
+        return "; ".join(f"{c.name} {c.status}: {c.detail}"
+                         for c in self.checks if c.status != "pass")
+
     def __getitem__(self, name: str) -> CheckResult:
         for c in self.checks:
             if c.name == name:
@@ -210,17 +214,19 @@ class VerificationReport:
         raise KeyError(name)
 
 
-def _iter_cuts(local_adj):
-    """Gray-code iteration over the subsets of local indices 0..m-2,
-    yielding (side mask, number of crossing edges).  The last index stays
-    on the fixed side, so each unordered bipartition appears exactly once.
+def _small_cuts(local_adj, k):
+    """Every bipartition of the local indices crossed by at most k edges,
+    as (side mask, number of crossing edges), in Gray-code order over the
+    subsets of indices 0..m-2.  The last index stays on the fixed side, so
+    each unordered bipartition appears exactly once.
     """
     m = len(local_adj)
     if m <= 1:
-        return
+        return []
     degs = [a.bit_count() for a in local_adj]
     mask = 0
     cut = 0
+    found = []
     for i in range(1, 1 << (m - 1)):
         j = (i & -i).bit_length() - 1
         bit = 1 << j
@@ -230,7 +236,16 @@ def _iter_cuts(local_adj):
         else:
             cut += degs[j] - 2 * inside
         mask ^= bit
-        yield mask, cut
+        if cut <= k:
+            found.append((mask, cut))
+    return found
+
+
+def _breaks(mask, bag_mask, bag_size, k):
+    """True iff the cut side holds more than k of the bag's vertices and
+    leaves more than k of them on the other side."""
+    a = (mask & bag_mask).bit_count()
+    return a > k and bag_size - a > k
 
 
 def _subgraph_masks(graph: Graph, verts):
@@ -304,12 +319,9 @@ def verify(graph: Graph, td: RootedDecomposition, k: int, *,
         bag_masks = [sum(1 << index[v] for v in bag) for bag in td.bags]
         bag_sizes = [len(bag) for bag in td.bags]
         bad = None
-        for mask, cut in _iter_cuts(masks):
-            if cut > k:
-                continue
+        for mask, cut in _small_cuts(masks, k):
             for t, bm in enumerate(bag_masks):
-                a = (mask & bm).bit_count()
-                if a > k and bag_sizes[t] - a > k:
+                if _breaks(mask, bm, bag_sizes[t], k):
                     side = frozenset(order[i] for i in range(len(order))
                                      if mask >> i & 1)
                     bad = ("breakable-bag", (t, side, cut))
@@ -349,46 +361,42 @@ class _Builder:
         key = (piece, adhesion)
         if key in self._failed:
             return None
-        order, index, masks = _subgraph_masks(self.graph, piece)
-        witnesses = self._witnesses(order, masks)
+        if len(piece) <= 2 * self.k + 1:
+            return _TreeNode(piece, [])
+        order, _, masks = _subgraph_masks(self.graph, piece)
+        cuts = _small_cuts(masks, self.k)
+        witnesses = self._witnesses(order, cuts)
         if not witnesses:
             return _TreeNode(piece, [])
-        for bag in self._candidates(piece, adhesion, order, witnesses):
-            node = self._try_bag(piece, adhesion, bag, order, index, masks)
+        for bag in self._candidates(piece, adhesion, witnesses):
+            node = self._try_bag(piece, adhesion, bag, order, cuts)
             if node is not None:
                 return node
         self._failed.add(key)
         return None
 
-    def _witnesses(self, order, masks):
+    def _witnesses(self, order, cuts):
         """Minimum-order cuts splitting the piece into two sides of more
         than k vertices each; empty iff the piece is unbreakable."""
         k = self.k
         m = len(order)
-        if m <= 2 * k + 1:
-            return []
+        whole = (1 << m) - 1
         best = None
         found = []
-        for mask, cut in _iter_cuts(masks):
-            if cut > k:
-                continue
-            a = mask.bit_count()
-            if a > k and m - a > k:
+        for mask, cut in cuts:
+            if _breaks(mask, whole, m, k):
                 if best is None or cut < best:
                     best = cut
                     found = [mask]
                 elif cut == best:
                     found.append(mask)
-        if not found:
-            return []
-        sides = sorted(
-            (tuple(sorted(order[i] for i in range(m) if mask >> i & 1)), mask)
-            for mask in found)
-        return [(frozenset(side), mask) for side, mask in sides[:self.witness_cap]]
+        sides = sorted(tuple(order[i] for i in range(m) if mask >> i & 1)
+                       for mask in found)
+        return [frozenset(side) for side in sides[:self.witness_cap]]
 
-    def _candidates(self, piece, adhesion, order, witnesses):
+    def _candidates(self, piece, adhesion, witnesses):
         seen = set()
-        for side, mask in witnesses:
+        for side in witnesses:
             ends_a = set()
             ends_b = set()
             for u in side:
@@ -410,22 +418,16 @@ class _Builder:
                         seen.add(bag)
                         yield bag
 
-    def _bag_unbreakable(self, bag, order, masks):
+    def _bag_unbreakable(self, bag, order, cuts):
         k = self.k
-        if len(bag) <= 2 * k + 1:
+        size = len(bag)
+        if size <= 2 * k + 1:
             return True
         bag_mask = sum(1 << i for i, v in enumerate(order) if v in bag)
-        size = len(bag)
-        for mask, cut in _iter_cuts(masks):
-            if cut > k:
-                continue
-            a = (mask & bag_mask).bit_count()
-            if a > k and size - a > k:
-                return False
-        return True
+        return not any(_breaks(mask, bag_mask, size, k) for mask, _ in cuts)
 
-    def _try_bag(self, piece, adhesion, bag, order, index, masks):
-        if not self._bag_unbreakable(bag, order, masks):
+    def _try_bag(self, piece, adhesion, bag, order, cuts):
+        if not self._bag_unbreakable(bag, order, cuts):
             return None
         rest = piece - bag
         comps = []
@@ -491,7 +493,7 @@ def construct(graph: Graph, k: int, *, max_vertices: int = 24) -> RootedDecompos
     report = verify(graph, td, k, unbreakable_limit=max_vertices)
     if not report.passed:
         raise DecompositionError(
-            f"constructed decomposition failed verification: {report.failures()}")
+            f"constructed decomposition failed verification: {report.summary()}")
     return td
 
 

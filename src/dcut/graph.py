@@ -110,54 +110,6 @@ def _check_bipartition(graph: Graph, part: Bipartition) -> None:
         raise InvalidBipartition("sides do not cover the vertex set")
 
 
-class SubgraphView:
-    """A vertex subset of a parent graph together with a retained edge subset.
-
-    Retained edges must have both endpoints inside the vertex subset; they
-    need not be all induced edges (local graphs of a decomposition drop the
-    edges internal to the adhesion).
-    """
-
-    __slots__ = ("parent", "vertices", "edges", "_edge_set")
-
-    def __init__(self, parent: Graph, vertices, edges):
-        vs = frozenset(vertices)
-        es = []
-        for u, v in edges:
-            key = (u, v) if u < v else (v, u)
-            if not (key[0] in vs and key[1] in vs):
-                raise ValueError(f"retained edge {key} leaves the vertex subset")
-            if not parent.has_edge(*key):
-                raise UnknownEdge(f"edge {key} not in parent graph")
-            es.append(key)
-        self.parent = parent
-        self.vertices = vs
-        self.edges = tuple(sorted(set(es)))
-        self._edge_set = frozenset(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._edge_set
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
-
-    def cross_edges(self, side_a) -> list:
-        """Retained edges with exactly one endpoint in ``side_a``."""
-        a = frozenset(side_a)
-        return [e for e in self.edges if (e[0] in a) != (e[1] in a)]
-
-    def __eq__(self, other):
-        if isinstance(other, SubgraphView):
-            return (self.parent == other.parent
-                    and self.vertices == other.vertices
-                    and self.edges == other.edges)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.parent, self.vertices, self.edges))
-
-
 def connected_components(graph: Graph) -> list:
     """Maximal connected vertex sets, sorted by smallest member."""
     seen = set()

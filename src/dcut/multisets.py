@@ -51,31 +51,12 @@ class VertexMultiset:
                 break
         return 0
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.entries
-
     def support(self) -> tuple:
         return tuple(v for v, _ in self.entries)
 
     def included_in(self, other: "VertexMultiset") -> bool:
         """Pointwise multiplicity comparison."""
         return all(m <= other.multiplicity(v) for v, m in self.entries)
-
-    def sum_union(self, other: "VertexMultiset") -> "VertexMultiset":
-        """Pointwise multiplicity sum."""
-        merged = dict(self.entries)
-        for v, m in other.entries:
-            merged[v] = merged.get(v, 0) + m
-        return VertexMultiset(tuple(sorted(merged.items())))
-
-    def restrict(self, vertices) -> "VertexMultiset":
-        """Projection onto a vertex set (multiplicities elsewhere dropped)."""
-        keep = frozenset(vertices)
-        return VertexMultiset(tuple((v, m) for v, m in self.entries if v in keep))
-
-    def as_dict(self) -> dict:
-        return dict(self.entries)
 
 
 EMPTY_MULTISET = VertexMultiset()

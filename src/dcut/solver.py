@@ -42,47 +42,6 @@ class WitnessCertificationError(RuntimeError):
     """A reconstructed witness failed certification; internal bug signal."""
 
 
-def saturating_sum(values, cap):
-    """Sum within {0..cap}; anything beyond cap collapses to infinity."""
-    total = 0
-    for v in values:
-        total += v
-        if total > cap:
-            return INFEASIBLE
-    return total
-
-
-def edge_cost(edge, side_trace, budget: VertexMultiset):
-    """Cost of one bag edge under a side: 0 when both endpoints land on the
-    same side, otherwise 1 when the budget grants both endpoints their
-    single cross neighbor and infinity when it denies either."""
-    if len(side_trace) != 1:
-        return 0
-    u, v = edge
-    if budget.multiplicity(u) == 1 and budget.multiplicity(v) == 1:
-        return 1
-    return INFEASIBLE
-
-
-def edge_budget_options(edge):
-    """The per-edge budgets: multisets on the endpoints with multiplicity
-    at most one (a single edge can give each endpoint one cross neighbor)."""
-    return bounded_multisets(edge, 1, 2)
-
-
-def build_edge_cost_table(bag_edges) -> dict:
-    """Materialized edge-cost table keyed by (edge, side trace, budget)."""
-    table = {}
-    for e in bag_edges:
-        u, v = e
-        for size in range(3):
-            for trace in combinations((u, v), size):
-                tr = frozenset(trace)
-                for budget in edge_budget_options(e):
-                    table[(e, tr, budget)] = edge_cost(e, tr, budget)
-    return table
-
-
 @dataclass(frozen=True)
 class SplitItems:
     """Children and bag edges a candidate side splits, with their traces."""
@@ -99,88 +58,65 @@ class SplitItems:
 
 @dataclass
 class BudgetFamily:
-    """One budget per split child and per split edge, plus their sum."""
+    """One budget per split child and per split edge."""
 
     child_budgets: dict
     edge_budgets: dict
-    combined: VertexMultiset
-
-    def key(self):
-        return (tuple(sorted((c, b.entries) for c, b in self.child_budgets.items())),
-                tuple(sorted((e, b.entries) for e, b in self.edge_budgets.items())))
-
-    def __eq__(self, other):
-        if isinstance(other, BudgetFamily):
-            return self.key() == other.key()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.key())
 
 
-def iter_budget_families(child_items, edge_items, d, k, *,
-                         capped_vertices=None, parent_budget=None):
-    """Generate every family of budgets for the given split items.
+def budget_families(items, d, k, cost_cap, usage_order) -> list:
+    """Every choice of one ``(budget, cost)`` option per split item whose
+    budgets together give no vertex more than d cross neighbors and at most
+    2k in total, and whose costs sum to at most ``cost_cap``.
 
-    ``child_items`` is a list of (child key, adhesion vertices); each child
-    gets a multiset on its adhesion with multiplicity at most d and size at
-    most k.  ``edge_items`` is a list of (edge key, endpoints).  The
-    combined sum must stay within 2k total, within d per vertex, and --
-    when ``parent_budget`` is given -- within the parent budget on the
-    ``capped_vertices``.  Choices are materialized directly under these
-    caps, so no duplicates are ever produced.
+    ``items`` holds ``(kind, key, options)`` triples.  Pruning assumes every
+    option costs at least one, as every split item does in the fill; for
+    zero-cost options pass an infinite cap.  Returns ``(usage, cost, picks)``
+    triples: the summed budgets on ``usage_order``, the summed costs and
+    the chosen ``(kind, key, budget)`` triples, in item order.
     """
-    child_opts = [(key, bounded_multisets(adh, d, k)) for key, adh in
-                  sorted(child_items)]
-    edge_opts = [(key, edge_budget_options(ends)) for key, ends in
-                 sorted(edge_items)]
-    capped = frozenset(capped_vertices) if capped_vertices is not None else frozenset()
-    items = [("c", key, opts) for key, opts in child_opts]
-    items += [("e", key, opts) for key, opts in edge_opts]
     counts = {}
     chosen = []
+    found = []
+    last = len(items)
 
-    def admissible(ms):
-        for v, m in ms.entries:
-            new = counts.get(v, 0) + m
-            if new > d:
-                return False
-            if parent_budget is not None and v in capped \
-                    and new > parent_budget.multiplicity(v):
-                return False
-        return True
-
-    def rec(i, total):
-        if i == len(items):
-            fam = BudgetFamily(
-                child_budgets={key: ms for kind, key, ms in chosen if kind == "c"},
-                edge_budgets={key: ms for kind, key, ms in chosen if kind == "e"},
-                combined=VertexMultiset.from_counts(counts))
-            yield fam
+    def rec(i, size, cost):
+        if i == last:
+            found.append((tuple(counts.get(v, 0) for v in usage_order), cost,
+                          tuple(chosen)))
             return
         kind, key, opts = items[i]
-        for ms in opts:
-            if total + ms.size > 2 * k or not admissible(ms):
+        remaining = last - i - 1
+        for budget, val in opts:
+            new_cost = cost + val
+            if new_cost + remaining > cost_cap:
                 continue
-            for v, m in ms.entries:
+            new_size = size + budget.size
+            if new_size > 2 * k:
+                continue
+            entries = budget.entries
+            if any(counts.get(v, 0) + m > d for v, m in entries):
+                continue
+            for v, m in entries:
                 counts[v] = counts.get(v, 0) + m
-            chosen.append((kind, key, ms))
-            yield from rec(i + 1, total + ms.size)
+            chosen.append((kind, key, budget))
+            rec(i + 1, new_size, new_cost)
             chosen.pop()
-            for v, m in ms.entries:
+            for v, m in entries:
                 counts[v] -= m
-                if not counts[v]:
-                    del counts[v]
 
-    yield from rec(0, 0)
+    rec(0, 0, 0)
+    return found
 
 
-def _combined_of(picks):
-    counts = {}
-    for _, _, budget in picks:
-        for v, m in budget.entries:
-            counts[v] = counts.get(v, 0) + m
-    return VertexMultiset.from_counts(counts)
+def cheapest(entries, pvec):
+    """The first of the cost-sorted ``(usage, cost, ...)`` entries whose
+    usage fits within ``pvec`` pointwise, hence the cheapest such; None
+    when none fits."""
+    for entry in entries:
+        if all(u <= q for u, q in zip(entry[0], pvec)):
+            return entry
+    return None
 
 
 class CostTable:
@@ -218,14 +154,14 @@ class CostTable:
 
 @dataclass
 class NodePlan:
-    """Per-node evaluation artifacts kept for queries and backtracking."""
+    """Per-node evaluation artifacts kept for the fill and backtracking."""
 
     adhesion_order: list
     budgets: list
     sides: list
     groups: dict          # canonical trace -> [sides]
-    famtables: dict       # side -> tuple of (usage vec, cost, family)
-    child_menu: tuple     # (usage vec, cost, child, child budget)
+    famtables: dict       # side -> cost-sorted (usage vec, cost, family)
+    child_menu: tuple     # cost-sorted (usage vec, cost, child, child budget)
     mode: str
 
 
@@ -272,13 +208,6 @@ class DPSolver:
     def root_value(self):
         return self.table.get(self.td.root, frozenset(), EMPTY_MULTISET, 1)
 
-    def trivial_cost(self, node, side):
-        """Cost with one empty side: zero when the side does not split the
-        adhesion, impossible otherwise."""
-        adhesion = self.contexts[node].adhesion
-        side = frozenset(side)
-        return 0 if side in (frozenset(), adhesion) else INFEASIBLE
-
     def split_items(self, node, side) -> SplitItems:
         side = frozenset(side)
         kids = []
@@ -299,92 +228,6 @@ class DPSolver:
         return SplitItems(tuple(kids), tuple(edges),
                           tuple(kid_sides), tuple(edge_sides))
 
-    def enumerate_budget_families(self, node, side, parent_budget: VertexMultiset):
-        """All budget families for the side, restricted by the parent
-        budget on the node's adhesion.  Requires at most k split items."""
-        split = self.split_items(node, side)
-        if split.count > self.k:
-            raise ValueError(
-                f"side splits {split.count} items; callers must prune beyond k")
-        child_items = [(c, sorted(self.contexts[c].adhesion)) for c in split.children]
-        edge_items = [(e, e) for e in split.edges]
-        return list(iter_budget_families(
-            child_items, edge_items, self.d, self.k,
-            capped_vertices=self.contexts[node].adhesion,
-            parent_budget=parent_budget))
-
-    def family_cost(self, node, side, family: BudgetFamily):
-        """Sum of the split children's table entries and the split edges'
-        costs under the family's budgets, saturating beyond k."""
-        split = self.split_items(node, side)
-        return self._family_cost(node, frozenset(side), split, family)
-
-    def _family_cost(self, node, side, split: SplitItems, family: BudgetFamily):
-        total = 0
-        k = self.k
-        for c, trace, _ in split.child_sides:
-            total += self.table.get(c, trace, family.child_budgets[c], 1)
-            if total > k:
-                total = INFEASIBLE
-                break
-        if total is not INFEASIBLE:
-            for e, trace, _ in split.edge_sides:
-                total += edge_cost(e, trace, family.edge_budgets[e])
-                if total > k:
-                    total = INFEASIBLE
-                    break
-        # Every split item pays at least one crossing edge.
-        assert total >= split.count
-        return total
-
-    def best_family_cost(self, node, side, budget: VertexMultiset):
-        """Minimum family cost for the side under the budget; infinity when
-        the side splits more than k items (no family can stay within k)."""
-        side = frozenset(side)
-        bag = self.contexts[node].bag
-        if not side or side == bag or not side <= bag or len(side) > self.k:
-            raise ValueError(f"side {sorted(side)} is not a compatible side of node {node}")
-        buckets = self._famtables_for(node).get(side)
-        if buckets is None:
-            buckets = self._build_family_table(node, side)
-            self.plans[node].famtables[side] = buckets
-        order = self.plans[node].adhesion_order
-        pvec = tuple(budget.multiplicity(v) for v in order)
-        best = INFEASIBLE
-        for uvec, cost, _ in buckets:
-            if cost < best and all(u <= q for u, q in zip(uvec, pvec)):
-                best = cost
-        return best
-
-    def min_cost_via_child(self, node, budget: VertexMultiset):
-        """Best nontrivial cost obtainable entirely inside one child whose
-        adhesion budget respects this node's budget; infinity at leaves."""
-        plan = self.plans[node]
-        pvec = tuple(budget.multiplicity(v) for v in plan.adhesion_order)
-        best = INFEASIBLE
-        for uvec, cost, _c, _b in plan.child_menu:
-            if cost < best and all(u <= q for u, q in zip(uvec, pvec)):
-                best = cost
-        return best
-
-    def min_cost_via_bag(self, node, side_class, budget: VertexMultiset):
-        """Best family cost over candidate sides whose adhesion trace is the
-        class (or its complement); infinity when no candidate matches."""
-        plan = self.plans[node]
-        key = self.table.canonical_side(node, side_class)
-        pvec = tuple(budget.multiplicity(v) for v in plan.adhesion_order)
-        best = INFEASIBLE
-        for side in plan.groups.get(key, ()):
-            for uvec, cost, _fam in plan.famtables[side]:
-                if cost < best and all(u <= q for u, q in zip(uvec, pvec)):
-                    best = cost
-        return best
-
-    def _famtables_for(self, node):
-        if self.plans[node] is None:
-            raise RuntimeError(f"node {node} not filled yet")
-        return self.plans[node].famtables
-
     def _budget_options(self, vertices):
         key = frozenset(vertices)
         cached = self._budget_cache.get(key)
@@ -403,21 +246,8 @@ class DPSolver:
         if split.count > self.k:
             self.stats["overloaded_side_prunes"] += 1
             return ()
-        order = self.plans[node].adhesion_order if self.plans[node] else \
-            sorted(self.contexts[node].adhesion)
-        k = self.k
-        d = self.d
-        involved = sorted({v for _, tr, co in split.child_sides
-                           for v in (tr | co)} |
-                          {v for e in split.edges for v in e})
-        idx = {v: i for i, v in enumerate(involved)}
-        usage_slots = [idx.get(v) for v in order]
-
-        items = []
-        for e, _, _ in split.edge_sides:
-            lo, hi = (e[0], e[1]) if e[0] < e[1] else (e[1], e[0])
-            budget = VertexMultiset(((lo, 1), (hi, 1)))
-            items.append(("e", e, ((budget, 1, ((idx[lo], 1), (idx[hi], 1))),)))
+        items = [("e", e, ((VertexMultiset(((e[0], 1), (e[1], 1))), 1),))
+                 for e in split.edges]
         for c, trace, _ in split.child_sides:
             opts = []
             for b in self._budget_options(self.contexts[c].adhesion):
@@ -426,55 +256,24 @@ class DPSolver:
                     continue
                 # A split child always pays at least one crossing edge.
                 assert val >= 1
-                opts.append((b, val, tuple((idx[v], m) for v, m in b.entries)))
+                opts.append((b, val))
             if not opts:
                 return ()
-            items.append(("c", c, tuple(opts)))
+            items.append(("c", c, opts))
 
-        counts = [0] * len(involved)
-        chosen = []
+        families = budget_families(items, self.d, self.k, self.k,
+                                   self.plans[node].adhesion_order)
+        self.stats["families_evaluated"] += len(families)
         buckets = {}
-        total_items = len(items)
-
-        def rec(i, size, cost):
-            if i == total_items:
-                self.stats["families_evaluated"] += 1
-                uvec = tuple(0 if s is None else counts[s] for s in usage_slots)
-                cur = buckets.get(uvec)
-                if cur is None or cost < cur[0]:
-                    buckets[uvec] = (cost, tuple(chosen))
-                return
-            kind, key, opts = items[i]
-            remaining = total_items - i - 1
-            for budget, val, incs in opts:
-                new_cost = cost + val
-                if new_cost + remaining > k:
-                    continue
-                new_size = size + budget.size
-                if new_size > 2 * k:
-                    continue
-                ok = True
-                for slot, m in incs:
-                    if counts[slot] + m > d:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                for slot, m in incs:
-                    counts[slot] += m
-                chosen.append((kind, key, budget))
-                rec(i + 1, new_size, new_cost)
-                chosen.pop()
-                for slot, m in incs:
-                    counts[slot] -= m
-
-        rec(0, 0, 0)
+        for uvec, cost, picks in families:
+            cur = buckets.get(uvec)
+            if cur is None or cost < cur[0]:
+                buckets[uvec] = (cost, picks)
         out = []
         for uvec, (cost, picks) in buckets.items():
             fam = BudgetFamily(
                 child_budgets={key: b for kind, key, b in picks if kind == "c"},
-                edge_budgets={key: b for kind, key, b in picks if kind == "e"},
-                combined=_combined_of(picks))
+                edge_budgets={key: b for kind, key, b in picks if kind == "e"})
             out.append((uvec, cost, fam))
         out.sort(key=lambda item: (item[1], item[0]))
         return tuple(out)
@@ -556,7 +355,8 @@ class DPSolver:
         ctx = self.contexts[node]
         adhesion = ctx.adhesion
         adhesion_order = sorted(adhesion)
-        budgets = bounded_multisets(adhesion, self.d, self.k)
+        budgets = self._budget_options(adhesion)
+        pvecs = [tuple(b.multiplicity(v) for v in adhesion_order) for b in budgets]
         sides, mode = self._side_candidates(node)
         self.stats["modes"][mode] = self.stats["modes"].get(mode, 0) + 1
         self.stats["sides_considered"] += len(sides)
@@ -578,24 +378,19 @@ class DPSolver:
                     continue
                 seen_keys.add(s_key)
                 unsplit = s_key == empty
-                for budget in budgets:
+                for budget, pvec in zip(budgets, pvecs):
                     self.table.set(node, s_key, budget, 0,
                                    0 if unsplit else INFEASIBLE)
-                    pvec = tuple(budget.multiplicity(v) for v in adhesion_order)
                     best = INFEASIBLE
                     choice = None
                     for side in plan.groups.get(s_key, ()):
-                        for uvec, cost, fam in plan.famtables[side]:
-                            if cost < best and all(u <= q for u, q
-                                                   in zip(uvec, pvec)):
-                                best = cost
-                                choice = ("bag", side, fam)
+                        hit = cheapest(plan.famtables[side], pvec)
+                        if hit is not None and hit[1] < best:
+                            best, choice = hit[1], ("bag", side, hit[2])
                     if unsplit:
-                        for uvec, cost, c, cb in plan.child_menu:
-                            if cost < best and all(u <= q for u, q
-                                                   in zip(uvec, pvec)):
-                                best = cost
-                                choice = ("child", c, cb)
+                        hit = cheapest(plan.child_menu, pvec)
+                        if hit is not None and hit[1] < best:
+                            best, choice = hit[1], ("child", hit[2], hit[3])
                     value = best if best <= self.k else INFEASIBLE
                     self.table.set(node, s_key, budget, 1, value)
                     if self.record_choices and value is not INFEASIBLE:
@@ -604,7 +399,7 @@ class DPSolver:
     def _build_child_menu(self, node, adhesion_order):
         buckets = {}
         for c in self.children[node]:
-            for cb in bounded_multisets(self.contexts[c].adhesion, self.d, self.k):
+            for cb in self._budget_options(self.contexts[c].adhesion):
                 cost = self.table.get(c, frozenset(), cb, 1)
                 uvec = tuple(cb.multiplicity(v) for v in adhesion_order)
                 cur = buckets.get(uvec)
@@ -726,7 +521,7 @@ def solve(graph: Graph, k: int, d: int, options: SolveOptions = None) -> SolveRe
                         unbreakable_limit=opts.max_construct_vertices)
         if not report.passed:
             raise DecompositionError(
-                f"supplied decomposition failed verification: {report.failures()}")
+                f"supplied decomposition failed verification: {report.summary()}")
     else:
         td = construct(graph, k, max_vertices=opts.max_construct_vertices)
     solver = DPSolver(graph, td, d, k, mode=opts.mode,

@@ -16,6 +16,15 @@ def complete_graph(n):
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def local_edges(graph, ctx):
+    """Edges of a node's local graph: inside its cone, minus the edges
+    internal to its adhesion."""
+    cone, adhesion = ctx.cone, ctx.adhesion
+    return [e for e in graph.edges
+            if e[0] in cone and e[1] in cone
+            and not (e[0] in adhesion and e[1] in adhesion)]
+
+
 def make_corpus(count, seed, n_lo=4, n_hi=12):
     """Seeded random connected graphs with n in [n_lo, n_hi] and
     m in [n-1, 2n]."""

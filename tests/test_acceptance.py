@@ -21,7 +21,7 @@ from dcut import (EMPTY_MULTISET, DPSolver, Graph, INFEASIBLE, SolveOptions,
                   construct, edge_cut, find_covering_family, is_d_cut,
                   solve, verify, verify_covering)
 from dcut.generators import two_cliques_bridged
-from dcut.solver import iter_budget_families
+from dcut.solver import budget_families
 
 CORPUS_SEED = 20250808
 CORPUS_SIZE = 500
@@ -275,13 +275,20 @@ def test_criterion_5_enumeration_oracles():
             {v: rng.randint(0, d) for v in adhesion})
         reference = _reference_triple_selection(
             child_items, edge_items, d, k, adhesion, parent_budget)
+        # The enumerator the fill uses, offered every budget at zero cost
+        # (so no cost cap), with the parent budget applied to the usage
+        # vector as the fill applies it.
+        items = [("c", key, [(b, 0) for b in bounded_multisets(adh, d, k)])
+                 for key, adh in child_items]
+        items += [("e", key, [(b, 0) for b in bounded_multisets(ends, 1, 2)])
+                  for key, ends in edge_items]
+        order = sorted(adhesion)
+        pvec = tuple(parent_budget.multiplicity(v) for v in order)
         direct = set()
-        for fam in iter_budget_families(child_items, edge_items, d, k,
-                                        capped_vertices=adhesion,
-                                        parent_budget=parent_budget):
-            key = tuple(sorted(
-                [(("c", c), b.entries) for c, b in fam.child_budgets.items()]
-                + [(("e", e), b.entries) for e, b in fam.edge_budgets.items()]))
+        for usage, _, picks in budget_families(items, d, k, INFEASIBLE, order):
+            if not all(u <= q for u, q in zip(usage, pvec)):
+                continue
+            key = tuple(sorted(((kind, key), b.entries) for kind, key, b in picks))
             assert key not in direct, "duplicate family generated"
             direct.add(key)
         assert direct == reference

@@ -1,6 +1,7 @@
 import pytest
 
-from conftest import complete_graph, cycle_graph, make_corpus, path_graph
+from conftest import (complete_graph, cycle_graph, local_edges, make_corpus,
+                      path_graph)
 from dcut import Graph, construct, derive_contexts, parse, serialize, verify
 from dcut.decomposition import (AxiomViolation, DecompositionError,
                                 RootedDecomposition, SizeLimitExceeded,
@@ -46,7 +47,7 @@ class TestDeriveContexts:
         assert ctx.adhesion == frozenset()
         assert ctx.cone == frozenset({0, 1, 2})
         assert ctx.interior == frozenset({0, 1, 2})
-        assert set(ctx.local_graph.edges) == set(g.edges)
+        assert set(local_edges(g, ctx)) == set(g.edges)
 
     def test_two_node_chain(self):
         g = path_graph(3)  # 0-1-2
@@ -57,7 +58,7 @@ class TestDeriveContexts:
         assert child.cone == frozenset({1, 2})
         assert root.cone == frozenset({0, 1, 2})
         # local graph of the child drops edges internal to its adhesion
-        assert set(child.local_graph.edges) == {(1, 2)}
+        assert set(local_edges(g, child)) == {(1, 2)}
 
     def test_leaf_bag_inside_parent_has_empty_interior(self):
         g = path_graph(2)
@@ -71,7 +72,7 @@ class TestDeriveContexts:
         td = RootedDecomposition(
             4, (frozenset({0, 1}), frozenset({0, 1, 2, 3})), (None, 0))
         _, child = derive_contexts(g, td)
-        assert (0, 1) not in child.local_graph.edges
+        assert (0, 1) not in local_edges(g, child)
         assert child.bag_edges == ((0, 3), (1, 2), (2, 3))
 
     def test_axiom_violation_raises_with_counterexample(self):
@@ -174,14 +175,14 @@ class TestConstruct:
         kids = td.children()
         for ctx in ctxs:
             pieces = [set(ctx.bag_edges)]
-            pieces += [set(ctxs[c].local_graph.edges) for c in kids[ctx.node]]
+            pieces += [set(local_edges(g, ctxs[c])) for c in kids[ctx.node]]
             union = set()
             total = 0
             for piece in pieces:
                 union |= piece
                 total += len(piece)
             assert total == len(union), "pieces overlap"
-            assert union == set(ctx.local_graph.edges)
+            assert union == set(local_edges(g, ctx))
 
     def test_compactness_literal_on_corpus(self):
         for g in make_corpus(12, seed=99, n_lo=4, n_hi=10):

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import complete_graph, cycle_graph, path_graph
 from dcut import (Bipartition, DisconnectedGraph, Graph, InvalidBipartition,
-                  SubgraphView, connected_components, edge_cut,
-                  global_min_cut, global_min_cut_at_most, is_d_cut,
-                  is_d_matching)
+                  connected_components, edge_cut, global_min_cut,
+                  global_min_cut_at_most, is_d_cut, is_d_matching)
 from dcut.graph import UnknownEdge
 
 
@@ -164,20 +163,3 @@ class TestGlobalMinCut:
             size, part = global_min_cut(g)
             assert size == brute_min_cut(g)
             assert len(edge_cut(g, part)) == size
-
-
-class TestSubgraphView:
-    def test_rejects_edge_leaving_subset(self):
-        g = cycle_graph(4)
-        with pytest.raises(ValueError):
-            SubgraphView(g, {0, 1}, [(1, 2)])
-
-    def test_rejects_unknown_edge(self):
-        g = cycle_graph(4)
-        with pytest.raises(UnknownEdge):
-            SubgraphView(g, {0, 1, 2}, [(0, 2)])
-
-    def test_cross_edges(self):
-        g = cycle_graph(4)
-        view = SubgraphView(g, {0, 1, 2, 3}, g.edges)
-        assert view.cross_edges({0, 1}) == [(0, 3), (1, 2)]

@@ -53,21 +53,6 @@ class TestInclusion:
         assert a.included_in(b)
 
 
-class TestSumUnion:
-    def test_identity(self):
-        x = VertexMultiset.from_counts({2: 2})
-        assert EMPTY_MULTISET.sum_union(x) == x
-
-    def test_pointwise_sum(self):
-        one = VertexMultiset.from_counts({0: 1})
-        assert one.sum_union(one) == VertexMultiset.from_counts({0: 2})
-
-    def test_disjoint_supports(self):
-        a = VertexMultiset.from_counts({0: 1})
-        b = VertexMultiset.from_counts({1: 2})
-        assert a.sum_union(b) == VertexMultiset.from_counts({0: 1, 1: 2})
-
-
 @settings(max_examples=200, deadline=None)
 @given(counts_strategy, counts_strategy)
 def test_operations_match_counter_semantics(raw_a, raw_b):
@@ -76,7 +61,6 @@ def test_operations_match_counter_semantics(raw_a, raw_b):
     ma, mb = VertexMultiset.from_counts(a), VertexMultiset.from_counts(b)
     assert (ma == mb) == (a == b)
     assert ma.included_in(mb) == all(a[k] <= b[k] for k in a)
-    assert ma.sum_union(mb) == VertexMultiset.from_counts(a + b)
     assert ma.size == sum(a.values())
 
 

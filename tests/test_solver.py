@@ -2,20 +2,37 @@ import itertools
 
 import pytest
 
-from conftest import complete_graph, cycle_graph, make_corpus, path_graph
+from conftest import (complete_graph, cycle_graph, local_edges, make_corpus,
+                      path_graph)
 from dcut import (EMPTY_MULTISET, DPSolver, Graph, INFEASIBLE, SolveOptions,
-                  VertexMultiset, edge_cut, is_d_cut, is_d_matching, solve)
+                  VertexMultiset, bounded_multisets, edge_cut, is_d_cut,
+                  is_d_matching, solve)
 from dcut.decomposition import (DecompositionError, RootedDecomposition,
                                 construct, derive_contexts)
+from dcut.generators import two_cliques_bridged
 from dcut.solver import (BudgetFamily, EnumerationBudgetExceeded, CostTable,
-                         build_edge_cost_table, edge_cost,
-                         iter_budget_families, saturating_sum)
+                         budget_families, cheapest)
 
 ms = VertexMultiset.from_counts
 
 
 def dp(graph, td, d, k, **kw):
     return DPSolver(graph, td, d, k, **kw).run()
+
+
+def cost_under(entries, budget, order):
+    """Cost of the cheapest entry fitting the budget; infinity if none."""
+    hit = cheapest(entries, tuple(budget.multiplicity(v) for v in order))
+    return INFEASIBLE if hit is None else hit[1]
+
+
+def families(items, d, k, cost_cap=INFEASIBLE, usage_order=()):
+    return budget_families(items, d, k, cost_cap, usage_order)
+
+
+def zero_cost_item(kind, key, vertices, mult, size):
+    """A split item offering every bounded budget on the vertices at cost 0."""
+    return kind, key, [(b, 0) for b in bounded_multisets(vertices, mult, size)]
 
 
 @pytest.fixture
@@ -38,50 +55,80 @@ def nested_p2():
 
 
 class TestSaturatingSum:
+    """Family costs add up within the cap; anything beyond it is dropped."""
+
     def test_within_cap(self):
-        assert saturating_sum([1, 2], 4) == 3
+        items = [("e", "a", [(ms({0: 1}), 1)]), ("e", "b", [(ms({1: 1}), 2)])]
+        assert [cost for _, cost, _ in families(items, 1, 2, cost_cap=4)] == [3]
 
     def test_exceeding_cap_is_infeasible(self):
-        assert saturating_sum([2, 3], 4) is INFEASIBLE
+        items = [("e", "a", [(ms({0: 1}), 2)]), ("e", "b", [(ms({1: 1}), 3)])]
+        assert families(items, 1, 2, cost_cap=4) == []
 
     def test_infinity_propagates(self):
-        assert saturating_sum([0, INFEASIBLE], 10) is INFEASIBLE
+        items = [("e", "a", [(ms({0: 1}), 1)]), ("e", "b", [(ms({1: 1}), INFEASIBLE)])]
+        assert families(items, 1, 2, cost_cap=10) == []
 
     def test_empty(self):
-        assert saturating_sum([], 0) == 0
+        assert families([], 1, 2, cost_cap=0) == [((), 0, ())]
 
 
 class TestEdgeCosts:
+    """A bag edge costs nothing unless the side splits it; a split edge
+    costs one and spends one cross neighbor at each endpoint."""
+
     def test_unsplit_traces_cost_zero_for_every_budget(self):
-        for budget in (ms({}), ms({0: 1}), ms({1: 1}), ms({0: 1, 1: 1})):
-            assert edge_cost((0, 1), frozenset(), budget) == 0
-            assert edge_cost((0, 1), frozenset({0, 1}), budget) == 0
+        g = path_graph(3)  # 0-1-2; side {0} splits (0,1) only
+        td = RootedDecomposition(3, (frozenset({0, 1, 2}),), (None,))
+        solver = dp(g, td, 1, 2)
+        split = solver.split_items(0, frozenset({0}))
+        assert split.edges == ((0, 1),)
+        ((_, cost, fam),) = solver.plans[0].famtables[frozenset({0})]
+        assert cost == 1 and list(fam.edge_budgets) == [(0, 1)]
 
     def test_split_trace_with_both_budgeted_costs_one(self):
-        assert edge_cost((0, 1), frozenset({0}), ms({0: 1, 1: 1})) == 1
-        assert edge_cost((0, 1), frozenset({1}), ms({0: 1, 1: 1})) == 1
+        g = path_graph(2)
+        td = RootedDecomposition(2, (frozenset({0, 1}),), (None,))
+        solver = dp(g, td, 1, 2)
+        for side in (frozenset({0}), frozenset({1})):
+            ((_, cost, fam),) = solver.plans[0].famtables[side]
+            assert cost == 1
+            assert fam.edge_budgets == {(0, 1): ms({0: 1, 1: 1})}
 
-    def test_split_trace_with_missing_budget_is_infeasible(self):
-        assert edge_cost((0, 1), frozenset({0}), ms({0: 1})) is INFEASIBLE
-        assert edge_cost((0, 1), frozenset({0}), ms({1: 1})) is INFEASIBLE
-        assert edge_cost((0, 1), frozenset({0}), ms({})) is INFEASIBLE
+    def test_split_trace_with_missing_budget_is_infeasible(self, c4_fixture):
+        # in the child, side {0} splits the bag edge (0,3): adhesion vertex
+        # 0 must be granted its cross neighbor
+        solver = dp(*c4_fixture, 1, 2)
+        plan = solver.plans[1]
+        entries = plan.famtables[frozenset({0})]
+        order = plan.adhesion_order
+        assert cost_under(entries, ms({0: 1}), order) == 1
+        assert cost_under(entries, ms({1: 1}), order) is INFEASIBLE
+        assert cost_under(entries, ms({}), order) is INFEASIBLE
 
     def test_materialized_table_values(self):
-        table = build_edge_cost_table([(0, 1)])
-        assert set(table.values()) <= {0, 1, INFEASIBLE}
-        assert len(table) == 4 * 4  # 4 traces x 4 budgets
-        assert table[((0, 1), frozenset({0}), ms({0: 1, 1: 1}))] == 1
+        for g in make_corpus(6, seed=11, n_lo=5, n_hi=8):
+            td = construct(g, 3)
+            solver = dp(g, td, 1, 3)
+            for plan in solver.plans:
+                for entries in plan.famtables.values():
+                    for _, cost, fam in entries:
+                        assert 1 <= cost <= 3
+                        for (u, v), budget in fam.edge_budgets.items():
+                            assert budget == ms({u: 1, v: 1})
 
 
 class TestTrivialCost:
     def test_empty_or_full_side_costs_zero(self, c4_fixture):
-        solver = DPSolver(*c4_fixture, 1, 2)
-        assert solver.trivial_cost(1, frozenset()) == 0
-        assert solver.trivial_cost(1, frozenset({0, 1})) == 0
+        solver = dp(*c4_fixture, 1, 2)
+        for budget in solver.plans[1].budgets:
+            assert solver.table.get(1, frozenset(), budget, 0) == 0
+            assert solver.table.get(1, frozenset({0, 1}), budget, 0) == 0
 
     def test_proper_split_is_infeasible(self, c4_fixture):
-        solver = DPSolver(*c4_fixture, 1, 2)
-        assert solver.trivial_cost(1, frozenset({0})) is INFEASIBLE
+        solver = dp(*c4_fixture, 1, 2)
+        for budget in solver.plans[1].budgets:
+            assert solver.table.get(1, frozenset({0}), budget, 0) is INFEASIBLE
 
 
 class TestSplitItems:
@@ -111,70 +158,67 @@ class TestSplitItems:
 class TestBudgetFamilies:
     def test_no_split_items_yields_exactly_the_empty_family(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 2)
-        fams = solver.enumerate_budget_families(0, frozenset({0, 1}),
-                                                EMPTY_MULTISET)
-        assert len(fams) == 1
-        assert fams[0].combined == EMPTY_MULTISET
+        table = solver._build_family_table(0, frozenset({0, 1}))
+        assert table == (((), 0, BudgetFamily({}, {})),)
 
     def test_single_split_edge_matches_nested_enumeration(self):
-        g = path_graph(2)
-        td = RootedDecomposition(2, (frozenset({0, 1}),), (None,))
-        solver = dp(g, td, 1, 2)
-        fams = solver.enumerate_budget_families(0, frozenset({0}),
-                                                EMPTY_MULTISET)
-        got = sorted(f.edge_budgets[(0, 1)].entries for f in fams)
+        fams = families([zero_cost_item("e", (0, 1), (0, 1), 1, 2)], d=1, k=2)
+        got = sorted(picks[0][2].entries for _, _, picks in fams)
         expected = sorted(
             ms({0: a, 1: b}).entries for a in (0, 1) for b in (0, 1))
         assert got == expected
 
     def test_parent_budget_caps_child_budgets(self):
-        fams = list(iter_budget_families(
-            [("c1", (0,))], [], d=2, k=3,
-            capped_vertices={0}, parent_budget=EMPTY_MULTISET))
-        assert len(fams) == 1
-        assert fams[0].child_budgets["c1"] == EMPTY_MULTISET
+        # the parent grants vertex 0 nothing: only the empty budget fits
+        fams = families([zero_cost_item("c", "c1", (0,), 2, 3)], d=2, k=3,
+                        usage_order=(0,))
+        fitting = [picks for usage, _, picks in fams
+                   if all(u <= q for u, q in zip(usage, (0,)))]
+        assert fitting == [(("c", "c1", EMPTY_MULTISET),)]
 
     def test_per_vertex_cap_couples_items(self):
         # two children sharing vertex 0 with d=1: at most one may spend it
-        fams = list(iter_budget_families(
-            [("c1", (0,)), ("c2", (0,))], [], d=1, k=3))
-        spends = sorted((f.child_budgets["c1"].size,
-                         f.child_budgets["c2"].size) for f in fams)
+        fams = families([zero_cost_item("c", "c1", (0,), 1, 3),
+                         zero_cost_item("c", "c2", (0,), 1, 3)], d=1, k=3)
+        spends = sorted(tuple(b.size for _, _, b in picks) for _, _, picks in fams)
         assert spends == [(0, 0), (0, 1), (1, 0)]
 
     def test_total_size_cap(self):
         # three children, each able to spend up to 2, capped at 2k=4 jointly
-        fams = list(iter_budget_families(
-            [("c1", (0,)), ("c2", (1,)), ("c3", (2,))], [], d=2, k=2))
-        assert all(f.combined.size <= 4 for f in fams)
+        fams = families([zero_cost_item("c", f"c{i}", (i,), 2, 2)
+                         for i in range(3)], d=2, k=2, usage_order=(0, 1, 2))
+        assert all(sum(usage) <= 4 for usage, _, _ in fams)
         brute = sum(1 for spend in itertools.product(range(3), repeat=3)
                     if sum(spend) <= 4)
         assert len(fams) == brute
 
     def test_combined_is_sum_union(self):
-        for fam in iter_budget_families([("c1", (0, 1))],
-                                        [((0, 2), (0, 2))], d=2, k=3):
-            total = fam.child_budgets["c1"]
-            for b in fam.edge_budgets.values():
-                total = total.sum_union(b)
-            assert total == fam.combined
+        # the usage vector is the pointwise sum of the picked budgets
+        items = [zero_cost_item("c", "c1", (0, 1), 2, 3),
+                 zero_cost_item("e", (0, 2), (0, 2), 1, 2)]
+        for usage, _, picks in families(items, d=2, k=3, usage_order=(0, 1, 2)):
+            total = [0, 0, 0]
+            for _, _, budget in picks:
+                for v, m in budget.entries:
+                    total[v] += m
+            assert usage == tuple(total)
 
 
 class TestFamilyCost:
-    def test_empty_family_costs_zero(self, c4_fixture):
-        solver = dp(*c4_fixture, 1, 2)
-        fam = solver.enumerate_budget_families(0, frozenset({0, 1}),
-                                               EMPTY_MULTISET)[0]
-        assert solver.family_cost(0, frozenset({0, 1}), fam) == 0
+    def test_empty_family_costs_zero(self, nested_p2):
+        # the edgeless leaf: a side splitting nothing costs nothing
+        solver = DPSolver(*nested_p2, 1, 2)
+        solver.fill_node(1)
+        assert solver.plans[1].famtables[frozenset({0})] == \
+            (((0, 0), 0, BudgetFamily({}, {})),)
 
     def test_single_edge_family(self):
         g = path_graph(2)
         td = RootedDecomposition(2, (frozenset({0, 1}),), (None,))
         solver = dp(g, td, 1, 2)
-        full = BudgetFamily({}, {(0, 1): ms({0: 1, 1: 1})}, ms({0: 1, 1: 1}))
-        empty = BudgetFamily({}, {(0, 1): EMPTY_MULTISET}, EMPTY_MULTISET)
-        assert solver.family_cost(0, frozenset({0}), full) == 1
-        assert solver.family_cost(0, frozenset({0}), empty) is INFEASIBLE
+        # the only family grants both endpoints; none leaves either out
+        ((_, cost, fam),) = solver.plans[0].famtables[frozenset({0})]
+        assert cost == 1 and fam.edge_budgets == {(0, 1): ms({0: 1, 1: 1})}
 
 
 class TestBestFamilyCost:
@@ -182,8 +226,7 @@ class TestBestFamilyCost:
         star = Graph(5, [(0, i) for i in range(1, 5)])
         td = RootedDecomposition(5, (frozenset(range(5)),), (None,))
         solver = dp(star, td, 1, 3)
-        assert solver.best_family_cost(0, frozenset({0}), EMPTY_MULTISET) \
-            is INFEASIBLE
+        assert solver.plans[0].famtables[frozenset({0})] == ()
         assert solver.stats["overloaded_side_prunes"] >= 1
 
     def test_side_splitting_nothing_costs_zero(self, nested_p2):
@@ -191,33 +234,43 @@ class TestBestFamilyCost:
         # sanity assert at the root, which presumes a compact decomposition
         solver = DPSolver(*nested_p2, 1, 2)
         solver.fill_node(1)
-        budget = ms({0: 1, 1: 1})
-        assert solver.best_family_cost(1, frozenset({0}), budget) == 0
+        plan = solver.plans[1]
+        assert cost_under(plan.famtables[frozenset({0})], ms({0: 1, 1: 1}),
+                          plan.adhesion_order) == 0
 
     def test_c4_child_side_costs_two(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 3)
-        value = solver.best_family_cost(1, frozenset({2, 3}), ms({0: 1, 1: 1}))
-        assert value == 2
+        plan = solver.plans[1]
+        assert cost_under(plan.famtables[frozenset({2, 3})], ms({0: 1, 1: 1}),
+                          plan.adhesion_order) == 2
 
     def test_budget_restricts_value(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 3)
-        assert solver.best_family_cost(1, frozenset({2, 3}), EMPTY_MULTISET) \
-            is INFEASIBLE
+        plan = solver.plans[1]
+        assert cost_under(plan.famtables[frozenset({2, 3})], EMPTY_MULTISET,
+                          plan.adhesion_order) is INFEASIBLE
 
     def test_invalid_sides_rejected(self, c4_fixture):
+        # empty, whole-bag and oversized sides never get a family table
         solver = dp(*c4_fixture, 1, 2)
-        with pytest.raises(ValueError):
-            solver.best_family_cost(1, frozenset(), EMPTY_MULTISET)
-        with pytest.raises(ValueError):
-            solver.best_family_cost(1, frozenset({0, 1, 2, 3}), EMPTY_MULTISET)
-        with pytest.raises(ValueError):
-            solver.best_family_cost(1, frozenset({0, 1, 2}), EMPTY_MULTISET)
+        sides = solver.plans[1].famtables
+        assert frozenset() not in sides
+        assert frozenset({0, 1, 2, 3}) not in sides
+        assert frozenset({0, 1, 2}) not in sides
+        assert all(0 < len(side) <= 2 for side in sides)
+
+
+def cost_via_bag(solver, node, side_class, budget):
+    plan = solver.plans[node]
+    key = solver.table.canonical_side(node, side_class)
+    return min((cost_under(plan.famtables[side], budget, plan.adhesion_order)
+                for side in plan.groups.get(key, ())), default=INFEASIBLE)
 
 
 class TestBagSplitSearch:
     def test_c4_root_split_value(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 3)
-        assert solver.min_cost_via_bag(0, frozenset(), EMPTY_MULTISET) == 2
+        assert cost_via_bag(solver, 0, frozenset(), EMPTY_MULTISET) == 2
 
     def test_singleton_bag_has_no_compatible_side(self):
         g = path_graph(3)
@@ -225,7 +278,7 @@ class TestBagSplitSearch:
             3, (frozenset({1}), frozenset({0, 1}), frozenset({1, 2})),
             (None, 0, 0))
         solver = dp(g, td, 1, 2)
-        assert solver.min_cost_via_bag(0, frozenset(), EMPTY_MULTISET) \
+        assert cost_via_bag(solver, 0, frozenset(), EMPTY_MULTISET) \
             is INFEASIBLE
         # the cut still surfaces through the children
         assert solver.root_value() == 1
@@ -236,14 +289,16 @@ class TestChildDescent:
         g = path_graph(2)
         td = RootedDecomposition(2, (frozenset({0, 1}),), (None,))
         solver = dp(g, td, 1, 2)
-        assert solver.min_cost_via_child(0, EMPTY_MULTISET) is INFEASIBLE
+        assert solver.plans[0].child_menu == ()
+        assert cost_under(solver.plans[0].child_menu, EMPTY_MULTISET, ()) \
+            is INFEASIBLE
 
     def test_child_entry_of_two_flows_up(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 3)
         # nontrivial partitions of the child's local path 1-2-3-0 that do
         # not split {0,1} cost two edges
         assert solver.table.get(1, frozenset(), ms({0: 1, 1: 1}), 1) == 2
-        assert solver.min_cost_via_child(0, EMPTY_MULTISET) == 2
+        assert cost_under(solver.plans[0].child_menu, EMPTY_MULTISET, ()) == 2
         assert solver.root_value() == 2
 
 
@@ -346,8 +401,19 @@ class TestSolveEndToEnd:
         g = cycle_graph(4)
         bad = RootedDecomposition(
             4, (frozenset({0, 1}), frozenset({2, 3})), (None, 0))
-        with pytest.raises(DecompositionError):
+        with pytest.raises(DecompositionError, match="axioms fail: .*uncovered-edge"):
             solve(g, 2, 1, SolveOptions(decomposition=bad))
+
+    def test_supplied_decomposition_above_limit_names_skipped_check(self):
+        # valid, but too large for the exhaustive unbreakability check
+        g = two_cliques_bridged(13)
+        td = RootedDecomposition(26, (frozenset({0, 13}), frozenset(range(13)),
+                                      frozenset(range(13, 26))), (None, 0, 0))
+        with pytest.raises(DecompositionError) as err:
+            solve(g, 2, 1, SolveOptions(decomposition=td))
+        assert str(err.value) == (
+            "supplied decomposition failed verification: "
+            "unbreakable-bags skipped: n=26 exceeds limit 24")
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -404,10 +470,6 @@ class TestModes:
             DPSolver(*c4_fixture, 1, 2, family_kind="psychic")
 
 
-def local_cut_edges(view, side):
-    return [e for e in view.edges if (e[0] in side) != (e[1] in side)]
-
-
 class TestRealizability:
     """Finite side costs are achieved by a real partition of the local graph."""
 
@@ -423,17 +485,20 @@ class TestRealizability:
         for node in range(td.node_count):
             ctx = solver.contexts[node]
             plan = solver.plans[node]
+            edges = local_edges(graph, ctx)
             rest = sorted(ctx.cone - ctx.bag)
             for side in plan.sides:
                 for budget in plan.budgets:
-                    value = solver.best_family_cost(node, side, budget)
+                    value = cost_under(plan.famtables[side], budget,
+                                       plan.adhesion_order)
                     if value is INFEASIBLE:
                         continue
                     achieved = None
                     for r in range(len(rest) + 1):
                         for extra in itertools.combinations(rest, r):
                             a = set(side) | set(extra)
-                            cut = local_cut_edges(ctx.local_graph, a)
+                            cut = [e for e in edges
+                                   if (e[0] in a) != (e[1] in a)]
                             if len(cut) > value:
                                 continue
                             degree = {}
