@@ -11,7 +11,7 @@ from .graph import (Bipartition, DisconnectedGraph, Graph, InvalidBipartition,
                     connected_components, edge_cut, global_min_cut,
                     global_min_cut_at_most, is_connected, is_d_cut,
                     is_d_matching)
-from .multisets import EMPTY_MULTISET, VertexMultiset, bounded_multisets
+from .multisets import bounded_multisets
 from .decomposition import (DecompositionError, NodeContext,
                             RootedDecomposition, VerificationReport,
                             construct, derive_contexts, parse, serialize,
@@ -30,7 +30,7 @@ __all__ = [
     "Bipartition", "DisconnectedGraph", "Graph", "InvalidBipartition",
     "connected_components", "edge_cut", "global_min_cut",
     "global_min_cut_at_most", "is_connected", "is_d_cut", "is_d_matching",
-    "EMPTY_MULTISET", "VertexMultiset", "bounded_multisets",
+    "bounded_multisets",
     "DecompositionError", "NodeContext", "RootedDecomposition",
     "VerificationReport", "construct", "derive_contexts", "parse",
     "serialize", "verify",

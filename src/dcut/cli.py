@@ -52,6 +52,9 @@ class RunConfig:
             raise ValueError("provide exactly one of an input file or --gen")
         if self.algorithm not in ("fpt", "brute", "both"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if self.family_rounds is not None and self.family_rounds < 1:
+            raise ValueError(
+                f"--family-rounds must be at least 1, got {self.family_rounds}")
 
 
 def _parse_gen_spec(spec: str):

@@ -525,6 +525,7 @@ def parse(text: str) -> RootedDecomposition:
                 raise TdParseError(lineno, "duplicate header line")
             if len(parts) != 5 or parts[1] != "td":
                 raise TdParseError(lineno, "header must be 's td <nodes> <maxbag> <n>'")
+            header_line = lineno
             try:
                 header = tuple(int(x) for x in parts[2:])
             except ValueError:
@@ -569,10 +570,14 @@ def parse(text: str) -> RootedDecomposition:
             raise TdParseError(lineno, f"unrecognized line type {parts[0]!r}")
     if header is None:
         raise TdParseError(0, "missing header line")
-    n_nodes, _, n_vertices = header
+    n_nodes, max_bag, n_vertices = header
     missing = [i for i in range(1, n_nodes + 1) if i not in bags]
     if missing:
         raise TdParseError(0, f"missing bag line for node {missing[0]}")
+    largest = max((len(bag) for bag in bags.values()), default=0)
+    if max_bag != largest:
+        raise TdParseError(header_line,
+                           f"header max bag {max_bag} but the largest bag has {largest}")
     parent_tuple = tuple(parents[i + 1] - 1 if i + 1 in parents else None
                          for i in range(n_nodes))
     try:

@@ -28,7 +28,7 @@ from .decomposition import (DecompositionError, RootedDecomposition,
                             construct, derive_contexts, verify)
 from .graph import (Bipartition, Graph, connected_components, edge_cut,
                     global_min_cut, is_d_cut)
-from .multisets import EMPTY_MULTISET, VertexMultiset, bounded_multisets
+from .multisets import bounded_multisets
 from .setfamily import build_exhaustive, build_randomized, heuristic_rounds
 
 INFEASIBLE = math.inf
@@ -42,38 +42,17 @@ class WitnessCertificationError(RuntimeError):
     """A reconstructed witness failed certification; internal bug signal."""
 
 
-@dataclass(frozen=True)
-class SplitItems:
-    """Children and bag edges a candidate side splits, with their traces."""
-
-    children: tuple
-    edges: tuple
-    child_sides: tuple  # ((child, trace, co_trace), ...)
-    edge_sides: tuple   # ((edge, trace, co_trace), ...)
-
-    @property
-    def count(self) -> int:
-        return len(self.children) + len(self.edges)
-
-
-@dataclass
-class BudgetFamily:
-    """One budget per split child and per split edge."""
-
-    child_budgets: dict
-    edge_budgets: dict
-
-
 def budget_families(items, d, k, cost_cap, usage_order) -> list:
     """Every choice of one ``(budget, cost)`` option per split item whose
     budgets together give no vertex more than d cross neighbors and at most
     2k in total, and whose costs sum to at most ``cost_cap``.
 
-    ``items`` holds ``(kind, key, options)`` triples.  Pruning assumes every
-    option costs at least one, as every split item does in the fill; for
-    zero-cost options pass an infinite cap.  Returns ``(usage, cost, picks)``
-    triples: the summed budgets on ``usage_order``, the summed costs and
-    the chosen ``(kind, key, budget)`` triples, in item order.
+    ``items`` holds ``(key, vertices, options)`` triples; every option's
+    budget is a count vector on the item's sorted ``vertices``.  Pruning
+    assumes every option costs at least one, as every split item does in
+    the fill; for zero-cost options pass an infinite cap.  Returns
+    ``(usage, cost, picks)`` triples: the summed budgets on ``usage_order``,
+    the summed costs and the chosen ``(key, budget)`` pairs, in item order.
     """
     counts = {}
     chosen = []
@@ -85,24 +64,23 @@ def budget_families(items, d, k, cost_cap, usage_order) -> list:
             found.append((tuple(counts.get(v, 0) for v in usage_order), cost,
                           tuple(chosen)))
             return
-        kind, key, opts = items[i]
+        key, verts, opts = items[i]
         remaining = last - i - 1
         for budget, val in opts:
             new_cost = cost + val
             if new_cost + remaining > cost_cap:
                 continue
-            new_size = size + budget.size
+            new_size = size + sum(budget)
             if new_size > 2 * k:
                 continue
-            entries = budget.entries
-            if any(counts.get(v, 0) + m > d for v, m in entries):
+            if any(counts.get(v, 0) + m > d for v, m in zip(verts, budget)):
                 continue
-            for v, m in entries:
+            for v, m in zip(verts, budget):
                 counts[v] = counts.get(v, 0) + m
-            chosen.append((kind, key, budget))
+            chosen.append((key, budget))
             rec(i + 1, new_size, new_cost)
             chosen.pop()
-            for v, m in entries:
+            for v, m in zip(verts, budget):
                 counts[v] -= m
 
     rec(0, 0, 0)
@@ -157,11 +135,11 @@ class NodePlan:
     """Per-node evaluation artifacts kept for the fill and backtracking."""
 
     adhesion_order: list
-    budgets: list
+    budgets: list         # count vectors on adhesion_order
     sides: list
     groups: dict          # canonical trace -> [sides]
-    famtables: dict       # side -> cost-sorted (usage vec, cost, family)
-    child_menu: tuple     # cost-sorted (usage vec, cost, child, child budget)
+    famtables: dict       # side -> cost-sorted (usage, cost, {child: budget})
+    child_menu: tuple     # cost-sorted (usage, cost, child, child budget)
     mode: str
 
 
@@ -195,7 +173,6 @@ class DPSolver:
         self.stats = {"modes": {}, "families_evaluated": 0, "sides_considered": 0,
                       "overloaded_side_prunes": 0}
         self._choices = {}
-        self._budget_cache = {}
 
     # ------------------------------------------------------------------
     # node evaluation
@@ -206,35 +183,20 @@ class DPSolver:
         return self
 
     def root_value(self):
-        return self.table.get(self.td.root, frozenset(), EMPTY_MULTISET, 1)
+        return self.table.get(self.td.root, frozenset(), (), 1)
 
-    def split_items(self, node, side) -> SplitItems:
-        side = frozenset(side)
+    def split_items(self, node, side):
+        """The ``(child, trace)`` pairs of the children whose adhesion the
+        side splits, and the bag edges it splits."""
         kids = []
-        kid_sides = []
         for c in self.children[node]:
             child_adhesion = self.contexts[c].adhesion
             trace = side & child_adhesion
             if trace and trace != child_adhesion:
-                kids.append(c)
-                kid_sides.append((c, trace, child_adhesion - trace))
-        edges = []
-        edge_sides = []
-        for e in self.contexts[node].bag_edges:
-            trace = side & frozenset(e)
-            if len(trace) == 1:
-                edges.append(e)
-                edge_sides.append((e, trace, frozenset(e) - trace))
-        return SplitItems(tuple(kids), tuple(edges),
-                          tuple(kid_sides), tuple(edge_sides))
-
-    def _budget_options(self, vertices):
-        key = frozenset(vertices)
-        cached = self._budget_cache.get(key)
-        if cached is None:
-            cached = bounded_multisets(key, self.d, self.k)
-            self._budget_cache[key] = cached
-        return cached
+                kids.append((c, trace))
+        edges = [e for e in self.contexts[node].bag_edges
+                 if (e[0] in side) != (e[1] in side)]
+        return kids, edges
 
     def _build_family_table(self, node, side):
         """Bucket the side's budget families by their usage of the node's
@@ -242,15 +204,15 @@ class DPSolver:
         cost saturates can never win and are skipped outright; each split
         edge admits exactly one finite-cost budget (both endpoints at one),
         so only the split children contribute real branching."""
-        split = self.split_items(node, side)
-        if split.count > self.k:
+        kids, edges = self.split_items(node, side)
+        if len(kids) + len(edges) > self.k:
             self.stats["overloaded_side_prunes"] += 1
             return ()
-        items = [("e", e, ((VertexMultiset(((e[0], 1), (e[1], 1))), 1),))
-                 for e in split.edges]
-        for c, trace, _ in split.child_sides:
+        items = [(e, e, (((1, 1), 1),)) for e in edges]
+        for c, trace in kids:
+            child_plan = self.plans[c]
             opts = []
-            for b in self._budget_options(self.contexts[c].adhesion):
+            for b in child_plan.budgets:
                 val = self.table.get(c, trace, b, 1)
                 if val is INFEASIBLE:
                     continue
@@ -259,7 +221,7 @@ class DPSolver:
                 opts.append((b, val))
             if not opts:
                 return ()
-            items.append(("c", c, opts))
+            items.append((c, child_plan.adhesion_order, opts))
 
         families = budget_families(items, self.d, self.k, self.k,
                                    self.plans[node].adhesion_order)
@@ -269,14 +231,10 @@ class DPSolver:
             cur = buckets.get(uvec)
             if cur is None or cost < cur[0]:
                 buckets[uvec] = (cost, picks)
-        out = []
-        for uvec, (cost, picks) in buckets.items():
-            fam = BudgetFamily(
-                child_budgets={key: b for kind, key, b in picks if kind == "c"},
-                edge_budgets={key: b for kind, key, b in picks if kind == "e"})
-            out.append((uvec, cost, fam))
-        out.sort(key=lambda item: (item[1], item[0]))
-        return tuple(out)
+        # Edge picks come first and carry nothing the rebuild needs.
+        return tuple(sorted(((uvec, cost, dict(picks[len(edges):]))
+                             for uvec, (cost, picks) in buckets.items()),
+                            key=lambda item: (item[1], item[0])))
 
     def _side_candidates(self, node):
         """Candidate sides for splitting the bag, plus the mode used."""
@@ -355,8 +313,7 @@ class DPSolver:
         ctx = self.contexts[node]
         adhesion = ctx.adhesion
         adhesion_order = sorted(adhesion)
-        budgets = self._budget_options(adhesion)
-        pvecs = [tuple(b.multiplicity(v) for v in adhesion_order) for b in budgets]
+        budgets = bounded_multisets(adhesion, self.d, self.k)
         sides, mode = self._side_candidates(node)
         self.stats["modes"][mode] = self.stats["modes"].get(mode, 0) + 1
         self.stats["sides_considered"] += len(sides)
@@ -378,17 +335,17 @@ class DPSolver:
                     continue
                 seen_keys.add(s_key)
                 unsplit = s_key == empty
-                for budget, pvec in zip(budgets, pvecs):
+                for budget in budgets:
                     self.table.set(node, s_key, budget, 0,
                                    0 if unsplit else INFEASIBLE)
                     best = INFEASIBLE
                     choice = None
                     for side in plan.groups.get(s_key, ()):
-                        hit = cheapest(plan.famtables[side], pvec)
+                        hit = cheapest(plan.famtables[side], budget)
                         if hit is not None and hit[1] < best:
                             best, choice = hit[1], ("bag", side, hit[2])
                     if unsplit:
-                        hit = cheapest(plan.child_menu, pvec)
+                        hit = cheapest(plan.child_menu, budget)
                         if hit is not None and hit[1] < best:
                             best, choice = hit[1], ("child", hit[2], hit[3])
                     value = best if best <= self.k else INFEASIBLE
@@ -399,9 +356,11 @@ class DPSolver:
     def _build_child_menu(self, node, adhesion_order):
         buckets = {}
         for c in self.children[node]:
-            for cb in self._budget_options(self.contexts[c].adhesion):
+            child_plan = self.plans[c]
+            for cb in child_plan.budgets:
                 cost = self.table.get(c, frozenset(), cb, 1)
-                uvec = tuple(cb.multiplicity(v) for v in adhesion_order)
+                counts = dict(zip(child_plan.adhesion_order, cb))
+                uvec = tuple(counts.get(v, 0) for v in adhesion_order)
                 cur = buckets.get(uvec)
                 if cur is None or cost < cur[0]:
                     buckets[uvec] = (cost, c, cb)
@@ -421,7 +380,7 @@ class DPSolver:
             raise RuntimeError("no witness: root value exceeds k")
         if not self.record_choices:
             raise RuntimeError("witness reconstruction needs recorded choices")
-        side = self._rebuild(root, EMPTY_MULTISET, frozenset())
+        side = self._rebuild(root, (), frozenset())
         return frozenset(side)
 
     def _rebuild(self, node, budget, wanted_trace):
@@ -438,8 +397,8 @@ class DPSolver:
             for c in self.children[node]:
                 child_adhesion = self.contexts[c].adhesion
                 trace = side & child_adhesion
-                if c in fam.child_budgets:
-                    part |= self._rebuild(c, fam.child_budgets[c], trace)
+                if c in fam:
+                    part |= self._rebuild(c, fam[c], trace)
                 elif child_adhesion and trace == child_adhesion:
                     part |= self.contexts[c].cone
         if part & adhesion != wanted_trace:

@@ -16,10 +16,10 @@ import time
 import pytest
 
 from conftest import complete_graph, cycle_graph, make_corpus, path_graph
-from dcut import (EMPTY_MULTISET, DPSolver, Graph, INFEASIBLE, SolveOptions,
-                  VertexMultiset, brute_force_min_dcut, build_exhaustive,
-                  construct, edge_cut, find_covering_family, is_d_cut,
-                  solve, verify, verify_covering)
+from dcut import (DPSolver, Graph, INFEASIBLE, SolveOptions,
+                  brute_force_min_dcut, build_exhaustive, construct, edge_cut,
+                  find_covering_family, is_d_cut, solve, verify,
+                  verify_covering)
 from dcut.generators import two_cliques_bridged
 from dcut.solver import budget_families
 
@@ -84,10 +84,12 @@ def _collect_table_invariants(solver, evidence):
         grouped.setdefault((node, side, ne), []).append((budget, value))
     for entries in grouped.values():
         for (b1, v1), (b2, v2) in itertools.combinations(entries, 2):
-            if b1.included_in(b2):
+            # budgets are count vectors on the sorted adhesion: compare
+            # them pointwise
+            if all(x <= y for x, y in zip(b1, b2)):
                 assert v2 <= v1
                 evidence["monotonic_checks"] += 1
-            elif b2.included_in(b1):
+            elif all(y <= x for x, y in zip(b1, b2)):
                 assert v1 <= v2
                 evidence["monotonic_checks"] += 1
 
@@ -232,8 +234,7 @@ def _reference_triple_selection(child_items, edge_items, d, k, adhesion,
                 continue
             if any(m > d for m in combined.values()):
                 continue
-            if any(combined.get(v, 0) > parent_budget.multiplicity(v)
-                   for v in adhesion):
+            if any(combined.get(v, 0) > parent_budget[v] for v in adhesion):
                 continue
             families.add(tuple(sorted(built.items())))
     return families
@@ -271,24 +272,31 @@ def test_criterion_5_enumeration_oracles():
         if triple_count > 10:
             continue
         adhesion = frozenset(rng.sample(range(5), rng.randint(0, 3)))
-        parent_budget = VertexMultiset.from_counts(
-            {v: rng.randint(0, d) for v in adhesion})
+        parent_budget = {v: rng.randint(0, d) for v in adhesion}
         reference = _reference_triple_selection(
             child_items, edge_items, d, k, adhesion, parent_budget)
         # The enumerator the fill uses, offered every budget at zero cost
         # (so no cost cap), with the parent budget applied to the usage
         # vector as the fill applies it.
-        items = [("c", key, [(b, 0) for b in bounded_multisets(adh, d, k)])
+        items = [(key, adh, [(b, 0) for b in bounded_multisets(adh, d, k)])
                  for key, adh in child_items]
-        items += [("e", key, [(b, 0) for b in bounded_multisets(ends, 1, 2)])
+        items += [(key, ends, [(b, 0) for b in bounded_multisets(ends, 1, 2)])
                   for key, ends in edge_items]
+        kinds = {key: "c" for key, _ in child_items}
+        kinds.update((key, "e") for key, _ in edge_items)
+        vertices = {key: verts for key, verts, _ in items}
         order = sorted(adhesion)
-        pvec = tuple(parent_budget.multiplicity(v) for v in order)
+        pvec = tuple(parent_budget[v] for v in order)
         direct = set()
         for usage, _, picks in budget_families(items, d, k, INFEASIBLE, order):
             if not all(u <= q for u, q in zip(usage, pvec)):
                 continue
-            key = tuple(sorted(((kind, key), b.entries) for kind, key, b in picks))
+            # key each pick by its sparse (vertex, multiplicity) listing,
+            # as the reference builds them
+            key = tuple(sorted(
+                ((kinds[key], key),
+                 tuple((v, m) for v, m in zip(vertices[key], b) if m))
+                for key, b in picks))
             assert key not in direct, "duplicate family generated"
             direct.add(key)
         assert direct == reference

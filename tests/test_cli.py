@@ -132,6 +132,15 @@ class TestRun:
         with pytest.raises(ValueError):
             run(RunConfig(k=-1, d=1, gen_spec="grid:rows=2,cols=2"))
 
+    @pytest.mark.parametrize("rounds", [0, -2])
+    def test_family_rounds_below_one_rejected(self, rounds):
+        for minbeta in (None, "colorcode"):
+            with pytest.raises(ValueError, match="--family-rounds must be at least 1"):
+                run(RunConfig(k=2, d=1, gen_spec="grid:rows=2,cols=3",
+                              minbeta=minbeta, family_rounds=rounds))
+        assert main(["--gen", "grid:rows=2,cols=3", "--k", "2", "--d", "1",
+                     "--family-rounds", str(rounds)]) == 1
+
     def test_brute_force_respects_oracle_threshold(self):
         with pytest.raises(ValueError, match="brute force limited"):
             run(RunConfig(k=2, d=1, gen_spec="grid:rows=5,cols=5",

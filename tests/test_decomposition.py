@@ -229,6 +229,14 @@ class TestSerialization:
         with pytest.raises(TdParseError):
             parse("s td 2 2 3\nb 1 1 2\nb 2 2 3\n")
 
+    def test_rejects_header_max_bag_mismatch(self):
+        # the header promises bags of 99 vertices over a 3-vertex bag
+        with pytest.raises(TdParseError, match="max bag 99") as err:
+            parse("c comment\ns td 1 99 3\nb 1 1 2 3\n")
+        assert err.value.line == 2
+        with pytest.raises(TdParseError, match="max bag 2"):
+            parse("s td 2 2 3\nb 1 1 2\nb 2 1 2 3\np 2 1\n")
+
     def test_comments_and_blanks_ignored(self):
         td = parse("c hello\n\ns td 1 2 2\nc mid\nb 1 1 2\n")
         assert td.node_count == 1

@@ -4,25 +4,22 @@ import pytest
 
 from conftest import (complete_graph, cycle_graph, local_edges, make_corpus,
                       path_graph)
-from dcut import (EMPTY_MULTISET, DPSolver, Graph, INFEASIBLE, SolveOptions,
-                  VertexMultiset, bounded_multisets, edge_cut, is_d_cut,
-                  is_d_matching, solve)
+from dcut import (DPSolver, Graph, INFEASIBLE, SolveOptions, bounded_multisets,
+                  edge_cut, is_d_cut, is_d_matching, solve)
 from dcut.decomposition import (DecompositionError, RootedDecomposition,
                                 construct, derive_contexts)
 from dcut.generators import two_cliques_bridged
-from dcut.solver import (BudgetFamily, EnumerationBudgetExceeded, CostTable,
+from dcut.solver import (EnumerationBudgetExceeded, CostTable,
                          budget_families, cheapest)
-
-ms = VertexMultiset.from_counts
 
 
 def dp(graph, td, d, k, **kw):
     return DPSolver(graph, td, d, k, **kw).run()
 
 
-def cost_under(entries, budget, order):
+def cost_under(entries, budget):
     """Cost of the cheapest entry fitting the budget; infinity if none."""
-    hit = cheapest(entries, tuple(budget.multiplicity(v) for v in order))
+    hit = cheapest(entries, budget)
     return INFEASIBLE if hit is None else hit[1]
 
 
@@ -30,9 +27,10 @@ def families(items, d, k, cost_cap=INFEASIBLE, usage_order=()):
     return budget_families(items, d, k, cost_cap, usage_order)
 
 
-def zero_cost_item(kind, key, vertices, mult, size):
+def zero_cost_item(key, vertices, mult, size):
     """A split item offering every bounded budget on the vertices at cost 0."""
-    return kind, key, [(b, 0) for b in bounded_multisets(vertices, mult, size)]
+    return (key, tuple(sorted(vertices)),
+            [(b, 0) for b in bounded_multisets(vertices, mult, size)])
 
 
 @pytest.fixture
@@ -58,15 +56,15 @@ class TestSaturatingSum:
     """Family costs add up within the cap; anything beyond it is dropped."""
 
     def test_within_cap(self):
-        items = [("e", "a", [(ms({0: 1}), 1)]), ("e", "b", [(ms({1: 1}), 2)])]
+        items = [("a", (0,), [((1,), 1)]), ("b", (1,), [((1,), 2)])]
         assert [cost for _, cost, _ in families(items, 1, 2, cost_cap=4)] == [3]
 
     def test_exceeding_cap_is_infeasible(self):
-        items = [("e", "a", [(ms({0: 1}), 2)]), ("e", "b", [(ms({1: 1}), 3)])]
+        items = [("a", (0,), [((1,), 2)]), ("b", (1,), [((1,), 3)])]
         assert families(items, 1, 2, cost_cap=4) == []
 
     def test_infinity_propagates(self):
-        items = [("e", "a", [(ms({0: 1}), 1)]), ("e", "b", [(ms({1: 1}), INFEASIBLE)])]
+        items = [("a", (0,), [((1,), 1)]), ("b", (1,), [((1,), INFEASIBLE)])]
         assert families(items, 1, 2, cost_cap=10) == []
 
     def test_empty(self):
@@ -81,19 +79,20 @@ class TestEdgeCosts:
         g = path_graph(3)  # 0-1-2; side {0} splits (0,1) only
         td = RootedDecomposition(3, (frozenset({0, 1, 2}),), (None,))
         solver = dp(g, td, 1, 2)
-        split = solver.split_items(0, frozenset({0}))
-        assert split.edges == ((0, 1),)
-        ((_, cost, fam),) = solver.plans[0].famtables[frozenset({0})]
-        assert cost == 1 and list(fam.edge_budgets) == [(0, 1)]
+        kids, edges = solver.split_items(0, frozenset({0}))
+        assert kids == [] and edges == [(0, 1)]
+        # one family: the split edge alone, on an empty adhesion
+        assert solver.plans[0].famtables[frozenset({0})] == (((), 1, {}),)
 
     def test_split_trace_with_both_budgeted_costs_one(self):
         g = path_graph(2)
         td = RootedDecomposition(2, (frozenset({0, 1}),), (None,))
         solver = dp(g, td, 1, 2)
         for side in (frozenset({0}), frozenset({1})):
-            ((_, cost, fam),) = solver.plans[0].famtables[side]
-            assert cost == 1
-            assert fam.edge_budgets == {(0, 1): ms({0: 1, 1: 1})}
+            assert solver.plans[0].famtables[side] == (((), 1, {}),)
+        # the edge's option grants each endpoint one cross neighbor
+        fams = families([((0, 1), (0, 1), [((1, 1), 1)])], 1, 2, 2, (0, 1))
+        assert fams == [((1, 1), 1, (((0, 1), (1, 1)),))]
 
     def test_split_trace_with_missing_budget_is_infeasible(self, c4_fixture):
         # in the child, side {0} splits the bag edge (0,3): adhesion vertex
@@ -101,21 +100,35 @@ class TestEdgeCosts:
         solver = dp(*c4_fixture, 1, 2)
         plan = solver.plans[1]
         entries = plan.famtables[frozenset({0})]
-        order = plan.adhesion_order
-        assert cost_under(entries, ms({0: 1}), order) == 1
-        assert cost_under(entries, ms({1: 1}), order) is INFEASIBLE
-        assert cost_under(entries, ms({}), order) is INFEASIBLE
+        assert plan.adhesion_order == [0, 1]
+        assert entries == (((1, 0), 1, {}),)
+        assert cost_under(entries, (1, 0)) == 1
+        assert cost_under(entries, (0, 1)) is INFEASIBLE
+        assert cost_under(entries, (0, 0)) is INFEASIBLE
 
     def test_materialized_table_values(self):
         for g in make_corpus(6, seed=11, n_lo=5, n_hi=8):
             td = construct(g, 3)
             solver = dp(g, td, 1, 3)
-            for plan in solver.plans:
-                for entries in plan.famtables.values():
-                    for _, cost, fam in entries:
+            for node, plan in enumerate(solver.plans):
+                for side, entries in plan.famtables.items():
+                    kids, edges = solver.split_items(node, side)
+                    for usage, cost, fam in entries:
                         assert 1 <= cost <= 3
-                        for (u, v), budget in fam.edge_budgets.items():
-                            assert budget == ms({u: 1, v: 1})
+                        assert sorted(fam) == sorted(c for c, _ in kids)
+                        # every split edge spends one at each endpoint, each
+                        # split child its budget
+                        spent = dict.fromkeys(plan.adhesion_order, 0)
+                        for e in edges:
+                            for v in e:
+                                if v in spent:
+                                    spent[v] += 1
+                        for c, budget in fam.items():
+                            child_order = solver.plans[c].adhesion_order
+                            for v, m in zip(child_order, budget):
+                                if v in spent:
+                                    spent[v] += m
+                        assert usage == tuple(spent.values())
 
 
 class TestTrivialCost:
@@ -134,58 +147,55 @@ class TestTrivialCost:
 class TestSplitItems:
     def test_side_splitting_child_and_edge(self, c4_fixture):
         solver = DPSolver(*c4_fixture, 1, 2)
-        split = solver.split_items(0, frozenset({0}))
-        assert split.children == (1,)
-        assert split.edges == ((0, 1),)
+        kids, edges = solver.split_items(0, frozenset({0}))
+        assert kids == [(1, frozenset({0}))]
+        assert edges == [(0, 1)]
 
     def test_side_containing_child_adhesion_splits_nothing(self, c4_fixture):
         solver = DPSolver(*c4_fixture, 1, 2)
-        split = solver.split_items(0, frozenset({0, 1}))
-        assert split.count == 0
+        assert solver.split_items(0, frozenset({0, 1})) == ([], [])
 
     def test_edgeless_bag_splits_nothing(self, nested_p2):
         solver = DPSolver(*nested_p2, 1, 2)
-        split = solver.split_items(1, frozenset({0}))
-        assert split.children == () and split.edges == ()
+        assert solver.split_items(1, frozenset({0})) == ([], [])
 
     def test_traces_recorded(self, c4_fixture):
         solver = DPSolver(*c4_fixture, 1, 2)
-        split = solver.split_items(0, frozenset({1}))
-        assert split.child_sides == ((1, frozenset({1}), frozenset({0})),)
-        assert split.edge_sides == (((0, 1), frozenset({1}), frozenset({0})),)
+        kids, edges = solver.split_items(0, frozenset({1}))
+        assert kids == [(1, frozenset({1}))]
+        assert edges == [(0, 1)]
 
 
 class TestBudgetFamilies:
     def test_no_split_items_yields_exactly_the_empty_family(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 2)
         table = solver._build_family_table(0, frozenset({0, 1}))
-        assert table == (((), 0, BudgetFamily({}, {})),)
+        assert table == (((), 0, {}),)
 
     def test_single_split_edge_matches_nested_enumeration(self):
-        fams = families([zero_cost_item("e", (0, 1), (0, 1), 1, 2)], d=1, k=2)
-        got = sorted(picks[0][2].entries for _, _, picks in fams)
-        expected = sorted(
-            ms({0: a, 1: b}).entries for a in (0, 1) for b in (0, 1))
+        fams = families([zero_cost_item((0, 1), (0, 1), 1, 2)], d=1, k=2)
+        got = sorted(picks[0][1] for _, _, picks in fams)
+        expected = sorted((a, b) for a in (0, 1) for b in (0, 1))
         assert got == expected
 
     def test_parent_budget_caps_child_budgets(self):
         # the parent grants vertex 0 nothing: only the empty budget fits
-        fams = families([zero_cost_item("c", "c1", (0,), 2, 3)], d=2, k=3,
+        fams = families([zero_cost_item("c1", (0,), 2, 3)], d=2, k=3,
                         usage_order=(0,))
         fitting = [picks for usage, _, picks in fams
                    if all(u <= q for u, q in zip(usage, (0,)))]
-        assert fitting == [(("c", "c1", EMPTY_MULTISET),)]
+        assert fitting == [(("c1", (0,)),)]
 
     def test_per_vertex_cap_couples_items(self):
         # two children sharing vertex 0 with d=1: at most one may spend it
-        fams = families([zero_cost_item("c", "c1", (0,), 1, 3),
-                         zero_cost_item("c", "c2", (0,), 1, 3)], d=1, k=3)
-        spends = sorted(tuple(b.size for _, _, b in picks) for _, _, picks in fams)
+        fams = families([zero_cost_item("c1", (0,), 1, 3),
+                         zero_cost_item("c2", (0,), 1, 3)], d=1, k=3)
+        spends = sorted(tuple(sum(b) for _, b in picks) for _, _, picks in fams)
         assert spends == [(0, 0), (0, 1), (1, 0)]
 
     def test_total_size_cap(self):
         # three children, each able to spend up to 2, capped at 2k=4 jointly
-        fams = families([zero_cost_item("c", f"c{i}", (i,), 2, 2)
+        fams = families([zero_cost_item(f"c{i}", (i,), 2, 2)
                          for i in range(3)], d=2, k=2, usage_order=(0, 1, 2))
         assert all(sum(usage) <= 4 for usage, _, _ in fams)
         brute = sum(1 for spend in itertools.product(range(3), repeat=3)
@@ -194,12 +204,13 @@ class TestBudgetFamilies:
 
     def test_combined_is_sum_union(self):
         # the usage vector is the pointwise sum of the picked budgets
-        items = [zero_cost_item("c", "c1", (0, 1), 2, 3),
-                 zero_cost_item("e", (0, 2), (0, 2), 1, 2)]
+        items = [zero_cost_item("c1", (0, 1), 2, 3),
+                 zero_cost_item((0, 2), (0, 2), 1, 2)]
+        vertices = {key: verts for key, verts, _ in items}
         for usage, _, picks in families(items, d=2, k=3, usage_order=(0, 1, 2)):
             total = [0, 0, 0]
-            for _, _, budget in picks:
-                for v, m in budget.entries:
+            for key, budget in picks:
+                for v, m in zip(vertices[key], budget):
                     total[v] += m
             assert usage == tuple(total)
 
@@ -209,16 +220,20 @@ class TestFamilyCost:
         # the edgeless leaf: a side splitting nothing costs nothing
         solver = DPSolver(*nested_p2, 1, 2)
         solver.fill_node(1)
-        assert solver.plans[1].famtables[frozenset({0})] == \
-            (((0, 0), 0, BudgetFamily({}, {})),)
+        assert solver.plans[1].famtables[frozenset({0})] == (((0, 0), 0, {}),)
 
     def test_single_edge_family(self):
         g = path_graph(2)
         td = RootedDecomposition(2, (frozenset({0, 1}),), (None,))
         solver = dp(g, td, 1, 2)
-        # the only family grants both endpoints; none leaves either out
-        ((_, cost, fam),) = solver.plans[0].famtables[frozenset({0})]
-        assert cost == 1 and fam.edge_budgets == {(0, 1): ms({0: 1, 1: 1})}
+        # one family: the split edge at cost one, with no child budgets
+        assert solver.plans[0].famtables[frozenset({0})] == (((), 1, {}),)
+        # below an adhesion {0, 1}, the split edge (1, 2) spends one at 1
+        g = Graph(3, [(0, 1), (0, 2), (1, 2)])
+        td = RootedDecomposition(3, (frozenset({0, 1}), frozenset({0, 1, 2})),
+                                 (None, 0))
+        plan = dp(g, td, 1, 2).plans[1]
+        assert plan.famtables[frozenset({0, 2})] == (((0, 1), 1, {}),)
 
 
 class TestBestFamilyCost:
@@ -235,20 +250,17 @@ class TestBestFamilyCost:
         solver = DPSolver(*nested_p2, 1, 2)
         solver.fill_node(1)
         plan = solver.plans[1]
-        assert cost_under(plan.famtables[frozenset({0})], ms({0: 1, 1: 1}),
-                          plan.adhesion_order) == 0
+        assert cost_under(plan.famtables[frozenset({0})], (1, 1)) == 0
 
     def test_c4_child_side_costs_two(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 3)
         plan = solver.plans[1]
-        assert cost_under(plan.famtables[frozenset({2, 3})], ms({0: 1, 1: 1}),
-                          plan.adhesion_order) == 2
+        assert cost_under(plan.famtables[frozenset({2, 3})], (1, 1)) == 2
 
     def test_budget_restricts_value(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 3)
         plan = solver.plans[1]
-        assert cost_under(plan.famtables[frozenset({2, 3})], EMPTY_MULTISET,
-                          plan.adhesion_order) is INFEASIBLE
+        assert cost_under(plan.famtables[frozenset({2, 3})], (0, 0)) is INFEASIBLE
 
     def test_invalid_sides_rejected(self, c4_fixture):
         # empty, whole-bag and oversized sides never get a family table
@@ -263,14 +275,14 @@ class TestBestFamilyCost:
 def cost_via_bag(solver, node, side_class, budget):
     plan = solver.plans[node]
     key = solver.table.canonical_side(node, side_class)
-    return min((cost_under(plan.famtables[side], budget, plan.adhesion_order)
+    return min((cost_under(plan.famtables[side], budget)
                 for side in plan.groups.get(key, ())), default=INFEASIBLE)
 
 
 class TestBagSplitSearch:
     def test_c4_root_split_value(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 3)
-        assert cost_via_bag(solver, 0, frozenset(), EMPTY_MULTISET) == 2
+        assert cost_via_bag(solver, 0, frozenset(), ()) == 2
 
     def test_singleton_bag_has_no_compatible_side(self):
         g = path_graph(3)
@@ -278,7 +290,7 @@ class TestBagSplitSearch:
             3, (frozenset({1}), frozenset({0, 1}), frozenset({1, 2})),
             (None, 0, 0))
         solver = dp(g, td, 1, 2)
-        assert cost_via_bag(solver, 0, frozenset(), EMPTY_MULTISET) \
+        assert cost_via_bag(solver, 0, frozenset(), ()) \
             is INFEASIBLE
         # the cut still surfaces through the children
         assert solver.root_value() == 1
@@ -290,15 +302,14 @@ class TestChildDescent:
         td = RootedDecomposition(2, (frozenset({0, 1}),), (None,))
         solver = dp(g, td, 1, 2)
         assert solver.plans[0].child_menu == ()
-        assert cost_under(solver.plans[0].child_menu, EMPTY_MULTISET, ()) \
-            is INFEASIBLE
+        assert cost_under(solver.plans[0].child_menu, ()) is INFEASIBLE
 
     def test_child_entry_of_two_flows_up(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 3)
         # nontrivial partitions of the child's local path 1-2-3-0 that do
         # not split {0,1} cost two edges
-        assert solver.table.get(1, frozenset(), ms({0: 1, 1: 1}), 1) == 2
-        assert cost_under(solver.plans[0].child_menu, EMPTY_MULTISET, ()) == 2
+        assert solver.table.get(1, frozenset(), (1, 1), 1) == 2
+        assert cost_under(solver.plans[0].child_menu, ()) == 2
         assert solver.root_value() == 2
 
 
@@ -332,9 +343,9 @@ class TestFillValues:
 
     def test_table_rejects_double_write(self):
         table = CostTable([frozenset()])
-        table.set(0, frozenset(), EMPTY_MULTISET, 1, 0)
+        table.set(0, frozenset(), (), 1, 0)
         with pytest.raises(RuntimeError, match="twice"):
-            table.set(0, frozenset(), EMPTY_MULTISET, 1, 1)
+            table.set(0, frozenset(), (), 1, 1)
 
     def test_budget_monotonicity(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 3)
@@ -342,7 +353,7 @@ class TestFillValues:
         for (node, side, budget, ne), value in entries.items():
             for (node2, side2, budget2, ne2), value2 in entries.items():
                 if (node, side, ne) == (node2, side2, ne2) \
-                        and budget.included_in(budget2):
+                        and all(a <= b for a, b in zip(budget, budget2)):
                     assert value2 <= value
 
 
@@ -380,6 +391,23 @@ class TestSolveEndToEnd:
         a = solve(cycle_graph(6), 2, 1)
         b = solve(cycle_graph(6), 2, 1)
         assert a.witness == b.witness
+
+    @pytest.mark.parametrize("index,d,k,side_a", [
+        (5, 1, 3, [0]),
+        (42, 1, 4, [4, 5, 6, 9]),
+        (67, 1, 2, [0, 3]),
+        (125, 2, 4, [1, 5]),
+        (217, 2, 5, [10]),
+        (244, 2, 4, [2]),
+    ])
+    def test_pinned_witnesses_under_ties(self, index, d, k, side_a):
+        # Several cuts tie on these acceptance-corpus graphs; the emitted
+        # one follows from keeping the first of equally cheap choices in
+        # the order bounded_multisets lists budgets.  Ordering the budgets
+        # as plain tuples instead changes every one of these witnesses.
+        g = make_corpus(index + 1, 20250808)[index]
+        res = solve(g, k, d)
+        assert sorted(res.witness.side_a) == side_a
 
     def test_witness_skippable(self):
         res = solve(cycle_graph(4), 2, 1, SolveOptions(witness=False))
@@ -489,8 +517,7 @@ class TestRealizability:
             rest = sorted(ctx.cone - ctx.bag)
             for side in plan.sides:
                 for budget in plan.budgets:
-                    value = cost_under(plan.famtables[side], budget,
-                                       plan.adhesion_order)
+                    value = cost_under(plan.famtables[side], budget)
                     if value is INFEASIBLE:
                         continue
                     achieved = None
@@ -507,8 +534,8 @@ class TestRealizability:
                                 degree[v] = degree.get(v, 0) + 1
                             if any(c > d for c in degree.values()):
                                 continue
-                            if any(degree.get(v, 0) > budget.multiplicity(v)
-                                   for v in ctx.adhesion):
+                            if any(degree.get(v, 0) > m for v, m
+                                   in zip(plan.adhesion_order, budget)):
                                 continue
                             achieved = a
                             break
