@@ -19,11 +19,9 @@ from . import decomposition as tdio
 from .dimacs import DimacsParseError, parse_graph
 from .generators import generate_instance
 from .graph import edge_cut
-from .oracle import OracleSizeLimit, brute_force_min_dcut
+from .oracle import ORACLE_LIMIT, OracleSizeLimit, brute_force_min_dcut
 from .setfamily import FamilySizeLimit
 from .solver import EnumerationBudgetExceeded, SolveOptions, solve
-
-ORACLE_LIMIT = 20
 
 
 @dataclass

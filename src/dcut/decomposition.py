@@ -13,11 +13,14 @@ else about the construction.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import DisconnectedGraph, Graph, is_connected
+from .graph import DisconnectedGraph, Graph, components, is_connected
+
+CONSTRUCT_LIMIT = 24  # most vertices whose bipartitions construct and verify scan
+_FALLBACK_LIMIT = 16  # pieces this small also try every bag above the adhesion
+_WITNESS_CAP = 24     # most witness cuts a piece derives candidate bags from
 
 
 class SizeLimitExceeded(RuntimeError):
@@ -134,21 +137,12 @@ def _axiom_violation(graph: Graph, td: RootedDecomposition):
     for i, bag in enumerate(td.bags):
         for v in bag:
             occurrence[v].add(i)
-    kids = td.children()
+    tree = [kids + (() if p is None else (p,))
+            for kids, p in zip(td.children(), td.parent)]
     for v in graph.vertices:
-        nodes = occurrence[v]
-        if not nodes:
+        if not occurrence[v]:
             return ("missing-vertex", v)
-        start = next(iter(nodes))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            t = queue.popleft()
-            for nb in list(kids[t]) + ([td.parent[t]] if td.parent[t] is not None else []):
-                if nb in nodes and nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        if seen != nodes:
+        if len(components(tree, occurrence[v])) != 1:
             return ("disconnected-occurrence", v)
     return None
 
@@ -248,22 +242,18 @@ def _breaks(mask, bag_mask, bag_size, k):
     return a > k and bag_size - a > k
 
 
-def _subgraph_masks(graph: Graph, verts):
-    """Local index maps and restricted adjacency bitmasks for a vertex set."""
+def _scan(graph: Graph, verts, k):
+    """The vertex set in sorted order, and the :func:`_small_cuts` of the
+    subgraph it induces, whose side masks index that order."""
     order = sorted(verts)
     index = {v: i for i, v in enumerate(order)}
-    masks = []
-    for v in order:
-        m = 0
-        for w in graph.adj[v]:
-            if w in index:
-                m |= 1 << index[w]
-        masks.append(m)
-    return order, index, masks
+    masks = [sum(1 << index[w] for w in graph.adj[v] if w in index)
+             for v in order]
+    return order, _small_cuts(masks, k)
 
 
 def verify(graph: Graph, td: RootedDecomposition, k: int, *,
-           unbreakable_limit: int = 24) -> VerificationReport:
+           unbreakable_limit: int = CONSTRUCT_LIMIT) -> VerificationReport:
     """Check the four properties the solver relies on.
 
     (i) tree-decomposition axioms, (ii) compactness of every non-root
@@ -272,6 +262,13 @@ def verify(graph: Graph, td: RootedDecomposition, k: int, *,
     all bipartitions of the graph (skipped with a size-limit marker above
     ``unbreakable_limit`` vertices; the other checks still run).
     """
+    scan = _scan(graph, graph.vertices, k) if graph.n <= unbreakable_limit else None
+    return _verify(graph, td, k, scan, unbreakable_limit)
+
+
+def _verify(graph, td, k, scan, unbreakable_limit):
+    """:func:`verify` given the whole graph's :func:`_scan`, or None when
+    the graph has more than ``unbreakable_limit`` vertices."""
     checks = []
     detail = _axiom_violation(graph, td)
     checks.append(CheckResult("axioms", "fail" if detail else "pass", detail))
@@ -285,16 +282,7 @@ def verify(graph: Graph, td: RootedDecomposition, k: int, *,
             if not interior:
                 bad = ("empty-interior", ctx.node)
                 break
-            start = next(iter(interior))
-            seen = {start}
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for w in graph.adj[u]:
-                    if w in interior and w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            if seen != interior:
+            if len(components(graph.adj, interior)) != 1:
                 bad = ("interior-disconnected", ctx.node)
                 break
             boundary = frozenset(w for v in interior for w in graph.adj[v]) - interior
@@ -311,15 +299,16 @@ def verify(graph: Graph, td: RootedDecomposition, k: int, *,
         checks.append(CheckResult("compactness", "skipped", "axioms failed"))
         checks.append(CheckResult("adhesion-size", "skipped", "axioms failed"))
 
-    if graph.n > unbreakable_limit:
+    if scan is None:
         checks.append(CheckResult("unbreakable-bags", "skipped",
                                   f"n={graph.n} exceeds limit {unbreakable_limit}"))
     else:
-        order, index, masks = _subgraph_masks(graph, graph.vertices)
+        order, cuts = scan
+        index = {v: i for i, v in enumerate(order)}
         bag_masks = [sum(1 << index[v] for v in bag) for bag in td.bags]
         bag_sizes = [len(bag) for bag in td.bags]
         bad = None
-        for mask, cut in _small_cuts(masks, k):
+        for mask, cut in cuts:
             for t, bm in enumerate(bag_masks):
                 if _breaks(mask, bm, bag_sizes[t], k):
                     side = frozenset(order[i] for i in range(len(order))
@@ -346,16 +335,22 @@ class _Builder:
     Root bags are tried in order: the whole current piece when it is
     unbreakable, then bags derived from minimum-order witness cuts
     (one-sided endpoint sets, then both), then an exhaustive fallback for
-    small pieces.  Failures are memoized per (piece, adhesion).
+    small pieces.  Failures are memoized per (piece, adhesion), cut scans
+    per piece, for the length of one construction.
     """
 
-    def __init__(self, graph: Graph, k: int, *,
-                 fallback_limit: int = 16, witness_cap: int = 24):
+    def __init__(self, graph: Graph, k: int):
         self.graph = graph
         self.k = k
-        self.fallback_limit = fallback_limit
-        self.witness_cap = witness_cap
         self._failed = set()
+        self._scans = {}
+
+    def scan(self, piece: frozenset):
+        """The piece's :func:`_scan`, run once per piece."""
+        found = self._scans.get(piece)
+        if found is None:
+            found = self._scans[piece] = _scan(self.graph, piece, self.k)
+        return found
 
     def build(self, piece: frozenset, adhesion: frozenset):
         key = (piece, adhesion)
@@ -363,8 +358,7 @@ class _Builder:
             return None
         if len(piece) <= 2 * self.k + 1:
             return _TreeNode(piece, [])
-        order, _, masks = _subgraph_masks(self.graph, piece)
-        cuts = _small_cuts(masks, self.k)
+        order, cuts = self.scan(piece)
         witnesses = self._witnesses(order, cuts)
         if not witnesses:
             return _TreeNode(piece, [])
@@ -392,7 +386,7 @@ class _Builder:
                     found.append(mask)
         sides = sorted(tuple(order[i] for i in range(m) if mask >> i & 1)
                        for mask in found)
-        return [frozenset(side) for side in sides[:self.witness_cap]]
+        return [frozenset(side) for side in sides[:_WITNESS_CAP]]
 
     def _candidates(self, piece, adhesion, witnesses):
         seen = set()
@@ -409,7 +403,7 @@ class _Builder:
                 if bag not in seen and adhesion < bag < piece:
                     seen.add(bag)
                     yield bag
-        if len(piece) <= self.fallback_limit:
+        if len(piece) <= _FALLBACK_LIMIT:
             rest = sorted(piece - adhesion)
             for size in range(1, len(rest)):
                 for extra in combinations(rest, size):
@@ -429,25 +423,8 @@ class _Builder:
     def _try_bag(self, piece, adhesion, bag, order, cuts):
         if not self._bag_unbreakable(bag, order, cuts):
             return None
-        rest = piece - bag
-        comps = []
-        seen = set()
-        for start in sorted(rest):
-            if start in seen:
-                continue
-            comp = {start}
-            seen.add(start)
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for w in self.graph.adj[u]:
-                    if w in rest and w not in seen:
-                        seen.add(w)
-                        comp.add(w)
-                        queue.append(w)
-            comps.append(frozenset(comp))
         children = []
-        for comp in comps:
+        for comp in components(self.graph.adj, sorted(piece - bag)):
             boundary = frozenset(w for v in comp for w in self.graph.adj[v]
                                  if w in piece) - comp
             if len(boundary) > self.k:
@@ -462,7 +439,8 @@ class _Builder:
         return _TreeNode(bag, children)
 
 
-def construct(graph: Graph, k: int, *, max_vertices: int = 24) -> RootedDecomposition:
+def construct(graph: Graph, k: int, *,
+              max_vertices: int = CONSTRUCT_LIMIT) -> RootedDecomposition:
     """Build a decomposition that passes :func:`verify` in full.
 
     Raises :class:`DecompositionError` rather than ever returning an
@@ -476,7 +454,8 @@ def construct(graph: Graph, k: int, *, max_vertices: int = 24) -> RootedDecompos
     if not is_connected(graph):
         raise DisconnectedGraph("construction requires a connected graph")
     builder = _Builder(graph, k)
-    root = builder.build(frozenset(graph.vertices), frozenset())
+    whole = frozenset(graph.vertices)
+    root = builder.build(whole, frozenset())
     if root is None:
         raise DecompositionError("bag search exhausted without a valid decomposition")
     bags = []
@@ -490,7 +469,8 @@ def construct(graph: Graph, k: int, *, max_vertices: int = 24) -> RootedDecompos
         for child in reversed(node.children):
             stack.append((child, idx))
     td = RootedDecomposition(graph.n, tuple(bags), tuple(parents))
-    report = verify(graph, td, k, unbreakable_limit=max_vertices)
+    # The root piece is the whole graph, so its scan serves the final check.
+    report = _verify(graph, td, k, builder.scan(whole), max_vertices)
     if not report.passed:
         raise DecompositionError(
             f"constructed decomposition failed verification: {report.summary()}")

@@ -2,8 +2,6 @@
 
 Vertices are dense integer ids ``0..n-1``.  Graphs are immutable after
 construction and safe to share; every operation in this module is pure.
-Adjacency is kept both as neighbor sets and as integer bitmasks, the
-latter because the cut-enumeration loops elsewhere live on popcounts.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ class Graph:
     data problems.
     """
 
-    __slots__ = ("n", "edges", "adj", "adj_mask", "_edge_set", "_hash")
+    __slots__ = ("n", "edges", "adj", "_edge_set", "_hash")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -53,7 +51,6 @@ class Graph:
         self.n = n
         self.edges = tuple(sorted(seen))
         self.adj = tuple(frozenset(s) for s in adj)
-        self.adj_mask = tuple(sum(1 << w for w in s) for s in adj)
         self._edge_set = seen
         self._hash = hash((n, self.edges))
 
@@ -110,26 +107,29 @@ def _check_bipartition(graph: Graph, part: Bipartition) -> None:
         raise InvalidBipartition("sides do not cover the vertex set")
 
 
+def components(adj, vertices) -> list:
+    """Vertex sets of the components that ``adj`` (a sequence or mapping
+    from vertex to neighbours) induces on ``vertices``, in the order of
+    each component's first member in ``vertices``."""
+    left = set(vertices)
+    comps = []
+    for start in vertices:
+        if start not in left:
+            continue
+        left.remove(start)
+        comp = [start]
+        for u in comp:  # comp grows as it is walked: a breadth-first search
+            for w in adj[u]:
+                if w in left:
+                    left.remove(w)
+                    comp.append(w)
+        comps.append(frozenset(comp))
+    return comps
+
+
 def connected_components(graph: Graph) -> list:
     """Maximal connected vertex sets, sorted by smallest member."""
-    seen = set()
-    comps = []
-    for start in graph.vertices:
-        if start in seen:
-            continue
-        queue = deque([start])
-        seen.add(start)
-        comp = {start}
-        while queue:
-            u = queue.popleft()
-            for w in graph.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    queue.append(w)
-        comps.append(frozenset(comp))
-    comps.sort(key=min)
-    return comps
+    return components(graph.adj, graph.vertices)
 
 
 def is_connected(graph: Graph) -> bool:
@@ -219,18 +219,16 @@ def global_min_cut(graph: Graph):
     if graph.n < 2:
         return None, None
     best = None
-    best_sink = None
     for sink in range(1, graph.n):
-        value, _ = _max_flow(graph, 0, sink)
+        value, residual = _max_flow(graph, 0, sink)
         if best is None or value < best:
             best = value
-            best_sink = sink
-    _, residual = _max_flow(graph, 0, best_sink)
+            best_residual = residual
     reach = {0}
     queue = deque([0])
     while queue:
         u = queue.popleft()
-        for w, c in residual[u].items():
+        for w, c in best_residual[u].items():
             if c > 0 and w not in reach:
                 reach.add(w)
                 queue.append(w)

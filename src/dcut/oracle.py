@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 from .graph import Bipartition, Graph, connected_components, is_d_cut
 
+ORACLE_LIMIT = 20  # most vertices whose bipartitions the oracle scans
+
 
 class OracleSizeLimit(RuntimeError):
     """Exhaustive scan requested beyond the size threshold."""
@@ -22,7 +24,8 @@ class OracleResult:
     best_cut: object      # Bipartition or None
 
 
-def brute_force_min_dcut(graph: Graph, d: int, *, max_vertices: int = 20) -> OracleResult:
+def brute_force_min_dcut(graph: Graph, d: int, *,
+                         max_vertices: int = ORACLE_LIMIT) -> OracleResult:
     """Minimum crossing-edge count over all cuts in which every vertex has
     at most ``d`` neighbors on the far side; None when no such cut exists."""
     if d < 1:
@@ -77,7 +80,8 @@ def brute_force_min_dcut(graph: Graph, d: int, *, max_vertices: int = 20) -> Ora
     return OracleResult(best, part)
 
 
-def oracle_decide(graph: Graph, k: int, d: int, *, max_vertices: int = 20) -> bool:
+def oracle_decide(graph: Graph, k: int, d: int, *,
+                  max_vertices: int = ORACLE_LIMIT) -> bool:
     """Yes iff the graph is disconnected (a zero-size cut exists) or some
     qualifying cut has at most ``k`` crossing edges."""
     if k < 0:

@@ -16,6 +16,8 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
+EXHAUSTIVE_FAMILY_LIMIT = 20  # largest universe the exhaustive family lists
+
 
 class FamilySizeLimit(RuntimeError):
     """Exhaustive construction or verification beyond its budget."""
@@ -31,7 +33,8 @@ class SubsetFamily:
         return len(self.members)
 
 
-def build_exhaustive(universe, *, limit: int = 20) -> SubsetFamily:
+def build_exhaustive(universe, *,
+                     limit: int = EXHAUSTIVE_FAMILY_LIMIT) -> SubsetFamily:
     """All subsets of the universe, in deterministic order."""
     order = tuple(sorted(universe))
     if len(order) > limit:

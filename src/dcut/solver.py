@@ -24,14 +24,16 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .decomposition import (DecompositionError, RootedDecomposition,
-                            construct, derive_contexts, verify)
-from .graph import (Bipartition, Graph, connected_components, edge_cut,
-                    global_min_cut, is_d_cut)
+from .decomposition import (CONSTRUCT_LIMIT, DecompositionError,
+                            RootedDecomposition, construct, derive_contexts,
+                            verify)
+from .graph import (Bipartition, Graph, components, connected_components,
+                    edge_cut, global_min_cut, is_d_cut)
 from .multisets import bounded_multisets
 from .setfamily import build_exhaustive, build_randomized, heuristic_rounds
 
 INFEASIBLE = math.inf
+ENUMERATE_BUDGET = 10 ** 6  # bag subsets above which auto mode colour-codes a node
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -103,16 +105,32 @@ class CostTable:
     written exactly once per key."""
 
     def __init__(self, adhesions):
-        self._adhesions = list(adhesions)
+        self._keys = [self._canonical_keys(adhesion) for adhesion in adhesions]
         self._data = {}
 
+    @staticmethod
+    def _canonical_keys(adhesion):
+        """Every subset of the adhesion mapped to its key, the subsets
+        taken by size, then in lexicographic order."""
+        order = sorted(adhesion)
+        keys = {}
+        for size in range(len(order) + 1):
+            for combo in combinations(order, size):
+                rest = tuple(v for v in order if v not in combo)
+                keys[frozenset(combo)] = frozenset(min(combo, rest))
+        return keys
+
     def canonical_side(self, node, side):
-        adhesion = self._adhesions[node]
-        side = frozenset(side)
-        if not side <= adhesion:
-            raise ValueError(f"side {sorted(side)} not within adhesion of node {node}")
-        comp = adhesion - side
-        return side if tuple(sorted(side)) <= tuple(sorted(comp)) else comp
+        try:
+            return self._keys[node][frozenset(side)]
+        except KeyError:
+            raise ValueError(
+                f"side {sorted(side)} not within adhesion of node {node}") from None
+
+    def canonical_sides(self, node):
+        """The node's distinct keys, in the order their first subsets
+        take in :meth:`_canonical_keys`."""
+        return list(dict.fromkeys(self._keys[node].values()))
 
     def set(self, node, side, budget, nontrivial, value):
         key = (node, self.canonical_side(node, side), budget, nontrivial)
@@ -149,7 +167,8 @@ class DPSolver:
     def __init__(self, graph: Graph, td: RootedDecomposition, d: int, k: int, *,
                  contexts=None, mode: str = "auto", family_kind: str = "exhaustive",
                  family_seed: int = 0, family_rounds=None,
-                 enumerate_budget: int = 10 ** 6, record_choices: bool = True):
+                 enumerate_budget: int = ENUMERATE_BUDGET,
+                 record_choices: bool = True):
         if d < 1 or k < 0:
             raise ValueError("need d >= 1 and k >= 0")
         if mode not in ("auto", "enumerate", "colorcode"):
@@ -256,28 +275,10 @@ class DPSolver:
             return sides, mode
         adj = self._helper_graph(node)
         family = self._family_for(node, bag_order)
-        seen = set()
-        sides = []
-        for member in family.members:
-            inside = member & ctx.bag
-            remaining = set(inside)
-            while remaining:
-                start = remaining.pop()
-                comp = {start}
-                stack = [start]
-                while stack:
-                    u = stack.pop()
-                    for w in adj[u]:
-                        if w in inside and w not in comp:
-                            comp.add(w)
-                            stack.append(w)
-                remaining -= comp
-                side = frozenset(comp)
-                if 0 < len(side) <= self.k and side != ctx.bag and side not in seen:
-                    seen.add(side)
-                    sides.append(side)
-        sides.sort(key=sorted)
-        return sides, mode
+        sides = {side for member in family.members
+                 for side in components(adj, member & ctx.bag)
+                 if len(side) <= self.k and side != ctx.bag}
+        return sorted(sides, key=sorted), mode
 
     def _helper_graph(self, node):
         """Adhesions of the node and of each child become cliques; the bag
@@ -288,11 +289,8 @@ class DPSolver:
         cliques = [ctx.adhesion] + [self.contexts[c].adhesion
                                     for c in self.children[node]]
         for group in cliques:
-            members = sorted(group)
-            for i, u in enumerate(members):
-                for w in members[i + 1:]:
-                    adj[u].add(w)
-                    adj[w].add(u)
+            for u in group:
+                adj[u] |= group - {u}
         for u, w in ctx.bag_edges:
             adj[u].add(w)
             adj[w].add(u)
@@ -326,32 +324,25 @@ class DPSolver:
             plan.famtables[side] = self._build_family_table(node, side)
         plan.child_menu = self._build_child_menu(node, adhesion_order)
 
-        empty = frozenset()
-        seen_keys = set()
-        for size in range(len(adhesion_order) + 1):
-            for combo in combinations(adhesion_order, size):
-                s_key = self.table.canonical_side(node, frozenset(combo))
-                if s_key in seen_keys:
-                    continue
-                seen_keys.add(s_key)
-                unsplit = s_key == empty
-                for budget in budgets:
-                    self.table.set(node, s_key, budget, 0,
-                                   0 if unsplit else INFEASIBLE)
-                    best = INFEASIBLE
-                    choice = None
-                    for side in plan.groups.get(s_key, ()):
-                        hit = cheapest(plan.famtables[side], budget)
-                        if hit is not None and hit[1] < best:
-                            best, choice = hit[1], ("bag", side, hit[2])
-                    if unsplit:
-                        hit = cheapest(plan.child_menu, budget)
-                        if hit is not None and hit[1] < best:
-                            best, choice = hit[1], ("child", hit[2], hit[3])
-                    value = best if best <= self.k else INFEASIBLE
-                    self.table.set(node, s_key, budget, 1, value)
-                    if self.record_choices and value is not INFEASIBLE:
-                        self._choices[(node, s_key, budget)] = choice
+        for s_key in self.table.canonical_sides(node):
+            unsplit = not s_key
+            for budget in budgets:
+                self.table.set(node, s_key, budget, 0,
+                               0 if unsplit else INFEASIBLE)
+                best = INFEASIBLE
+                choice = None
+                for side in plan.groups.get(s_key, ()):
+                    hit = cheapest(plan.famtables[side], budget)
+                    if hit is not None and hit[1] < best:
+                        best, choice = hit[1], ("bag", side, hit[2])
+                if unsplit:
+                    hit = cheapest(plan.child_menu, budget)
+                    if hit is not None and hit[1] < best:
+                        best, choice = hit[1], ("child", hit[2], hit[3])
+                value = best if best <= self.k else INFEASIBLE
+                self.table.set(node, s_key, budget, 1, value)
+                if self.record_choices and value is not INFEASIBLE:
+                    self._choices[(node, s_key, budget)] = choice
 
     def _build_child_menu(self, node, adhesion_order):
         buckets = {}
@@ -415,8 +406,8 @@ class SolveOptions:
     family_rounds: int | None = None
     witness: bool = True
     decomposition: RootedDecomposition | None = None
-    enumerate_budget: int = 10 ** 6
-    max_construct_vertices: int = 24
+    enumerate_budget: int = ENUMERATE_BUDGET
+    max_construct_vertices: int = CONSTRUCT_LIMIT
 
 
 @dataclass

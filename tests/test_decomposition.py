@@ -3,6 +3,7 @@ import pytest
 from conftest import (complete_graph, cycle_graph, local_edges, make_corpus,
                       path_graph)
 from dcut import Graph, construct, derive_contexts, parse, serialize, verify
+from dcut import decomposition
 from dcut.decomposition import (AxiomViolation, DecompositionError,
                                 RootedDecomposition, SizeLimitExceeded,
                                 TdParseError)
@@ -157,6 +158,16 @@ class TestConstruct:
     def test_rejects_oversized(self):
         with pytest.raises(SizeLimitExceeded):
             construct(path_graph(30), 2)
+
+    def test_rejects_breakable_builder_output(self, monkeypatch):
+        # the bridge splits a single whole-graph bag 3|3 at k=1; the final
+        # check must catch it although the builder never scanned the graph
+        g = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
+        monkeypatch.setattr(decomposition._Builder, "build",
+                            lambda self, piece, adhesion:
+                            decomposition._TreeNode(piece, []))
+        with pytest.raises(DecompositionError, match="unbreakable-bags fail"):
+            construct(g, 1)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_output_verifies_on_sample_graphs(self, k):

@@ -8,7 +8,7 @@ from conftest import complete_graph, cycle_graph, path_graph
 from dcut import (Bipartition, DisconnectedGraph, Graph, InvalidBipartition,
                   connected_components, edge_cut, global_min_cut,
                   global_min_cut_at_most, is_d_cut, is_d_matching)
-from dcut.graph import UnknownEdge
+from dcut.graph import UnknownEdge, components
 
 
 def bipartition(g, side):
@@ -32,7 +32,6 @@ class TestGraphConstruction:
         g = Graph(3, [(2, 1), (0, 2)])
         assert g.edges == ((0, 2), (1, 2))
         assert g.adj[2] == {0, 1}
-        assert g.adj_mask[2] == 0b011
 
 
 class TestConnectedComponents:
@@ -45,6 +44,27 @@ class TestConnectedComponents:
     def test_two_disjoint_edges(self):
         g = Graph(4, [(0, 1), (2, 3)])
         assert connected_components(g) == [frozenset({0, 1}), frozenset({2, 3})]
+
+
+class TestComponents:
+    def test_induced_on_the_given_vertices(self):
+        # 1 joins 0 and 2 in the graph, but it is not among the vertices
+        assert components(path_graph(3).adj, [0, 2]) == [
+            frozenset({0}), frozenset({2})]
+
+    def test_follows_input_order(self):
+        g = Graph(5, [(0, 1), (2, 3)])
+        assert components(g.adj, [3, 4, 1, 2, 0]) == [
+            frozenset({2, 3}), frozenset({4}), frozenset({0, 1})]
+
+    def test_dict_adjacency(self):
+        adj = {5: {6}, 6: {5, 7}, 7: {6}, 9: set()}
+        assert components(adj, [9, 7, 5]) == [
+            frozenset({9}), frozenset({7}), frozenset({5})]
+        assert components(adj, [7, 5, 6]) == [frozenset({5, 6, 7})]
+
+    def test_empty_input(self):
+        assert components(path_graph(3).adj, []) == []
 
 
 class TestEdgeCut:

@@ -347,6 +347,12 @@ class TestFillValues:
         with pytest.raises(RuntimeError, match="twice"):
             table.set(0, frozenset(), (), 1, 1)
 
+    def test_table_rejects_side_outside_adhesion(self):
+        table = CostTable([frozenset({1, 2})])
+        assert table.canonical_side(0, {2}) == frozenset({1})
+        with pytest.raises(ValueError, match="not within adhesion"):
+            table.canonical_side(0, {2, 3})
+
     def test_budget_monotonicity(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 3)
         entries = dict(solver.table.entries())
