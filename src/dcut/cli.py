@@ -20,7 +20,6 @@ from .dimacs import DimacsParseError, parse_graph
 from .generators import generate_instance
 from .graph import edge_cut
 from .oracle import ORACLE_LIMIT, OracleSizeLimit, brute_force_min_dcut
-from .setfamily import FamilySizeLimit
 from .solver import EnumerationBudgetExceeded, SolveOptions, solve
 
 
@@ -185,11 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
                         default="fpt")
     parser.add_argument("--minbeta", choices=("enumerate", "colorcode"),
                         default=None,
-                        help="bag-split search mode (default: auto per node)")
+                        help="bag-split search mode (default: auto per node; "
+                             "colorcode without --family-rounds lists auto's sides)")
     parser.add_argument("--family-seed", type=int, default=0)
     parser.add_argument("--family-rounds", type=int, default=None,
                         help="randomized covering-family rounds "
-                             "(default: exhaustive family)")
+                             "(default: exhaustive, the exact side list)")
     parser.add_argument("--td-in", metavar="FILE",
                         help="use this decomposition (verified before use)")
     parser.add_argument("--td-out", metavar="FILE",
@@ -218,8 +218,7 @@ def main(argv=None) -> int:
         doc, exit_code = run(config)
     except (ValueError, OSError, DimacsParseError, tdio.TdParseError,
             tdio.DecompositionError, tdio.SizeLimitExceeded,
-            EnumerationBudgetExceeded, OracleSizeLimit,
-            FamilySizeLimit) as exc:
+            EnumerationBudgetExceeded, OracleSizeLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if config.json_output:

@@ -262,18 +262,22 @@ def verify(graph: Graph, td: RootedDecomposition, k: int, *,
     all bipartitions of the graph (skipped with a size-limit marker above
     ``unbreakable_limit`` vertices; the other checks still run).
     """
-    scan = _scan(graph, graph.vertices, k) if graph.n <= unbreakable_limit else None
-    return _verify(graph, td, k, scan, unbreakable_limit)
+    return _verify(graph, td, k, unbreakable_limit)[0]
 
 
-def _verify(graph, td, k, scan, unbreakable_limit):
-    """:func:`verify` given the whole graph's :func:`_scan`, or None when
-    the graph has more than ``unbreakable_limit`` vertices."""
+def _verify(graph, td, k, unbreakable_limit, scan=None):
+    """:func:`verify`'s report, and the node contexts (None when the axioms
+    fail).  ``scan`` is the whole graph's :func:`_scan` if the caller has
+    it; otherwise it is run here unless the graph is above the limit."""
+    if scan is None and graph.n <= unbreakable_limit:
+        scan = _scan(graph, graph.vertices, k)
     checks = []
-    detail = _axiom_violation(graph, td)
+    try:
+        ctxs, detail = derive_contexts(graph, td), None
+    except AxiomViolation as exc:
+        ctxs, detail = None, (exc.kind, exc.payload)
     checks.append(CheckResult("axioms", "fail" if detail else "pass", detail))
     if detail is None:
-        ctxs = derive_contexts(graph, td)
         bad = None
         for ctx in ctxs:
             if td.parent[ctx.node] is None:
@@ -318,7 +322,7 @@ def _verify(graph, td, k, scan, unbreakable_limit):
             if bad:
                 break
         checks.append(CheckResult("unbreakable-bags", "fail" if bad else "pass", bad))
-    return VerificationReport(tuple(checks))
+    return VerificationReport(tuple(checks)), ctxs
 
 
 class _TreeNode:
@@ -446,6 +450,11 @@ def construct(graph: Graph, k: int, *,
     Raises :class:`DecompositionError` rather than ever returning an
     unverified result.
     """
+    return _construct(graph, k, max_vertices)[0]
+
+
+def _construct(graph, k, max_vertices):
+    """:func:`construct`'s result, and the contexts its final check derived."""
     if k < 0:
         raise ValueError("k must be non-negative")
     if graph.n > max_vertices:
@@ -470,11 +479,11 @@ def construct(graph: Graph, k: int, *,
             stack.append((child, idx))
     td = RootedDecomposition(graph.n, tuple(bags), tuple(parents))
     # The root piece is the whole graph, so its scan serves the final check.
-    report = _verify(graph, td, k, builder.scan(whole), max_vertices)
+    report, contexts = _verify(graph, td, k, max_vertices, builder.scan(whole))
     if not report.passed:
         raise DecompositionError(
             f"constructed decomposition failed verification: {report.summary()}")
-    return td
+    return td, contexts
 
 
 def serialize(td: RootedDecomposition) -> str:

@@ -224,15 +224,9 @@ def global_min_cut(graph: Graph):
         if best is None or value < best:
             best = value
             best_residual = residual
-    reach = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w, c in best_residual[u].items():
-            if c > 0 and w not in reach:
-                reach.add(w)
-                queue.append(w)
-    return best, Bipartition.of(graph, reach)
+    # The first component walked from vertex 0 is what it reaches in the residual.
+    residual = [[w for w, c in out.items() if c > 0] for out in best_residual]
+    return best, Bipartition.of(graph, components(residual, graph.vertices)[0])
 
 
 def global_min_cut_at_most(graph: Graph, k: int) -> bool:

@@ -1,6 +1,7 @@
 import random
+from itertools import combinations
 
-from dcut import Graph
+from dcut import DPSolver, Graph
 from dcut.generators import gnm_random
 
 
@@ -35,3 +36,15 @@ def make_corpus(count, seed, n_lo=4, n_hi=12):
         m = min(rng.randint(n - 1, 2 * n), n * (n - 1) // 2)
         graphs.append(gnm_random(n, m, seed=seed + i + 1))
     return graphs
+
+
+class AllSubsetsSolver(DPSolver):
+    """The solver with every bag subset of 1..min(k, b-1) vertices as a
+    candidate side, connected in the helper graph or not: a reference
+    that shares no side search with the solver under test."""
+
+    def _side_candidates(self, node):
+        bag_order = sorted(self.contexts[node].bag)
+        top = min(self.k, len(bag_order) - 1)
+        return [frozenset(combo) for size in range(1, top + 1)
+                for combo in combinations(bag_order, size)], "enumerate"

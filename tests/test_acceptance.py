@@ -15,7 +15,8 @@ import time
 
 import pytest
 
-from conftest import complete_graph, cycle_graph, make_corpus, path_graph
+from conftest import (AllSubsetsSolver, complete_graph, cycle_graph,
+                      make_corpus, path_graph)
 from dcut import (DPSolver, Graph, INFEASIBLE, SolveOptions,
                   brute_force_min_dcut, build_exhaustive, construct, edge_cut,
                   find_covering_family, is_d_cut, solve, verify,
@@ -140,18 +141,16 @@ def test_criterion_3_decomposition_validity(corpus):
 
 
 def test_criterion_4_mode_agreement(corpus, corpus_run):
-    # exact table equality with the exhaustive family
+    # exact table equality between the helper-connected side list and
+    # every bag subset as a side
     tables_compared = 0
     for g in corpus:
         if g.n > 10:
             continue
         for d, k in DP_GRID:
             td = construct(g, k)
-            one = DPSolver(g, td, d, k, mode="enumerate",
-                           record_choices=False).run()
-            two = DPSolver(g, td, d, k, mode="colorcode",
-                           family_kind="exhaustive",
-                           record_choices=False).run()
+            one = DPSolver(g, td, d, k, record_choices=False).run()
+            two = AllSubsetsSolver(g, td, d, k, record_choices=False).run()
             assert dict(one.table.entries()) == dict(two.table.entries())
             tables_compared += 1
 

@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 
-from conftest import (complete_graph, cycle_graph, local_edges, make_corpus,
-                      path_graph)
+from conftest import (AllSubsetsSolver, complete_graph, cycle_graph,
+                      local_edges, make_corpus, path_graph)
 from dcut import (DPSolver, Graph, INFEASIBLE, SolveOptions, bounded_multisets,
                   edge_cut, is_d_cut, is_d_matching, solve)
+from dcut import decomposition
+from dcut import solver as solver_module
 from dcut.decomposition import (DecompositionError, RootedDecomposition,
                                 construct, derive_contexts)
 from dcut.generators import two_cliques_bridged
@@ -455,6 +457,37 @@ class TestSolveEndToEnd:
         with pytest.raises(ValueError):
             solve(path_graph(2), 1, 0)
 
+    def test_unknown_search_options_rejected_on_every_route(self):
+        routes = [(Graph(4, [(0, 1), (2, 3)]), 0, 1, "disconnected"),
+                  (path_graph(3), 1, 1, "mincut"),
+                  (cycle_graph(4), 2, 1, "dp")]
+        for graph, k, d, route in routes:
+            assert solve(graph, k, d).route == route
+            with pytest.raises(ValueError, match="unknown mode 'magic'"):
+                solve(graph, k, d, SolveOptions(mode="magic"))
+            with pytest.raises(ValueError, match="unknown family kind 'psychic'"):
+                solve(graph, k, d, SolveOptions(family_kind="psychic"))
+
+    @pytest.mark.parametrize("supplied", [False, True])
+    def test_axioms_checked_once_per_decision(self, monkeypatch, supplied):
+        calls = {"axioms": 0, "contexts": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        g = cycle_graph(6)
+        opts = SolveOptions(decomposition=construct(g, 3) if supplied else None)
+        monkeypatch.setattr(decomposition, "_axiom_violation",
+                            counted("axioms", decomposition._axiom_violation))
+        derive = counted("contexts", decomposition.derive_contexts)
+        monkeypatch.setattr(decomposition, "derive_contexts", derive)
+        monkeypatch.setattr(solver_module, "derive_contexts", derive)
+        assert solve(g, 3, 1, opts).route == "dp"
+        assert calls == {"axioms": 1, "contexts": 1}
+
     def test_stats_fields(self):
         res = solve(cycle_graph(4), 2, 1)
         for field in ("root_value", "table_entries", "decomposition_nodes",
@@ -464,15 +497,44 @@ class TestSolveEndToEnd:
 
 class TestModes:
     def test_enumerate_and_colorcode_tables_identical(self):
+        # both equal the tables of every bag subset as a side
         for g in [cycle_graph(6), complete_graph(5),
                   Graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5),
                             (5, 3)])]:
             for d, k in [(1, 2), (1, 3), (2, 3)]:
                 td = construct(g, k)
+                reference = dict(AllSubsetsSolver(g, td, d, k).run().table.entries())
                 one = dp(g, td, d, k, mode="enumerate")
                 two = dp(g, td, d, k, mode="colorcode",
                          family_kind="exhaustive")
-                assert dict(one.table.entries()) == dict(two.table.entries())
+                assert dict(one.table.entries()) == reference
+                assert dict(two.table.entries()) == reference
+
+    @pytest.mark.parametrize("index,d,k", [(60, 1, 4), (178, 2, 4), (284, 2, 4)])
+    def test_child_adhesion_cliques_needed_on_deep_decompositions(self, index, d, k):
+        # multi-node decompositions on which a helper graph without the
+        # child adhesion cliques misses sides that change the tables
+        g = make_corpus(index + 1, seed=77, n_lo=8, n_hi=16)[index]
+        td = construct(g, k)
+        assert td.node_count >= 5
+        reference = AllSubsetsSolver(g, td, d, k, record_choices=False).run()
+        solver = dp(g, td, d, k, record_choices=False)
+        assert dict(solver.table.entries()) == dict(reference.table.entries())
+
+    def test_sides_are_the_helper_connected_bag_subsets(self, c4_fixture):
+        # child bag {0,1,2,3} under adhesion {0,1}: the helper graph is the
+        # cycle 0-1-2-3-0, so {0,2} and {1,3} are the disconnected pairs
+        solver = dp(*c4_fixture, 1, 2)
+        assert solver.plans[1].sides == [
+            frozenset(s) for s in ({0}, {1}, {2}, {3},
+                                   {0, 1}, {0, 3}, {1, 2}, {2, 3})]
+
+    def test_exhaustive_colorcode_answers_above_family_limit(self):
+        # a 22-vertex bag, beyond the 20-vertex exhaustive covering family
+        res = solve(complete_graph(22), 3, 1, SolveOptions(mode="colorcode"))
+        assert not res.answer
+        assert res.stats["max_bag"] == 22
+        assert res.stats["minbeta_modes"] == {"colorcode": 1}
 
     def test_starved_family_errs_toward_no(self):
         # one random subset plus the empty set misses most good sets: every
