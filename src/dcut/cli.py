@@ -52,6 +52,8 @@ class RunConfig:
         if self.family_rounds is not None and self.family_rounds < 1:
             raise ValueError(
                 f"--family-rounds must be at least 1, got {self.family_rounds}")
+        if self.family_rounds is not None and self.minbeta != "colorcode":
+            raise ValueError("--family-rounds needs --minbeta colorcode")
 
 
 def _parse_gen_spec(spec: str):
@@ -188,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "colorcode without --family-rounds lists auto's sides)")
     parser.add_argument("--family-seed", type=int, default=0)
     parser.add_argument("--family-rounds", type=int, default=None,
-                        help="randomized covering-family rounds "
-                             "(default: exhaustive, the exact side list)")
+                        help="randomized covering-family rounds, with --minbeta "
+                             "colorcode (default: exhaustive, the exact side list)")
     parser.add_argument("--td-in", metavar="FILE",
                         help="use this decomposition (verified before use)")
     parser.add_argument("--td-out", metavar="FILE",

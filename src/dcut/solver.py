@@ -2,20 +2,23 @@
 most k crossing edges.
 
 The program runs over a verified rooted decomposition.  Per node it keeps
-a cost for every (side-of-adhesion, cross-neighbor budget, nontrivial?)
-key: the fewest local crossing edges of any partition of the node's local
-graph whose trace on the adhesion matches the side (or its complement),
-whose crossing edges form a d-matching, and whose adhesion vertices use
-at most their budgeted number of cross neighbors.  Costs live in
-{0..k, inf}; any sum exceeding k saturates to infinity, since such
+a cost for every (side-of-adhesion, cross-neighbor budget) key: the fewest
+local crossing edges of any partition of the node's local graph, other
+than keeping the whole cone on one side (which costs nothing and is not
+stored), whose trace on the adhesion matches the side (or its
+complement), whose crossing edges form a d-matching, and whose adhesion
+vertices use at most their budgeted number of cross neighbors.  Costs
+live in {0..k, inf}; any sum exceeding k saturates to infinity, since such
 partitions can never take part in an acceptable cut.
 
-Nontrivial entries at a node combine two routes: descend entirely into
-one child, or split the bag along a small candidate side, paying for each
-child and bag edge the side breaks.  Candidate sides are the bag subsets
-of at most k vertices connected in a helper graph (adhesions turned into
-cliques plus the bag edges), listed exactly or, with a randomized
-covering family, as the helper graph's components on its members.
+Each entry is the cheapest fitting row of one cost-sorted menu per side:
+a row for each way to split the bag along a small candidate side, paying
+for each child and bag edge the side breaks, and, under the empty side, a
+row for each way to descend entirely into one child.  Candidate sides are
+the bag subsets of at most k vertices connected in a helper graph
+(adhesions turned into cliques plus the bag edges), listed exactly or,
+with a randomized covering family, as the helper graph's components on
+its members.
 """
 
 from __future__ import annotations
@@ -144,14 +147,14 @@ class CostTable:
         take in :meth:`_canonical_keys`."""
         return list(dict.fromkeys(self._keys[node].values()))
 
-    def set(self, node, side, budget, nontrivial, value):
-        key = (node, self.canonical_side(node, side), budget, nontrivial)
+    def set(self, node, side, budget, value):
+        key = (node, self.canonical_side(node, side), budget)
         if key in self._data:
             raise RuntimeError(f"table key written twice: {key}")
         self._data[key] = value
 
-    def get(self, node, side, budget, nontrivial):
-        return self._data[(node, self.canonical_side(node, side), budget, nontrivial)]
+    def get(self, node, side, budget):
+        return self._data[(node, self.canonical_side(node, side), budget)]
 
     def entries(self):
         yield from self._data.items()
@@ -166,10 +169,8 @@ class NodePlan:
 
     adhesion_order: list
     budgets: list         # count vectors on adhesion_order
-    sides: list
-    groups: dict          # canonical trace -> [sides]
-    famtables: dict       # side -> cost-sorted (usage, cost, {child: budget})
-    child_menu: tuple     # cost-sorted (usage, cost, child, child budget)
+    sides: list           # candidate sides; their order ranks them
+    menus: dict           # canonical trace -> cost-sorted (usage, cost, choice)
     mode: str
 
 
@@ -209,7 +210,7 @@ class DPSolver:
         return self
 
     def root_value(self):
-        return self.table.get(self.td.root, frozenset(), (), 1)
+        return self.table.get(self.td.root, frozenset(), ())
 
     def split_items(self, node, side):
         """The ``(child, trace)`` pairs of the children whose adhesion the
@@ -224,43 +225,38 @@ class DPSolver:
                  if (e[0] in side) != (e[1] in side)]
         return kids, edges
 
-    def _build_family_table(self, node, side):
-        """Bucket the side's budget families by their usage of the node's
-        adhesion, keeping the cheapest family per usage.  Families whose
-        cost saturates can never win and are skipped outright; each split
-        edge admits exactly one finite-cost budget (both endpoints at one),
-        so only the split children contribute real branching."""
+    def _bag_rows(self, node, side):
+        """The menu rows for splitting the bag along the side, one per
+        budget family, in the order :func:`budget_families` lists them.
+        Families whose cost saturates can never win and are skipped
+        outright; each split edge admits exactly one finite-cost budget
+        (both endpoints at one), so only the split children contribute real
+        branching."""
         kids, edges = self.split_items(node, side)
         if len(kids) + len(edges) > self.k:
             self.stats["overloaded_side_prunes"] += 1
-            return ()
+            return []
         items = [(e, e, (((1, 1), 1),)) for e in edges]
         for c, trace in kids:
             child_plan = self.plans[c]
             opts = []
             for b in child_plan.budgets:
-                val = self.table.get(c, trace, b, 1)
+                val = self.table.get(c, trace, b)
                 if val is INFEASIBLE:
                     continue
                 # A split child always pays at least one crossing edge.
                 assert val >= 1
                 opts.append((b, val))
             if not opts:
-                return ()
+                return []
             items.append((c, child_plan.adhesion_order, opts))
 
         families = budget_families(items, self.d, self.k, self.k,
                                    self.plans[node].adhesion_order)
         self.stats["families_evaluated"] += len(families)
-        buckets = {}
-        for uvec, cost, picks in families:
-            cur = buckets.get(uvec)
-            if cur is None or cost < cur[0]:
-                buckets[uvec] = (cost, picks)
         # Edge picks come first and carry nothing the rebuild needs.
-        return tuple(sorted(((uvec, cost, dict(picks[len(edges):]))
-                             for uvec, (cost, picks) in buckets.items()),
-                            key=lambda item: (item[1], item[0])))
+        return [(usage, cost, ("bag", side, dict(picks[len(edges):])))
+                for usage, cost, picks in families]
 
     def _side_candidates(self, node):
         """Candidate sides for splitting the bag, plus the mode used."""
@@ -277,15 +273,21 @@ class DPSolver:
         adj = self._helper_graph(node)
         if mode == "colorcode" and self.family_kind == "randomized":
             family = self._family_for(node, bag_order)
-            sides = {side for member in family.members
-                     for side in components(adj, member & ctx.bag)
+            sides = {side for member in set(family.members)
+                     for side in components(adj, member)
                      if len(side) <= self.k and side != ctx.bag}
             return sorted(sides, key=sorted), mode
         # A disconnected side never beats its component that meets the
-        # adhesion, and that component comes first in this order.
-        return [frozenset(combo) for size in range(1, min(self.k, b - 1) + 1)
-                for combo in combinations(bag_order, size)
-                if len(components(adj, combo)) == 1], mode
+        # adhesion, and that component comes first in this order.  Every
+        # connected set of s + 1 vertices holds a connected set of s, so
+        # each size is grown from the last by one helper neighbour.
+        sides = []
+        level = {frozenset([v]) for v in bag_order}
+        for size in range(1, min(self.k, b - 1) + 1):
+            if size > 1:
+                level = {s | {v} for s in level for u in s for v in adj[u] - s}
+            sides += sorted(level, key=sorted)
+        return sides, mode
 
     def _helper_graph(self, node):
         """Adhesions of the node and of each child become cliques; the bag
@@ -309,56 +311,41 @@ class DPSolver:
         return build_randomized(bag_order, a, b, seed, rounds)
 
     def fill_node(self, node):
-        ctx = self.contexts[node]
-        adhesion = ctx.adhesion
+        adhesion = self.contexts[node].adhesion
         adhesion_order = sorted(adhesion)
         budgets = bounded_multisets(adhesion, self.d, self.k)
         sides, mode = self._side_candidates(node)
         self.stats["modes"][mode] = self.stats["modes"].get(mode, 0) + 1
         self.stats["sides_considered"] += len(sides)
-        plan = NodePlan(adhesion_order=adhesion_order, budgets=budgets, sides=sides,
-                        groups={}, famtables={}, child_menu=(), mode=mode)
-        self.plans[node] = plan
-        for side in sides:
-            key = self.table.canonical_side(node, side & adhesion)
-            plan.groups.setdefault(key, []).append(side)
-            plan.famtables[side] = self._build_family_table(node, side)
-        plan.child_menu = self._build_child_menu(node, adhesion_order)
-
-        for s_key in self.table.canonical_sides(node):
-            unsplit = not s_key
-            for budget in budgets:
-                self.table.set(node, s_key, budget, 0,
-                               0 if unsplit else INFEASIBLE)
-                best = INFEASIBLE
-                choice = None
-                for side in plan.groups.get(s_key, ()):
-                    hit = cheapest(plan.famtables[side], budget)
-                    if hit is not None and hit[1] < best:
-                        best, choice = hit[1], ("bag", side, hit[2])
-                if unsplit:
-                    hit = cheapest(plan.child_menu, budget)
-                    if hit is not None and hit[1] < best:
-                        best, choice = hit[1], ("child", hit[2], hit[3])
-                value = best if best <= self.k else INFEASIBLE
-                self.table.set(node, s_key, budget, 1, value)
-                if self.record_choices and value is not INFEASIBLE:
-                    self._choices[(node, s_key, budget)] = choice
-
-    def _build_child_menu(self, node, adhesion_order):
-        buckets = {}
+        plan = self.plans[node] = NodePlan(adhesion_order, budgets, sides, {}, mode)
+        # Rows rank by cost (at most k: families are capped at k, children
+        # offer finite table values), then side (a child after every side),
+        # then usage; the sort is stable, so the first family, child and
+        # child budget win the remaining ties.
+        ranked = {key: [] for key in self.table.canonical_sides(node)}
+        for rank, side in enumerate(sides):
+            ranked[self.table.canonical_side(node, side & adhesion)] += [
+                (cost, rank, usage, choice)
+                for usage, cost, choice in self._bag_rows(node, side)]
         for c in self.children[node]:
             child_plan = self.plans[c]
             for cb in child_plan.budgets:
-                cost = self.table.get(c, frozenset(), cb, 1)
-                counts = dict(zip(child_plan.adhesion_order, cb))
-                uvec = tuple(counts.get(v, 0) for v in adhesion_order)
-                cur = buckets.get(uvec)
-                if cur is None or cost < cur[0]:
-                    buckets[uvec] = (cost, c, cb)
-        return tuple(sorted(((uvec, cost, c, cb) for uvec, (cost, c, cb)
-                             in buckets.items()),
-                            key=lambda item: (item[1], item[0])))
+                cost = self.table.get(c, frozenset(), cb)
+                if cost is not INFEASIBLE:
+                    counts = dict(zip(child_plan.adhesion_order, cb))
+                    usage = tuple(counts.get(v, 0) for v in adhesion_order)
+                    ranked[frozenset()].append(
+                        (cost, len(sides), usage, ("child", c, cb)))
+        for key, rows in ranked.items():
+            rows.sort(key=lambda row: row[:3])
+            menu = plan.menus[key] = tuple((usage, cost, choice)
+                                           for cost, _, usage, choice in rows)
+            for budget in budgets:
+                hit = cheapest(menu, budget)
+                self.table.set(node, key, budget,
+                               INFEASIBLE if hit is None else hit[1])
+                if self.record_choices and hit is not None:
+                    self._choices[(node, key, budget)] = hit[2]
 
     # ------------------------------------------------------------------
     # witness reconstruction

@@ -74,15 +74,15 @@ def corpus_run(corpus):
 def _collect_table_invariants(solver, evidence):
     table = solver.table
     grouped = {}
-    for (node, side, budget, ne), value in table.entries():
+    for (node, side, budget), value in table.entries():
         adhesion = solver.contexts[node].adhesion
         # complement symmetry through the public lookup
-        assert table.get(node, adhesion - side, budget, ne) == value
+        assert table.get(node, adhesion - side, budget) == value
         evidence["symmetry_checks"] += 1
-        if ne and side and side != adhesion:
+        if side and side != adhesion:
             assert value >= 1
             evidence["prop5_checks"] += 1
-        grouped.setdefault((node, side, ne), []).append((budget, value))
+        grouped.setdefault((node, side), []).append((budget, value))
     for entries in grouped.values():
         for (b1, v1), (b2, v2) in itertools.combinations(entries, 2):
             # budgets are count vectors on the sorted adhesion: compare

@@ -141,6 +141,21 @@ class TestRun:
         assert main(["--gen", "grid:rows=2,cols=3", "--k", "2", "--d", "1",
                      "--family-rounds", str(rounds)]) == 1
 
+    def test_family_rounds_need_colorcode(self, capsys):
+        # without --minbeta colorcode no family is drawn
+        for minbeta in (None, "enumerate"):
+            with pytest.raises(ValueError,
+                               match="--family-rounds needs --minbeta colorcode"):
+                run(RunConfig(k=3, d=1, gen_spec="gnm:n=10,m=15", seed=3,
+                              minbeta=minbeta, family_rounds=5))
+        assert main(["--gen", "gnm:n=10,m=15", "--seed", "3", "--k", "3",
+                     "--d", "1", "--family-rounds", "5", "--json"]) == 1
+        assert "--minbeta colorcode" in capsys.readouterr().err
+        doc, code = run(RunConfig(k=3, d=1, gen_spec="gnm:n=10,m=15", seed=3,
+                                  minbeta="colorcode", family_rounds=5))
+        assert code == 0
+        assert doc["fpt"]["stats"]["minbeta_modes"] == {"colorcode": 4}
+
     def test_brute_force_respects_oracle_threshold(self):
         with pytest.raises(ValueError, match="brute force limited"):
             run(RunConfig(k=2, d=1, gen_spec="grid:rows=5,cols=5",

@@ -25,6 +25,15 @@ def cost_under(entries, budget):
     return INFEASIBLE if hit is None else hit[1]
 
 
+def choice_rows(plan, kind, which=None):
+    """The plan's menu rows whose choice is of the kind ("bag" or "child"),
+    for the side or child ``which`` if given, as ``(usage, cost, child
+    budgets)`` for a side and ``(usage, cost, child budget)`` for a child."""
+    return tuple((usage, cost, choice[2]) for menu in plan.menus.values()
+                 for usage, cost, choice in menu
+                 if choice[0] == kind and which in (None, choice[1]))
+
+
 def families(items, d, k, cost_cap=INFEASIBLE, usage_order=()):
     return budget_families(items, d, k, cost_cap, usage_order)
 
@@ -84,14 +93,14 @@ class TestEdgeCosts:
         kids, edges = solver.split_items(0, frozenset({0}))
         assert kids == [] and edges == [(0, 1)]
         # one family: the split edge alone, on an empty adhesion
-        assert solver.plans[0].famtables[frozenset({0})] == (((), 1, {}),)
+        assert choice_rows(solver.plans[0], "bag", frozenset({0})) == (((), 1, {}),)
 
     def test_split_trace_with_both_budgeted_costs_one(self):
         g = path_graph(2)
         td = RootedDecomposition(2, (frozenset({0, 1}),), (None,))
         solver = dp(g, td, 1, 2)
         for side in (frozenset({0}), frozenset({1})):
-            assert solver.plans[0].famtables[side] == (((), 1, {}),)
+            assert choice_rows(solver.plans[0], "bag", side) == (((), 1, {}),)
         # the edge's option grants each endpoint one cross neighbor
         fams = families([((0, 1), (0, 1), [((1, 1), 1)])], 1, 2, 2, (0, 1))
         assert fams == [((1, 1), 1, (((0, 1), (1, 1)),))]
@@ -101,7 +110,7 @@ class TestEdgeCosts:
         # 0 must be granted its cross neighbor
         solver = dp(*c4_fixture, 1, 2)
         plan = solver.plans[1]
-        entries = plan.famtables[frozenset({0})]
+        entries = choice_rows(plan, "bag", frozenset({0}))
         assert plan.adhesion_order == [0, 1]
         assert entries == (((1, 0), 1, {}),)
         assert cost_under(entries, (1, 0)) == 1
@@ -113,7 +122,8 @@ class TestEdgeCosts:
             td = construct(g, 3)
             solver = dp(g, td, 1, 3)
             for node, plan in enumerate(solver.plans):
-                for side, entries in plan.famtables.items():
+                for side in plan.sides:
+                    entries = choice_rows(plan, "bag", side)
                     kids, edges = solver.split_items(node, side)
                     for usage, cost, fam in entries:
                         assert 1 <= cost <= 3
@@ -133,17 +143,34 @@ class TestEdgeCosts:
                         assert usage == tuple(spent.values())
 
 
-class TestTrivialCost:
-    def test_empty_or_full_side_costs_zero(self, c4_fixture):
-        solver = dp(*c4_fixture, 1, 2)
-        for budget in solver.plans[1].budgets:
-            assert solver.table.get(1, frozenset(), budget, 0) == 0
-            assert solver.table.get(1, frozenset({0, 1}), budget, 0) == 0
+@pytest.fixture
+def ear_fixture():
+    """A triangle 0-1-2 with the ear 0-3-1: root bag {0,1,2}, child {0,1,3}."""
+    g = Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+    td = RootedDecomposition(
+        4, (frozenset({0, 1, 2}), frozenset({0, 1, 3})), (None, 0))
+    return g, td
 
-    def test_proper_split_is_infeasible(self, c4_fixture):
-        solver = dp(*c4_fixture, 1, 2)
+
+class TestTrivialCost:
+    """A trivial partition keeps a whole cone on one side at no cost; the
+    table leaves it out."""
+
+    def test_empty_or_full_side_costs_zero(self, ear_fixture):
+        # sides {2} and {0,1} leave the child adhesion {0,1} empty or full:
+        # they pay only the split bag edges (0,2) and (1,2), no child budget
+        plan = dp(*ear_fixture, 2, 3).plans[0]
+        for side in (frozenset({2}), frozenset({0, 1})):
+            assert choice_rows(plan, "bag", side) == (((), 2, {}),)
+        assert choice_rows(plan, "bag", frozenset({0})) == (((), 3, {1: (0, 1)}),)
+
+    def test_proper_split_is_infeasible(self, ear_fixture):
+        # splitting the child adhesion cuts 0-3 or 3-1: without a budget
+        # for 0 or 1 no partition pays for it
+        solver = dp(*ear_fixture, 2, 3)
         for budget in solver.plans[1].budgets:
-            assert solver.table.get(1, frozenset({0}), budget, 0) is INFEASIBLE
+            value = solver.table.get(1, frozenset({0}), budget)
+            assert value == (INFEASIBLE if budget == (0, 0) else 1)
 
 
 class TestSplitItems:
@@ -171,8 +198,8 @@ class TestSplitItems:
 class TestBudgetFamilies:
     def test_no_split_items_yields_exactly_the_empty_family(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 2)
-        table = solver._build_family_table(0, frozenset({0, 1}))
-        assert table == (((), 0, {}),)
+        rows = solver._bag_rows(0, frozenset({0, 1}))
+        assert rows == [((), 0, ("bag", frozenset({0, 1}), {}))]
 
     def test_single_split_edge_matches_nested_enumeration(self):
         fams = families([zero_cost_item((0, 1), (0, 1), 1, 2)], d=1, k=2)
@@ -222,20 +249,20 @@ class TestFamilyCost:
         # the edgeless leaf: a side splitting nothing costs nothing
         solver = DPSolver(*nested_p2, 1, 2)
         solver.fill_node(1)
-        assert solver.plans[1].famtables[frozenset({0})] == (((0, 0), 0, {}),)
+        assert choice_rows(solver.plans[1], "bag", frozenset({0})) == (((0, 0), 0, {}),)
 
     def test_single_edge_family(self):
         g = path_graph(2)
         td = RootedDecomposition(2, (frozenset({0, 1}),), (None,))
         solver = dp(g, td, 1, 2)
         # one family: the split edge at cost one, with no child budgets
-        assert solver.plans[0].famtables[frozenset({0})] == (((), 1, {}),)
+        assert choice_rows(solver.plans[0], "bag", frozenset({0})) == (((), 1, {}),)
         # below an adhesion {0, 1}, the split edge (1, 2) spends one at 1
         g = Graph(3, [(0, 1), (0, 2), (1, 2)])
         td = RootedDecomposition(3, (frozenset({0, 1}), frozenset({0, 1, 2})),
                                  (None, 0))
         plan = dp(g, td, 1, 2).plans[1]
-        assert plan.famtables[frozenset({0, 2})] == (((0, 1), 1, {}),)
+        assert choice_rows(plan, "bag", frozenset({0, 2})) == (((0, 1), 1, {}),)
 
 
 class TestBestFamilyCost:
@@ -243,7 +270,7 @@ class TestBestFamilyCost:
         star = Graph(5, [(0, i) for i in range(1, 5)])
         td = RootedDecomposition(5, (frozenset(range(5)),), (None,))
         solver = dp(star, td, 1, 3)
-        assert solver.plans[0].famtables[frozenset({0})] == ()
+        assert choice_rows(solver.plans[0], "bag", frozenset({0})) == ()
         assert solver.stats["overloaded_side_prunes"] >= 1
 
     def test_side_splitting_nothing_costs_zero(self, nested_p2):
@@ -252,22 +279,23 @@ class TestBestFamilyCost:
         solver = DPSolver(*nested_p2, 1, 2)
         solver.fill_node(1)
         plan = solver.plans[1]
-        assert cost_under(plan.famtables[frozenset({0})], (1, 1)) == 0
+        assert cost_under(choice_rows(plan, "bag", frozenset({0})), (1, 1)) == 0
 
     def test_c4_child_side_costs_two(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 3)
         plan = solver.plans[1]
-        assert cost_under(plan.famtables[frozenset({2, 3})], (1, 1)) == 2
+        assert cost_under(choice_rows(plan, "bag", frozenset({2, 3})), (1, 1)) == 2
 
     def test_budget_restricts_value(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 3)
         plan = solver.plans[1]
-        assert cost_under(plan.famtables[frozenset({2, 3})], (0, 0)) is INFEASIBLE
+        side = frozenset({2, 3})
+        assert cost_under(choice_rows(plan, "bag", side), (0, 0)) is INFEASIBLE
 
     def test_invalid_sides_rejected(self, c4_fixture):
         # empty, whole-bag and oversized sides never get a family table
         solver = dp(*c4_fixture, 1, 2)
-        sides = solver.plans[1].famtables
+        sides = solver.plans[1].sides
         assert frozenset() not in sides
         assert frozenset({0, 1, 2, 3}) not in sides
         assert frozenset({0, 1, 2}) not in sides
@@ -277,8 +305,8 @@ class TestBestFamilyCost:
 def cost_via_bag(solver, node, side_class, budget):
     plan = solver.plans[node]
     key = solver.table.canonical_side(node, side_class)
-    return min((cost_under(plan.famtables[side], budget)
-                for side in plan.groups.get(key, ())), default=INFEASIBLE)
+    return cost_under([row for row in plan.menus[key] if row[2][0] == "bag"],
+                      budget)
 
 
 class TestBagSplitSearch:
@@ -303,15 +331,15 @@ class TestChildDescent:
         g = path_graph(2)
         td = RootedDecomposition(2, (frozenset({0, 1}),), (None,))
         solver = dp(g, td, 1, 2)
-        assert solver.plans[0].child_menu == ()
-        assert cost_under(solver.plans[0].child_menu, ()) is INFEASIBLE
+        assert choice_rows(solver.plans[0], "child") == ()
+        assert cost_under(choice_rows(solver.plans[0], "child"), ()) is INFEASIBLE
 
     def test_child_entry_of_two_flows_up(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 3)
         # nontrivial partitions of the child's local path 1-2-3-0 that do
         # not split {0,1} cost two edges
-        assert solver.table.get(1, frozenset(), (1, 1), 1) == 2
-        assert cost_under(solver.plans[0].child_menu, ()) == 2
+        assert solver.table.get(1, frozenset(), (1, 1)) == 2
+        assert cost_under(choice_rows(solver.plans[0], "child"), ()) == 2
         assert solver.root_value() == 2
 
 
@@ -327,9 +355,9 @@ class TestFillValues:
         g = cycle_graph(6)
         td = construct(g, 2)
         solver = dp(g, td, 1, 2)
-        for (node, side, budget, nontrivial), value in solver.table.entries():
+        for (node, side, budget), value in solver.table.entries():
             adhesion = solver.contexts[node].adhesion
-            if nontrivial and side and side != adhesion:
+            if side and side != adhesion:
                 assert value >= 1
 
     def test_complement_symmetry_of_lookups(self, c4_fixture):
@@ -339,15 +367,14 @@ class TestFillValues:
             for r in range(len(adhesion) + 1):
                 for combo in itertools.combinations(sorted(adhesion), r):
                     side = frozenset(combo)
-                    for ne in (0, 1):
-                        assert solver.table.get(1, side, budget, ne) == \
-                            solver.table.get(1, adhesion - side, budget, ne)
+                    assert solver.table.get(1, side, budget) == \
+                        solver.table.get(1, adhesion - side, budget)
 
     def test_table_rejects_double_write(self):
         table = CostTable([frozenset()])
-        table.set(0, frozenset(), (), 1, 0)
+        table.set(0, frozenset(), (), 0)
         with pytest.raises(RuntimeError, match="twice"):
-            table.set(0, frozenset(), (), 1, 1)
+            table.set(0, frozenset(), (), 1)
 
     def test_table_rejects_side_outside_adhesion(self):
         table = CostTable([frozenset({1, 2})])
@@ -358,9 +385,9 @@ class TestFillValues:
     def test_budget_monotonicity(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 3)
         entries = dict(solver.table.entries())
-        for (node, side, budget, ne), value in entries.items():
-            for (node2, side2, budget2, ne2), value2 in entries.items():
-                if (node, side, ne) == (node2, side2, ne2) \
+        for (node, side, budget), value in entries.items():
+            for (node2, side2, budget2), value2 in entries.items():
+                if (node, side) == (node2, side2) \
                         and all(a <= b for a, b in zip(budget, budget2)):
                     assert value2 <= value
 
@@ -585,7 +612,7 @@ class TestRealizability:
             rest = sorted(ctx.cone - ctx.bag)
             for side in plan.sides:
                 for budget in plan.budgets:
-                    value = cost_under(plan.famtables[side], budget)
+                    value = cost_under(choice_rows(plan, "bag", side), budget)
                     if value is INFEASIBLE:
                         continue
                     achieved = None
