@@ -4,11 +4,12 @@ no small edge cut can split unevenly.
 The constructor here is a desk-scale substitute for the polynomial
 machinery the solver's correctness argument treats as a black box: it
 recursively tests the current vertex set for (k,k)-edge-unbreakability by
-exhaustive cut enumeration, splits along a minimum-order witness cut when
-one exists, and keeps children compact by recursing on connected
-components with their exact neighborhoods as adhesions.  Whatever it
-returns must pass :func:`verify` in full; the solver relies on nothing
-else about the construction.
+listing every edge cut of order at most k (a search over the edges of a
+spanning forest, not over all bipartitions), splits along a minimum-order
+witness cut when one exists, and keeps children compact by recursing on
+connected components with their exact neighborhoods as adhesions.
+Whatever it returns must pass :func:`verify` in full; the solver relies
+on nothing else about the construction.
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ from itertools import combinations
 
 from .graph import DisconnectedGraph, Graph, components, is_connected
 
-CONSTRUCT_LIMIT = 24  # most vertices whose bipartitions construct and verify scan
+CONSTRUCT_LIMIT = 24  # most vertices construct and verify list small cuts for
 _FALLBACK_LIMIT = 16  # pieces this small also try every bag above the adhesion
 _WITNESS_CAP = 24     # most witness cuts a piece derives candidate bags from
 
 
 class SizeLimitExceeded(RuntimeError):
-    """An exhaustive check was requested beyond its size threshold."""
+    """A check or construction was requested beyond its size limit."""
 
 
 class DecompositionError(RuntimeError):
@@ -210,29 +211,49 @@ class VerificationReport:
 
 def _small_cuts(local_adj, k):
     """Every bipartition of the local indices crossed by at most k edges,
-    as (side mask, number of crossing edges), in Gray-code order over the
-    subsets of indices 0..m-2.  The last index stays on the fixed side, so
-    each unordered bipartition appears exactly once.
+    as (side mask, number of crossing edges), sorted by mask.  The last
+    index stays on the fixed side, so each unordered bipartition appears
+    exactly once.
+
+    The indices are placed one at a time in the order of a breadth-first
+    spanning forest: a tree from the last index, then one from the least
+    unplaced index of each further component.  Each placement extends
+    every partial side kept so far, on either side, counting the edges
+    back to the indices already placed, and keeps the extensions crossed
+    by at most k of them.  Every index but a tree's root is placed after
+    its tree parent, so a kept partial side separates at most k tree edges
+    (the cut space of the graph): at most sum_{j<=k} C(m-1, j) are kept
+    per choice of sides for the further components, not the 2^(m-1)
+    bipartitions.
     """
     m = len(local_adj)
     if m <= 1:
         return []
-    degs = [a.bit_count() for a in local_adj]
-    mask = 0
-    cut = 0
-    found = []
-    for i in range(1, 1 << (m - 1)):
-        j = (i & -i).bit_length() - 1
-        bit = 1 << j
-        inside = (local_adj[j] & mask).bit_count()
-        if mask & bit:
-            cut += 2 * inside - degs[j]
-        else:
-            cut += degs[j] - 2 * inside
-        mask ^= bit
-        if cut <= k:
-            found.append((mask, cut))
-    return found
+    steps = []  # (index bit, edges back to the indices placed before it)
+    seen = placed = 0
+    for root in (m - 1, *range(m - 1)):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        tree = [root]
+        for v in tree:  # tree grows as it is walked: a breadth-first search
+            steps.append((1 << v, local_adj[v] & placed))
+            placed |= 1 << v
+            fresh = local_adj[v] & ~seen
+            seen |= fresh
+            tree += [w for w in range(m) if fresh >> w & 1]
+    partial = [(0, 0)]  # the last index alone, on the fixed side
+    for bit, back in steps[1:]:
+        grown = []
+        for side, cut in partial:
+            to_side = (back & side).bit_count()
+            if cut + to_side <= k:
+                grown.append((side, cut + to_side))
+            moved = cut + back.bit_count() - to_side
+            if moved <= k:
+                grown.append((side | bit, moved))
+        partial = grown
+    return sorted(found for found in partial if found[0])
 
 
 def _breaks(mask, bag_mask, bag_size, k):
@@ -258,19 +279,21 @@ def verify(graph: Graph, td: RootedDecomposition, k: int, *,
 
     (i) tree-decomposition axioms, (ii) compactness of every non-root
     node, (iii) adhesion sizes at most k, (iv) every bag unbreakable by
-    edge cuts of order at most k, the last by exhaustive enumeration of
-    all bipartitions of the graph (skipped with a size-limit marker above
-    ``unbreakable_limit`` vertices; the other checks still run).
+    edge cuts of order at most k, the last against every such cut of the
+    graph, connected or not (:func:`_small_cuts`).  Bags of at most 2k+1
+    vertices pass (iv) without a search.  Above ``unbreakable_limit``
+    vertices the search is skipped with a size-limit marker; the other
+    checks still run.  A failure names the breaking cut whose side, read
+    as a bitmask over the vertices, is least, and the first bag it breaks.
     """
     return _verify(graph, td, k, unbreakable_limit)[0]
 
 
 def _verify(graph, td, k, unbreakable_limit, scan=None):
     """:func:`verify`'s report, and the node contexts (None when the axioms
-    fail).  ``scan`` is the whole graph's :func:`_scan` if the caller has
-    it; otherwise it is run here unless the graph is above the limit."""
-    if scan is None and graph.n <= unbreakable_limit:
-        scan = _scan(graph, graph.vertices, k)
+    fail).  ``scan`` returns the whole graph's :func:`_scan` if the caller
+    has it; otherwise the scan is run here.  Either way it runs only when
+    some bag has more than 2k+1 vertices, and not above the limit."""
     checks = []
     try:
         ctxs, detail = derive_contexts(graph, td), None
@@ -303,11 +326,14 @@ def _verify(graph, td, k, unbreakable_limit, scan=None):
         checks.append(CheckResult("compactness", "skipped", "axioms failed"))
         checks.append(CheckResult("adhesion-size", "skipped", "axioms failed"))
 
-    if scan is None:
+    if all(len(bag) <= 2 * k + 1 for bag in td.bags):
+        # no cut can leave more than k of a bag's vertices on each side
+        checks.append(CheckResult("unbreakable-bags", "pass"))
+    elif graph.n > unbreakable_limit:
         checks.append(CheckResult("unbreakable-bags", "skipped",
                                   f"n={graph.n} exceeds limit {unbreakable_limit}"))
     else:
-        order, cuts = scan
+        order, cuts = scan() if scan else _scan(graph, graph.vertices, k)
         index = {v: i for i, v in enumerate(order)}
         bag_masks = [sum(1 << index[v] for v in bag) for bag in td.bags]
         bag_sizes = [len(bag) for bag in td.bags]
@@ -459,7 +485,7 @@ def _construct(graph, k, max_vertices):
         raise ValueError("k must be non-negative")
     if graph.n > max_vertices:
         raise SizeLimitExceeded(
-            f"construction is exhaustive; n={graph.n} exceeds {max_vertices}")
+            f"construction is limited to {max_vertices} vertices; n={graph.n}")
     if not is_connected(graph):
         raise DisconnectedGraph("construction requires a connected graph")
     builder = _Builder(graph, k)
@@ -479,7 +505,8 @@ def _construct(graph, k, max_vertices):
             stack.append((child, idx))
     td = RootedDecomposition(graph.n, tuple(bags), tuple(parents))
     # The root piece is the whole graph, so its scan serves the final check.
-    report, contexts = _verify(graph, td, k, max_vertices, builder.scan(whole))
+    report, contexts = _verify(graph, td, k, max_vertices,
+                               lambda: builder.scan(whole))
     if not report.passed:
         raise DecompositionError(
             f"constructed decomposition failed verification: {report.summary()}")

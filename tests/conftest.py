@@ -26,6 +26,38 @@ def local_edges(graph, ctx):
             and not (e[0] in adhesion and e[1] in adhesion)]
 
 
+def adjacency_masks(graph):
+    """Each vertex's neighbours as a bitmask, in the form the cut search
+    of ``dcut.decomposition`` takes."""
+    return [sum(1 << w for w in graph.adj[v]) for v in graph.vertices]
+
+
+def gray_small_cuts(local_adj, k):
+    """Reference for ``decomposition._small_cuts``: every bipartition of the
+    indices crossed by at most k edges, as (side mask, crossing edges), by
+    a Gray-code scan of all subsets of indices 0..m-2, so that the last
+    index stays on the fixed side.  Shares no code with the tree search."""
+    m = len(local_adj)
+    if m <= 1:
+        return []
+    degs = [a.bit_count() for a in local_adj]
+    mask = 0
+    cut = 0
+    found = []
+    for i in range(1, 1 << (m - 1)):
+        j = (i & -i).bit_length() - 1
+        bit = 1 << j
+        inside = (local_adj[j] & mask).bit_count()
+        if mask & bit:
+            cut += 2 * inside - degs[j]
+        else:
+            cut += degs[j] - 2 * inside
+        mask ^= bit
+        if cut <= k:
+            found.append((mask, cut))
+    return found
+
+
 def make_corpus(count, seed, n_lo=4, n_hi=12):
     """Seeded random connected graphs with n in [n_lo, n_hi] and
     m in [n-1, 2n]."""

@@ -1,13 +1,17 @@
+import random
+
 import pytest
 
-from conftest import (complete_graph, cycle_graph, local_edges, make_corpus,
-                      path_graph)
-from dcut import Graph, construct, derive_contexts, parse, serialize, verify
+from conftest import (adjacency_masks, complete_graph, cycle_graph,
+                      gray_small_cuts, local_edges, make_corpus, path_graph)
+from dcut import (Graph, construct, derive_contexts, grid_graph, parse,
+                  serialize, two_cliques_bridged, verify)
 from dcut import decomposition
 from dcut.decomposition import (AxiomViolation, DecompositionError,
                                 RootedDecomposition, SizeLimitExceeded,
                                 TdParseError)
-from dcut.graph import DisconnectedGraph
+from dcut.generators import gnm_random
+from dcut.graph import DisconnectedGraph, is_connected
 
 
 def single_bag(graph):
@@ -85,6 +89,62 @@ class TestDeriveContexts:
         assert err.value.kind == "uncovered-edge"
 
 
+def random_disconnected(rng, n):
+    """A seeded graph on n vertices with at most n edges, so usually
+    disconnected, often with isolated vertices."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, rng.sample(pairs, rng.randint(0, min(n, len(pairs)))))
+
+
+class TestSmallCuts:
+    """The spanning-forest cut search against the Gray-code scan of every
+    bipartition in ``conftest``."""
+
+    def assert_same_cuts(self, graph):
+        adj = adjacency_masks(graph)
+        for k in range(7):
+            assert set(decomposition._small_cuts(adj, k)) == set(gray_small_cuts(adj, k)), \
+                (graph.n, graph.edges, k)
+
+    def test_matches_reference_on_corpus(self):
+        for g in make_corpus(60, seed=20250808):
+            self.assert_same_cuts(g)
+
+    def test_matches_reference_on_disconnected_graphs(self):
+        rng = random.Random(5)
+        graphs = [random_disconnected(rng, rng.randint(2, 11)) for _ in range(80)]
+        assert sum(not is_connected(g) for g in graphs) >= 50
+        assert sum(any(not g.adj[v] for v in g.vertices) for g in graphs) >= 40
+        for g in graphs:
+            self.assert_same_cuts(g)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 9])
+    def test_matches_reference_with_no_edge_or_one(self, n):
+        self.assert_same_cuts(Graph(n, []))
+        if n >= 2:
+            self.assert_same_cuts(Graph(n, [(0, n - 1)]))
+            self.assert_same_cuts(Graph(n, [(0, 1)]))
+
+    def test_sorted_by_mask_without_duplicates(self):
+        rng = random.Random(11)
+        graphs = make_corpus(20, seed=3) + [random_disconnected(rng, 10)
+                                            for _ in range(20)]
+        for g in graphs:
+            for k in range(7):
+                masks = [mask for mask, _ in decomposition._small_cuts(adjacency_masks(g), k)]
+                assert all(a < b for a, b in zip(masks, masks[1:]))
+                assert all(0 < mask < 1 << (g.n - 1) for mask in masks)
+
+
+@pytest.fixture
+def no_cut_search(monkeypatch):
+    """Makes any call of the cut search fail the test."""
+    def fail(local_adj, k):
+        raise AssertionError("cut search ran")
+
+    monkeypatch.setattr(decomposition, "_small_cuts", fail)
+
+
 class TestVerify:
     def test_single_vertex_passes(self):
         g = Graph(1, [])
@@ -122,8 +182,32 @@ class TestVerify:
         g = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
         report = verify(g, single_bag(g), 1)
         assert report["unbreakable-bags"].status == "fail"
-        node, side, cut = report["unbreakable-bags"].detail[1]
-        assert cut <= 1
+        assert report["unbreakable-bags"].detail == (
+            "breakable-bag", (0, frozenset({0, 1, 2}), 1))
+
+    def test_bag_of_2k_plus_2_vertices_is_searched(self):
+        # the middle edge splits the path's four vertices 2|2 at k = 1
+        g = path_graph(4)
+        assert verify(g, single_bag(g), 1)["unbreakable-bags"].detail == (
+            "breakable-bag", (0, frozenset({0, 1}), 1))
+
+    def test_breakable_bag_of_disconnected_graph_fails_at_least_cut(self):
+        # the edge 0-2 and the pendant 1-3 on the triangle 3-4-5: {0, 2}
+        # (cut 0) and {0, 1, 2} (cut 1) both split the bag 3|3 at k = 1;
+        # the report names the one of least side mask
+        g = Graph(6, [(0, 2), (1, 3), (3, 4), (4, 5), (3, 5)])
+        report = verify(g, single_bag(g), 1)
+        assert report["unbreakable-bags"].detail == (
+            "breakable-bag", (0, frozenset({0, 2}), 0))
+
+    def test_small_bags_pass_without_a_cut_search(self, no_cut_search):
+        # no bag of at most 2k+1 vertices can be split with more than k
+        # of them on each side, so no search runs, above the limit too
+        g = path_graph(30)
+        td = RootedDecomposition(30, tuple(frozenset({i, i + 1}) for i in range(29)),
+                                 (None, *range(28)))
+        assert verify(g, td, 1).passed
+        assert verify(complete_graph(5), single_bag(complete_graph(5)), 2).passed
 
     def test_size_limit_skips_only_unbreakability(self):
         g = path_graph(6)
@@ -158,6 +242,50 @@ class TestConstruct:
     def test_rejects_oversized(self):
         with pytest.raises(SizeLimitExceeded):
             construct(path_graph(30), 2)
+
+    def test_no_cut_search_on_graphs_of_at_most_2k_plus_1_vertices(self, no_cut_search):
+        for g in (complete_graph(5), path_graph(5), cycle_graph(4)):
+            assert construct(g, 2).bags == (frozenset(g.vertices),)
+
+    # serialize(construct(g, k)) on 20-vertex graphs, as the Gray-code scan
+    # of every bipartition produced it
+    BRIDGED = ("s td 3 11 20\nb 1 1\nb 2 1 2 3 4 5 6 7 8 9 10\n"
+               "b 3 1 11 12 13 14 15 16 17 18 19 20\np 2 1\np 3 1\n")
+    WHOLE = "s td 1 20 20\nb 1 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20\n"
+    PINNED = {
+        ("two_cliques_bridged(10)", 2): BRIDGED,
+        ("two_cliques_bridged(10)", 3): BRIDGED,
+        ("two_cliques_bridged(10)", 4): BRIDGED,
+        ("grid_graph(4, 5)", 2): WHOLE,
+        ("grid_graph(4, 5)", 3): WHOLE,
+        ("grid_graph(4, 5)", 4): "s td 7 8 20\nb 1 3 8 13 18\nb 2 3 6 7 8 13 18\n"
+        "b 3 1 2 3 6 7\nb 4 6 7 11 12 13 16 17 18\nb 5 3 8 9 10 13 18\nb 6 3 4 5 9 10\n"
+        "b 7 9 10 13 14 15 18 19 20\np 2 1\np 3 2\np 4 2\np 5 1\np 6 5\np 7 5\n",
+        ("gnm_random(20, 25, seed=2)", 2): "s td 9 7 20\nb 1 5 9\nb 2 4 5 7 9 15 19\n"
+        "b 3 1 9 15\nb 4 1 11 15\nb 5 1 9 16 18\nb 6 2 5 7\nb 7 3 7 8 10 15\nb 8 13 15\n"
+        "b 9 5 6 9 12 14 17 20\np 2 1\np 3 2\np 4 3\np 5 3\np 6 2\np 7 2\np 8 2\np 9 1\n",
+        ("gnm_random(20, 25, seed=2)", 3): "s td 10 7 20\nb 1 5 9\nb 2 5 9 11\n"
+        "b 3 1 9 11 16 18\nb 4 5 7 9 11\nb 5 2 5 7\nb 6 5 7 11 15 19\nb 7 3 7 8 10 15\n"
+        "b 8 4 5 15 19\nb 9 13 15\nb 10 5 6 9 12 14 17 20\np 2 1\np 3 2\np 4 2\np 5 4\n"
+        "p 6 4\np 7 6\np 8 6\np 9 6\np 10 1\n",
+        ("gnm_random(20, 25, seed=2)", 4): "s td 9 8 20\nb 1 5 9\nb 2 5 9 11\n"
+        "b 3 1 9 11 16 18\nb 4 5 7 9 10 11\nb 5 2 5 7\nb 6 3 7 10\n"
+        "b 7 4 5 7 10 11 13 15 19\nb 8 8 10\nb 9 5 6 9 12 14 17 20\np 2 1\np 3 2\n"
+        "p 4 2\np 5 4\np 6 4\np 7 4\np 8 4\np 9 1\n",
+    }
+    GRAPHS = {"two_cliques_bridged(10)": lambda: two_cliques_bridged(10),
+              "grid_graph(4, 5)": lambda: grid_graph(4, 5),
+              "gnm_random(20, 25, seed=2)": lambda: gnm_random(20, 25, seed=2)}
+
+    @pytest.mark.parametrize("name,k", sorted(PINNED))
+    def test_pinned_output_above_18_vertices(self, name, k):
+        assert serialize(construct(self.GRAPHS[name](), k)) == self.PINNED[name, k]
+
+    def test_pinned_bag_search_failure(self):
+        # a yes-instance (minimum matching cut 1) on which the bag search
+        # finds no decomposition; a constructor that always returns is open
+        with pytest.raises(DecompositionError, match="bag search exhausted"):
+            construct(gnm_random(20, 25, seed=9), 2)
 
     def test_rejects_breakable_builder_output(self, monkeypatch):
         # the bridge splits a single whole-graph bag 3|3 at k=1; the final

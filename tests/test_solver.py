@@ -478,6 +478,15 @@ class TestSolveEndToEnd:
             "supplied decomposition failed verification: "
             "unbreakable-bags skipped: n=26 exceeds limit 24")
 
+    def test_supplied_decomposition_above_limit_with_small_bags_used(self):
+        # bags of at most 2k+1 vertices are unbreakable without a cut
+        # search, so the limit does not apply to them
+        g = path_graph(30)
+        td = RootedDecomposition(30, tuple(frozenset({i, i + 1}) for i in range(29)),
+                                 (None, *range(28)))
+        res = solve(g, 2, 1, SolveOptions(decomposition=td))
+        assert res.answer and res.route == "dp" and res.cut_size == 1
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             solve(path_graph(2), -1, 1)
