@@ -283,8 +283,9 @@ def verify(graph: Graph, td: RootedDecomposition, k: int, *,
     graph, connected or not (:func:`_small_cuts`).  Bags of at most 2k+1
     vertices pass (iv) without a search.  Above ``unbreakable_limit``
     vertices the search is skipped with a size-limit marker; the other
-    checks still run.  A failure names the breaking cut whose side, read
-    as a bitmask over the vertices, is least, and the first bag it breaks.
+    checks still run.  When the axioms fail, (ii)-(iv) are skipped.  A
+    failure of (iv) names the breaking cut whose side, read as a bitmask
+    over the vertices, is least, and the first bag it breaks.
     """
     return _verify(graph, td, k, unbreakable_limit)[0]
 
@@ -323,8 +324,10 @@ def _verify(graph, td, k, unbreakable_limit, scan=None):
             "adhesion-size", "fail" if oversize else "pass",
             oversize[0] if oversize else None))
     else:
-        checks.append(CheckResult("compactness", "skipped", "axioms failed"))
-        checks.append(CheckResult("adhesion-size", "skipped", "axioms failed"))
+        # the other checks read the contexts, or vertices the graph may lack
+        checks += [CheckResult(name, "skipped", "axioms failed")
+                   for name in ("compactness", "adhesion-size", "unbreakable-bags")]
+        return VerificationReport(tuple(checks)), None
 
     if all(len(bag) <= 2 * k + 1 for bag in td.bags):
         # no cut can leave more than k of a bag's vertices on each side

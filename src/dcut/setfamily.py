@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 
 EXHAUSTIVE_FAMILY_LIMIT = 20  # largest universe the exhaustive family lists
 
@@ -46,21 +46,49 @@ def build_exhaustive(universe, *,
     return SubsetFamily(order, tuple(members), "exhaustive")
 
 
+# A byte's top bit as a 0/1 flag: getrandbits(1) is the top bit of one
+# 32-bit generator output, and that output's top byte is every fourth
+# byte of a longer draw laid out little-endian.
+_TOP_BIT = bytes(byte >> 7 for byte in range(256))
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # 0/1 flags as binary digits
+
+
+def draw_rounds(size: int, seed: int, rounds: int) -> list:
+    """``rounds`` draws over ``size`` elements from ``random.Random(seed)``,
+    each a ``size``-byte string of 0/1 flags: the bits that one
+    ``getrandbits(1)`` call per element per round would give, taken from
+    a single ``getrandbits`` call over ``size * rounds`` generator outputs."""
+    if size == 0:
+        return [b""] * rounds
+    total = size * rounds
+    stream = random.Random(seed).getrandbits(32 * total).to_bytes(4 * total, "little")
+    flags = stream[3::4].translate(_TOP_BIT)
+    return [flags[i:i + size] for i in range(0, total, size)]
+
+
+def distinct_draws(size: int, seed: int, rounds: int) -> set:
+    """The distinct draws of :func:`draw_rounds`, each as a mask with flag
+    i as bit i."""
+    # an empty universe draws empty strings, read as the empty mask
+    return {int(flags[::-1].translate(_DIGITS) or b"0", 2)
+            for flags in set(draw_rounds(size, seed, rounds))}
+
+
 def build_randomized(universe, a: int, b: int, seed: int, rounds: int) -> SubsetFamily:
     """``rounds`` subsets drawn element-wise with probability 1/2 from a
-    seeded generator, plus the empty set (which alone covers every pair
-    with empty A).  Deterministic in (seed, rounds, canonical order)."""
+    seeded generator (:func:`draw_rounds` over the canonical order), plus
+    the empty set (which alone covers every pair with empty A).
+    Deterministic in (seed, rounds, canonical order); a draw that repeats
+    an earlier one shares its frozenset."""
     if a < 0 or b < 0:
         raise ValueError("bounds must be non-negative")
     if rounds < 1:
         raise ValueError("rounds must be positive")
     order = tuple(sorted(universe))
-    rng = random.Random(seed)
-    members = []
-    for _ in range(rounds):
-        members.append(frozenset(u for u in order if rng.getrandbits(1)))
-    members.append(frozenset())
-    return SubsetFamily(order, tuple(members),
+    draws = draw_rounds(len(order), seed, rounds)
+    made = {flags: frozenset(compress(order, flags)) for flags in set(draws)}
+    members = (*(made[flags] for flags in draws), frozenset())
+    return SubsetFamily(order, members,
                         f"randomized(a={a},b={b},seed={seed},rounds={rounds})")
 
 

@@ -18,7 +18,8 @@ row for each way to descend entirely into one child.  Candidate sides are
 the bag subsets of at most k vertices connected in a helper graph
 (adhesions turned into cliques plus the bag edges), listed exactly or,
 with a randomized covering family, as the helper graph's components on
-its members.
+its distinct members, each member a mask of bag indices split by a
+breadth-first search over the helper graph's neighbour masks.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from itertools import combinations
 from .decomposition import (CONSTRUCT_LIMIT, DecompositionError,
                             RootedDecomposition, _construct, _verify,
                             derive_contexts)
-from .graph import (Bipartition, Graph, components, connected_components,
+from .graph import (Bipartition, Graph, connected_components,
                     edge_cut, global_min_cut, is_d_cut)
 from .multisets import bounded_multisets
-from .setfamily import build_randomized, heuristic_rounds
+from .setfamily import distinct_draws, heuristic_rounds
 
 INFEASIBLE = math.inf
 ENUMERATE_BUDGET = 10 ** 6  # enumerate's subset cap; auto picks colorcode above it
@@ -272,11 +273,7 @@ class DPSolver:
                 f"{subset_count} bag subsets exceed budget {self.enumerate_budget}")
         adj = self._helper_graph(node)
         if mode == "colorcode" and self.family_kind == "randomized":
-            family = self._family_for(node, bag_order)
-            sides = {side for member in set(family.members)
-                     for side in components(adj, member)
-                     if len(side) <= self.k and side != ctx.bag}
-            return sorted(sides, key=sorted), mode
+            return self._drawn_sides(node, bag_order, adj), mode
         # A disconnected side never beats its component that meets the
         # adhesion, and that component comes first in this order.  Every
         # connected set of s + 1 vertices holds a connected set of s, so
@@ -301,14 +298,36 @@ class DPSolver:
                 adj[u] |= group - {u}
         return adj
 
-    def _family_for(self, node, bag_order):
-        a = self.k
-        b = self.k * self.k + self.k
+    def _drawn_sides(self, node, bag_order, adj):
+        """The helper graph's components of 1..k vertices, short of the
+        whole bag, on the distinct members of the node's randomized
+        covering family, sorted; each member is split by a breadth-first
+        search over masks of bag indices."""
+        index = {v: i for i, v in enumerate(bag_order)}
+        nbrs = [sum(1 << index[w] for w in adj[v]) for v in bag_order]
+        whole = (1 << len(bag_order)) - 1
         rounds = self.family_rounds
         if rounds is None:
-            rounds = heuristic_rounds(len(bag_order), a, b)
+            rounds = heuristic_rounds(len(bag_order), self.k, self.k * self.k + self.k)
         seed = self.family_seed * 100003 + node * 7919
-        return build_randomized(bag_order, a, b, seed, rounds)
+        kept = set()
+        for left in distinct_draws(len(bag_order), seed, rounds):
+            while left:
+                comp = frontier = left & -left
+                while frontier:
+                    reach = 0
+                    while frontier:
+                        low = frontier & -frontier
+                        reach |= nbrs[low.bit_length() - 1]
+                        frontier ^= low
+                    frontier = reach & left & ~comp
+                    comp |= frontier
+                left ^= comp
+                if comp.bit_count() <= self.k and comp != whole:
+                    kept.add(comp)
+        sides = [frozenset(v for i, v in enumerate(bag_order) if mask >> i & 1)
+                 for mask in kept]
+        return sorted(sides, key=sorted)
 
     def fill_node(self, node):
         adhesion = self.contexts[node].adhesion

@@ -1,8 +1,9 @@
 import random
 from itertools import combinations
 
-from dcut import DPSolver, Graph
+from dcut import DPSolver, Graph, heuristic_rounds
 from dcut.generators import gnm_random
+from dcut.graph import components
 
 
 def path_graph(n):
@@ -80,3 +81,35 @@ class AllSubsetsSolver(DPSolver):
         top = min(self.k, len(bag_order) - 1)
         return [frozenset(combo) for size in range(1, top + 1)
                 for combo in combinations(bag_order, size)], "enumerate"
+
+
+def randomized_members_reference(universe, seed, rounds):
+    """Reference for ``setfamily.build_randomized``'s members: one
+    ``getrandbits(1)`` call per element of the sorted universe per round,
+    then the empty set.  Shares no code with the bulk draw."""
+    order = sorted(universe)
+    rng = random.Random(seed)
+    members = [frozenset(u for u in order if rng.getrandbits(1))
+               for _ in range(rounds)]
+    return (*members, frozenset())
+
+
+class ComponentSplitSolver(DPSolver):
+    """The solver with randomized-family sides found by the reference
+    family, its distinct members as frozensets, and ``components`` on each:
+    a reference that shares neither the bulk draw nor the mask split with
+    the solver under test."""
+
+    def _side_candidates(self, node):
+        if self.mode != "colorcode" or self.family_kind != "randomized":
+            return super()._side_candidates(node)
+        bag = self.contexts[node].bag
+        rounds = self.family_rounds or heuristic_rounds(
+            len(bag), self.k, self.k * self.k + self.k)
+        members = randomized_members_reference(
+            bag, self.family_seed * 100003 + node * 7919, rounds)
+        adj = self._helper_graph(node)
+        sides = {side for member in set(members)
+                 for side in components(adj, member)
+                 if len(side) <= self.k and side != bag}
+        return sorted(sides, key=sorted), "colorcode"

@@ -191,6 +191,18 @@ class TestMain:
         assert main([str(path), "--k", "1", "--d", "1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_td_over_missing_vertices_exit_one(self, tmp_path, capsys):
+        # the .td names ten vertices for a six-vertex path, in one bag
+        graph_path = tmp_path / "p6.gr"
+        graph_path.write_text("p edge 6 5\n" + "".join(
+            f"e {i} {i + 1}\n" for i in range(1, 6)))
+        td_path = tmp_path / "t10.td"
+        td_path.write_text("s td 1 10 10\nb 1 1 2 3 4 5 6 7 8 9 10\n")
+        assert main([str(graph_path), "--k", "2", "--d", "1",
+                     "--td-in", str(td_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "vertex-count-mismatch" in err
+
     def test_generator_flags(self, capsys):
         code = main(["--gen", "gnm:n=8,m=12", "--seed", "5", "--k", "2",
                      "--d", "1", "--algorithm", "both", "--json"])

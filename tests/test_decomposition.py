@@ -209,6 +209,17 @@ class TestVerify:
         assert verify(g, td, 1).passed
         assert verify(complete_graph(5), single_bag(complete_graph(5)), 2).passed
 
+    def test_failed_axioms_skip_the_other_checks(self):
+        # a bag of 10 vertices over a 6-vertex graph: the unbreakability
+        # search would index vertices the graph lacks
+        g = path_graph(6)
+        td = RootedDecomposition(10, (frozenset(range(10)),), (None,))
+        report = verify(g, td, 1)
+        assert report["axioms"].detail == ("vertex-count-mismatch", (10, 6))
+        for name in ("compactness", "adhesion-size", "unbreakable-bags"):
+            assert report[name] == decomposition.CheckResult(
+                name, "skipped", "axioms failed")
+
     def test_size_limit_skips_only_unbreakability(self):
         g = path_graph(6)
         report = verify(g, single_bag(g), 1, unbreakable_limit=4)

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from conftest import randomized_members_reference
 from dcut import (build_exhaustive, build_randomized, find_covering_family,
                   heuristic_rounds, verify_covering)
 from dcut.setfamily import FamilySizeLimit
@@ -42,6 +45,18 @@ class TestRandomized:
     def test_pinned_fixture_covers(self):
         fam = build_randomized(range(8), 2, 2, seed=1, rounds=4096)
         assert verify_covering(fam, 2, 2) is None
+
+    def test_bulk_draw_equals_per_bit_reference(self):
+        # unsorted, non-contiguous labels over universes of 0..30 elements
+        rng = random.Random(2024)
+        for size in range(31):
+            for rounds in (1, 2, 300, rng.randint(3, 299)):
+                for _ in range(3):
+                    universe = rng.sample(range(-40, 1000), size)
+                    seed = rng.randrange(2 ** 64)
+                    family = build_randomized(universe, 2, 6, seed, rounds)
+                    assert family.members == randomized_members_reference(
+                        universe, seed, rounds)
 
     def test_rounds_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from conftest import (AllSubsetsSolver, complete_graph, cycle_graph,
-                      local_edges, make_corpus, path_graph)
+from conftest import (AllSubsetsSolver, ComponentSplitSolver, complete_graph,
+                      cycle_graph, local_edges, make_corpus, path_graph)
 from dcut import (DPSolver, Graph, INFEASIBLE, SolveOptions, bounded_multisets,
                   edge_cut, is_d_cut, is_d_matching, solve)
 from dcut import decomposition
@@ -467,6 +467,14 @@ class TestSolveEndToEnd:
         with pytest.raises(DecompositionError, match="axioms fail: .*uncovered-edge"):
             solve(g, 2, 1, SolveOptions(decomposition=bad))
 
+    def test_supplied_decomposition_over_missing_vertices_rejected(self):
+        # a bag larger than 2k+1 naming vertices 6..9 that the graph lacks
+        td = RootedDecomposition(10, (frozenset(range(10)),), (None,))
+        with pytest.raises(DecompositionError,
+                           match="vertex-count-mismatch.*unbreakable-bags "
+                                 "skipped: axioms failed"):
+            solve(path_graph(6), 2, 1, SolveOptions(decomposition=td))
+
     def test_supplied_decomposition_above_limit_names_skipped_check(self):
         # valid, but too large for the exhaustive unbreakability check
         g = two_cliques_bridged(13)
@@ -584,6 +592,25 @@ class TestModes:
                              family_rounds=1, record_choices=False)
                 for key, value in full.table.entries():
                     assert starved.table._data[key] >= value
+
+    @pytest.mark.parametrize("rounds", [None, 1])
+    def test_mask_split_equals_component_split(self, rounds):
+        # the randomized family's sides, tables and all, against the
+        # per-bit family split by components
+        for g in make_corpus(30, seed=515):
+            for k in range(2, 6):
+                td = construct(g, k)
+                for d in (1, 2):
+                    args = (g, td, d, k)
+                    options = dict(mode="colorcode", family_kind="randomized",
+                                   family_seed=3, family_rounds=rounds,
+                                   record_choices=False)
+                    one = DPSolver(*args, **options).run()
+                    two = ComponentSplitSolver(*args, **options).run()
+                    assert [p.sides for p in one.plans] == \
+                        [p.sides for p in two.plans]
+                    assert dict(one.table.entries()) == \
+                        dict(two.table.entries())
 
     def test_enumerate_budget_guard(self):
         g = complete_graph(5)
