@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Digest of everything the solver decides and records.
+
+Solves seeded instances built with ``dcut.generators`` and prints one
+SHA-256 per slice over the answers, witnesses, cut sizes, routes and
+``stats`` of every decision and, on the ``dp`` route, the solver's plan
+sides, menus, tables, recorded choices and counters.  Two trees that
+print equal digests decide, rank and record alike; a refactor compares
+its digests with its parent's.
+
+Every set is written as a sorted tuple: a frozenset's ``repr`` follows
+its hash table, so equal sets built in different orders can print
+differently.
+
+Slices:
+    corpus     connected gnm graphs, n in 4..12 and m in [n-1, 2n], over
+               d = 1, 2 and k = 0..6, in auto mode
+    colorcode  the same graphs and grid in randomized ``colorcode`` mode
+               with ``family_seed=7``
+    large-n    two_cliques_bridged(9), (10), grid_graph(3,6), (4,5) at
+               d = 1, k = 2..4
+
+Usage:
+    python scripts/solver_digest.py --count 60
+    python scripts/solver_digest.py --slice corpus --count 3 \\
+        --exclude-stat sides_considered --exclude-stat overloaded_side_prunes
+"""
+
+import argparse
+import hashlib
+import random
+import sys
+
+from dcut import SolveOptions, solve
+from dcut.generators import gnm_random, grid_graph, two_cliques_bridged
+
+SLICES = ("corpus", "colorcode", "large-n")
+
+
+def canonical(obj):
+    """The object with every set as a sorted tuple and every dict as a
+    tuple of items sorted by key, recursively."""
+    if isinstance(obj, (set, frozenset)):
+        return tuple(sorted((canonical(x) for x in obj), key=repr))
+    if isinstance(obj, dict):
+        return tuple(sorted(((canonical(k), canonical(v)) for k, v in obj.items()),
+                            key=repr))
+    if isinstance(obj, (list, tuple)):
+        return tuple(canonical(x) for x in obj)
+    return obj
+
+
+def corpus_graphs(count, seed):
+    rng = random.Random(seed)
+    graphs = []
+    for i in range(count):
+        n = rng.randint(4, 12)
+        m = min(rng.randint(n - 1, 2 * n), n * (n - 1) // 2)
+        graphs.append(gnm_random(n, m, seed=seed + i + 1))
+    return graphs
+
+
+def decisions(name, count, seed):
+    """The slice's ``(graph, k, d, options)`` decisions."""
+    if name == "large-n":
+        fixed = [two_cliques_bridged(9), two_cliques_bridged(10),
+                 grid_graph(3, 6), grid_graph(4, 5)]
+        return [(g, k, 1, SolveOptions()) for g in fixed for k in (2, 3, 4)]
+    options = SolveOptions()
+    if name == "colorcode":
+        options = SolveOptions(mode="colorcode", family_kind="randomized",
+                               family_seed=7)
+    return [(g, k, d, options) for g in corpus_graphs(count, seed)
+            for d in (1, 2) for k in range(7)]
+
+
+def record(result, excluded):
+    """Everything one decision decides and records, canonicalised."""
+    witness = result.witness
+    stats = {key: value for key, value in result.stats.items()
+             if key not in excluded}
+    out = [result.answer, witness and witness.side_a, result.cut_size,
+           result.route, stats]
+    solver = result.solver
+    if solver is not None:
+        out += [[plan.sides for plan in solver.plans],
+                [plan.menus for plan in solver.plans],
+                dict(solver.table.entries()), solver._choices, solver.stats]
+    return canonical(out)
+
+
+def slice_digest(name, count, seed, excluded):
+    digest = hashlib.sha256()
+    runs = decisions(name, count, seed)
+    for graph, k, d, options in runs:
+        digest.update(repr(record(solve(graph, k, d, options), excluded)).encode())
+        digest.update(b"\n")
+    return len(runs), digest.hexdigest()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--slice", action="append", choices=SLICES,
+                        help="slice to digest (repeatable; default: all)")
+    parser.add_argument("--count", type=int, default=60,
+                        help="corpus graphs per corpus and colorcode slice")
+    parser.add_argument("--seed", type=int, default=20250808)
+    parser.add_argument("--exclude-stat", action="append", default=[],
+                        metavar="KEY", help="leave this solve() stats key out")
+    args = parser.parse_args(argv)
+    for name in args.slice or SLICES:
+        runs, hexdigest = slice_digest(name, args.count, args.seed,
+                                       set(args.exclude_stat))
+        print(f"{name} {runs} {hexdigest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -195,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--td-in", metavar="FILE",
                         help="use this decomposition (verified before use)")
     parser.add_argument("--td-out", metavar="FILE",
-                        help="write the decomposition that was used")
+                        help="write the decomposition that was used "
+                             "(dp route only)")
     parser.add_argument("--witness", action="store_true",
                         help="reconstruct and certify a cut witness")
     parser.add_argument("--seed", type=int, default=0,
@@ -223,6 +224,10 @@ def main(argv=None) -> int:
             EnumerationBudgetExceeded, OracleSizeLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    route = doc.get("fpt", {}).get("route")
+    if config.td_out is not None and route not in (None, "dp"):
+        print(f"note: route {route} uses no decomposition; "
+              f"{config.td_out} not written", file=sys.stderr)
     if config.json_output:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:

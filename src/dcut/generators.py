@@ -53,13 +53,29 @@ def gnm_random(n: int, m: int, seed: int = 0, *, connected: bool = True,
     raise RuntimeError(f"no connected sample within {max_tries} tries")
 
 
+# Each model's required and optional parameters.
+MODEL_PARAMS = {
+    "gnm": (("n", "m"), ("connected",)),
+    "grid": (("rows", "cols"), ()),
+    "two-cliques-bridged": (("q",), ()),
+}
+
+
 def generate_instance(model: str, params: dict, seed: int = 0) -> Graph:
-    """Dispatch on the model name; deterministic for a fixed seed."""
+    """Dispatch on the model name; deterministic for a fixed seed.  A
+    missing or unknown parameter raises ValueError naming it."""
+    if model not in MODEL_PARAMS:
+        raise ValueError(f"unknown model {model!r}")
+    required, optional = MODEL_PARAMS[model]
+    for key in required:
+        if key not in params:
+            raise ValueError(f"model {model!r} needs parameter {key!r}")
+    for key in params:
+        if key not in required + optional:
+            raise ValueError(f"model {model!r} has no parameter {key!r}")
     if model == "gnm":
         return gnm_random(int(params["n"]), int(params["m"]), seed,
                           connected=bool(int(params.get("connected", 1))))
     if model == "grid":
         return grid_graph(int(params["rows"]), int(params["cols"]))
-    if model == "two-cliques-bridged":
-        return two_cliques_bridged(int(params["q"]))
-    raise ValueError(f"unknown model {model!r}")
+    return two_cliques_bridged(int(params["q"]))

@@ -16,10 +16,19 @@ a row for each way to split the bag along a small candidate side, paying
 for each child and bag edge the side breaks, and, under the empty side, a
 row for each way to descend entirely into one child.  Candidate sides are
 the bag subsets of at most k vertices connected in a helper graph
-(adhesions turned into cliques plus the bag edges), listed exactly or,
-with a randomized covering family, as the helper graph's components on
-its distinct members, each member a mask of bag indices split by a
-breadth-first search over the helper graph's neighbour masks.
+(adhesions turned into cliques plus the bag edges), listed exactly, grown
+size by size, or, with a randomized covering family, as the helper
+graph's components on its distinct members, each member a mask of bag
+indices split by a breadth-first search over the helper graph's
+neighbour masks.
+
+The fill works on integer masks over vertex ids.  Sides, child
+adhesions and bag-edge neighbourhoods are masks built once per node; a
+side's split edges and children are counted with popcounts, and a side
+splitting more than k of them is pruned before any frozenset, trace or
+item exists.  The split edges enter the budget search as a start vector,
+and each child's finite options are read once per trace.  Only the sides
+that yield rows become frozensets, in the recorded choices.
 """
 
 from __future__ import annotations
@@ -60,7 +69,7 @@ def _check_arguments(k, d, mode, family_kind):
         raise ValueError(f"unknown family kind {family_kind!r}")
 
 
-def budget_families(items, d, k, cost_cap, usage_order) -> list:
+def budget_families(items, d, k, cost_cap, usage_order, start=None) -> list:
     """Every choice of one ``(budget, cost)`` option per split item whose
     budgets together give no vertex more than d cross neighbors and at most
     2k in total, and whose costs sum to at most ``cost_cap``.
@@ -68,11 +77,20 @@ def budget_families(items, d, k, cost_cap, usage_order) -> list:
     ``items`` holds ``(key, vertices, options)`` triples; every option's
     budget is a count vector on the item's sorted ``vertices``.  Pruning
     assumes every option costs at least one, as every split item does in
-    the fill; for zero-cost options pass an infinite cap.  Returns
-    ``(usage, cost, picks)`` triples: the summed budgets on ``usage_order``,
-    the summed costs and the chosen ``(key, budget)`` pairs, in item order.
+    the fill; for zero-cost options pass an infinite cap.  ``start`` is an
+    optional ``(counts, cost)`` pair of cross neighbors per vertex and their
+    cost, spent before the first item: the fill passes the split bag
+    edges this way, since each edge has the one option of one neighbor at
+    either end for cost one.  The families are those of the edges put
+    first as items, without the edge picks.  Returns ``(usage, cost,
+    picks)`` triples: the summed budgets on ``usage_order``, the summed
+    costs and the chosen ``(key, budget)`` pairs, in item order.
     """
-    counts = {}
+    counts, cost = start or ({}, 0)
+    counts = dict(counts)
+    if cost > cost_cap or sum(counts.values()) > 2 * k \
+            or any(m > d for m in counts.values()):
+        return []
     chosen = []
     found = []
     last = len(items)
@@ -101,8 +119,31 @@ def budget_families(items, d, k, cost_cap, usage_order) -> list:
             for v, m in zip(verts, budget):
                 counts[v] -= m
 
-    rec(0, 0, 0)
+    rec(0, sum(counts.values()), cost)
     return found
+
+
+def _mask(vertices):
+    """The vertices as a bitmask over vertex ids."""
+    return sum(1 << v for v in vertices)
+
+
+def _members(mask):
+    """The vertex ids of a bitmask, ascending."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return found
+
+
+def _lex_key(mask):
+    """A key whose descending order lists vertex masks as their sorted
+    vertex tuples ascend: the bits run lowest first, so of two sets the one
+    holding the lowest vertex of their difference has the larger key, and
+    the end marker puts a set before the sets it is a prefix of."""
+    return bin(mask)[:1:-1] + "2"
 
 
 def cheapest(entries, pvec):
@@ -126,19 +167,23 @@ class CostTable:
 
     @staticmethod
     def _canonical_keys(adhesion):
-        """Every subset of the adhesion mapped to its key, the subsets
-        taken by size, then in lexicographic order."""
+        """Every subset of the adhesion, as a vertex mask, mapped to its
+        key, the subsets taken by size, then in lexicographic order."""
         order = sorted(adhesion)
         keys = {}
         for size in range(len(order) + 1):
             for combo in combinations(order, size):
                 rest = tuple(v for v in order if v not in combo)
-                keys[frozenset(combo)] = frozenset(min(combo, rest))
+                keys[_mask(combo)] = frozenset(min(combo, rest))
         return keys
+
+    def key(self, node, mask):
+        """The key of the adhesion subset given as a vertex mask."""
+        return self._keys[node][mask]
 
     def canonical_side(self, node, side):
         try:
-            return self._keys[node][frozenset(side)]
+            return self._keys[node][_mask(side)]
         except KeyError:
             raise ValueError(
                 f"side {sorted(side)} not within adhesion of node {node}") from None
@@ -157,6 +202,10 @@ class CostTable:
     def get(self, node, side, budget):
         return self._data[(node, self.canonical_side(node, side), budget)]
 
+    def at(self, node, mask, budget):
+        """The value under the adhesion subset given as a vertex mask."""
+        return self._data[(node, self._keys[node][mask], budget)]
+
     def entries(self):
         yield from self._data.items()
 
@@ -170,9 +219,14 @@ class NodePlan:
 
     adhesion_order: list
     budgets: list         # count vectors on adhesion_order
-    sides: list           # candidate sides; their order ranks them
+    side_masks: list      # candidate sides as vertex masks; their order ranks them
     menus: dict           # canonical trace -> cost-sorted (usage, cost, choice)
     mode: str
+
+    @property
+    def sides(self):
+        """The candidate sides as frozensets, in rank order."""
+        return [frozenset(_members(mask)) for mask in self.side_masks]
 
 
 class DPSolver:
@@ -213,54 +267,97 @@ class DPSolver:
     def root_value(self):
         return self.table.get(self.td.root, frozenset(), ())
 
-    def split_items(self, node, side):
-        """The ``(child, trace)`` pairs of the children whose adhesion the
-        side splits, and the bag edges it splits."""
-        kids = []
-        for c in self.children[node]:
-            child_adhesion = self.contexts[c].adhesion
-            trace = side & child_adhesion
-            if trace and trace != child_adhesion:
-                kids.append((c, trace))
-        edges = [e for e in self.contexts[node].bag_edges
-                 if (e[0] in side) != (e[1] in side)]
-        return kids, edges
+    def _splitter(self, node):
+        """A function from a side, as a vertex mask, to the bag edges and
+        children it splits, counted on masks built once for the node:
+        ``(crossing, edges, traces)`` with ``crossing`` the ``(vertex bit,
+        mask of its cross neighbours)`` pairs of the side's vertices that
+        have some, ``edges`` the number of split bag edges (the popcounts of
+        those masks) and ``traces`` the ``(child, trace mask)`` pairs of the
+        children whose adhesion the side meets but does not hold."""
+        edge_nbrs = {1 << v: 0 for v in self.contexts[node].bag}
+        for u, v in self.contexts[node].bag_edges:
+            edge_nbrs[1 << u] |= 1 << v
+            edge_nbrs[1 << v] |= 1 << u
+        kids = [(c, _mask(self.contexts[c].adhesion)) for c in self.children[node]]
 
-    def _bag_rows(self, node, side):
-        """The menu rows for splitting the bag along the side, one per
-        budget family, in the order :func:`budget_families` lists them.
-        Families whose cost saturates can never win and are skipped
-        outright; each split edge admits exactly one finite-cost budget
-        (both endpoints at one), so only the split children contribute real
-        branching."""
-        kids, edges = self.split_items(node, side)
-        if len(kids) + len(edges) > self.k:
-            self.stats["overloaded_side_prunes"] += 1
-            return []
-        items = [(e, e, (((1, 1), 1),)) for e in edges]
-        for c, trace in kids:
-            child_plan = self.plans[c]
+        def split(side):
+            outside = ~side
+            crossing = []
+            edges = 0
+            rest = side
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                out = edge_nbrs[low] & outside
+                if out:
+                    crossing.append((low, out))
+                    edges += out.bit_count()
+            traces = [(c, trace) for c, adhesion in kids
+                      if (trace := adhesion & side) and trace != adhesion]
+            return crossing, edges, traces
+
+        return split
+
+    def _bag_rows(self, node):
+        """A function from a side, as a vertex mask, to its menu rows for
+        splitting the bag along it, one per budget family, in the order
+        :func:`budget_families` lists them.
+
+        A side splitting more than k bag edges and children is pruned
+        before any item is built.  The split edges, each with the one
+        finite option of one cross neighbor at either end for cost one,
+        become the start vector of :func:`budget_families`; only the split
+        children branch.  A child's finite ``(budget, value)`` options are
+        read once per trace and kept for every side leaving that trace."""
+        k, d, stats = self.k, self.d, self.stats
+        usage_order = self.plans[node].adhesion_order
+        split = self._splitter(node)
+        child_items = {}
+
+        def child_item(c, trace):
+            plan = self.plans[c]
             opts = []
-            for b in child_plan.budgets:
-                val = self.table.get(c, trace, b)
+            for b in plan.budgets:
+                val = self.table.at(c, trace, b)
                 if val is INFEASIBLE:
                     continue
                 # A split child always pays at least one crossing edge.
                 assert val >= 1
                 opts.append((b, val))
-            if not opts:
-                return []
-            items.append((c, child_plan.adhesion_order, opts))
+            return (c, plan.adhesion_order, opts) if opts else None
 
-        families = budget_families(items, self.d, self.k, self.k,
-                                   self.plans[node].adhesion_order)
-        self.stats["families_evaluated"] += len(families)
-        # Edge picks come first and carry nothing the rebuild needs.
-        return [(usage, cost, ("bag", side, dict(picks[len(edges):])))
-                for usage, cost, picks in families]
+        def rows(side):
+            crossing, edges, traces = split(side)
+            if edges + len(traces) > k:
+                stats["overloaded_side_prunes"] += 1
+                return []
+            counts = {}
+            for low, out in crossing:
+                counts[low.bit_length() - 1] = out.bit_count()
+                for w in _members(out):
+                    counts[w] = counts.get(w, 0) + 1
+            items = []
+            for pair in traces:
+                if pair not in child_items:
+                    child_items[pair] = child_item(*pair)
+                if child_items[pair] is None:
+                    return []
+                items.append(child_items[pair])
+            families = budget_families(items, d, k, k, usage_order,
+                                       (counts, edges))
+            stats["families_evaluated"] += len(families)
+            if not families:
+                return []
+            vertices = frozenset(_members(side))
+            return [(usage, cost, ("bag", vertices, dict(picks)))
+                    for usage, cost, picks in families]
+
+        return rows
 
     def _side_candidates(self, node):
-        """Candidate sides for splitting the bag, plus the mode used."""
+        """Candidate sides for splitting the bag, as vertex masks, plus the
+        mode used."""
         ctx = self.contexts[node]
         bag_order = sorted(ctx.bag)
         b = len(bag_order)
@@ -271,40 +368,53 @@ class DPSolver:
         elif mode == "enumerate" and subset_count > self.enumerate_budget:
             raise EnumerationBudgetExceeded(
                 f"{subset_count} bag subsets exceed budget {self.enumerate_budget}")
-        adj = self._helper_graph(node)
+        nbrs = self._helper_masks(node)
         if mode == "colorcode" and self.family_kind == "randomized":
-            return self._drawn_sides(node, bag_order, adj), mode
+            return self._drawn_sides(node, bag_order, nbrs), mode
         # A disconnected side never beats its component that meets the
         # adhesion, and that component comes first in this order.  Every
         # connected set of s + 1 vertices holds a connected set of s, so
-        # each size is grown from the last by one helper neighbour.
+        # each size is grown from the last by one helper neighbour; each
+        # set is kept with the union of its members' neighbours.
         sides = []
-        level = {frozenset([v]) for v in bag_order}
+        level = {1 << v: nbrs[v] for v in bag_order}
+        by_bit = level.copy()
         for size in range(1, min(self.k, b - 1) + 1):
             if size > 1:
-                level = {s | {v} for s in level for u in s for v in adj[u] - s}
-            sides += sorted(level, key=sorted)
+                grown = {}
+                for side, near in level.items():
+                    rest = near & ~side
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        if side | low not in grown:
+                            grown[side | low] = near | by_bit[low]
+                level = grown
+            sides += sorted(level, key=_lex_key, reverse=True)
         return sides, mode
 
-    def _helper_graph(self, node):
-        """Adhesions of the node and of each child become cliques; the bag
-        edges come along.  Components of induced subgraphs then localize
-        candidate sides."""
+    def _helper_masks(self, node):
+        """Each bag vertex's neighbours, as a vertex mask, in the helper
+        graph: adhesions of the node and of each child become cliques, and
+        the bag edges come along.  Components of induced subgraphs then
+        localize candidate sides."""
         ctx = self.contexts[node]
-        adj = {v: set() for v in ctx.bag}
+        nbrs = dict.fromkeys(ctx.bag, 0)
         kids = [self.contexts[c].adhesion for c in self.children[node]]
-        for group in [ctx.adhesion, *kids, *map(frozenset, ctx.bag_edges)]:
+        for group in [ctx.adhesion, *kids, *ctx.bag_edges]:
+            mask = _mask(group)
             for u in group:
-                adj[u] |= group - {u}
-        return adj
+                nbrs[u] |= mask ^ 1 << u
+        return nbrs
 
-    def _drawn_sides(self, node, bag_order, adj):
+    def _drawn_sides(self, node, bag_order, nbrs):
         """The helper graph's components of 1..k vertices, short of the
         whole bag, on the distinct members of the node's randomized
-        covering family, sorted; each member is split by a breadth-first
-        search over masks of bag indices."""
+        covering family, as vertex masks in lexicographic order; each
+        member is split by a breadth-first search over masks of bag
+        indices."""
         index = {v: i for i, v in enumerate(bag_order)}
-        nbrs = [sum(1 << index[w] for w in adj[v]) for v in bag_order]
+        local = [sum(1 << index[w] for w in _members(nbrs[v])) for v in bag_order]
         whole = (1 << len(bag_order)) - 1
         rounds = self.family_rounds
         if rounds is None:
@@ -318,16 +428,15 @@ class DPSolver:
                     reach = 0
                     while frontier:
                         low = frontier & -frontier
-                        reach |= nbrs[low.bit_length() - 1]
+                        reach |= local[low.bit_length() - 1]
                         frontier ^= low
                     frontier = reach & left & ~comp
                     comp |= frontier
                 left ^= comp
                 if comp.bit_count() <= self.k and comp != whole:
                     kept.add(comp)
-        sides = [frozenset(v for i, v in enumerate(bag_order) if mask >> i & 1)
-                 for mask in kept]
-        return sorted(sides, key=sorted)
+        sides = [_mask(bag_order[i] for i in _members(comp)) for comp in kept]
+        return sorted(sides, key=_lex_key, reverse=True)
 
     def fill_node(self, node):
         adhesion = self.contexts[node].adhesion
@@ -342,14 +451,17 @@ class DPSolver:
         # then usage; the sort is stable, so the first family, child and
         # child budget win the remaining ties.
         ranked = {key: [] for key in self.table.canonical_sides(node)}
+        adhesion_mask = _mask(adhesion)
+        bag_rows = self._bag_rows(node)
         for rank, side in enumerate(sides):
-            ranked[self.table.canonical_side(node, side & adhesion)] += [
-                (cost, rank, usage, choice)
-                for usage, cost, choice in self._bag_rows(node, side)]
+            rows = bag_rows(side)
+            if rows:
+                ranked[self.table.key(node, side & adhesion_mask)] += [
+                    (cost, rank, usage, choice) for usage, cost, choice in rows]
         for c in self.children[node]:
             child_plan = self.plans[c]
             for cb in child_plan.budgets:
-                cost = self.table.get(c, frozenset(), cb)
+                cost = self.table.at(c, 0, cb)
                 if cost is not INFEASIBLE:
                     counts = dict(zip(child_plan.adhesion_order, cb))
                     usage = tuple(counts.get(v, 0) for v in adhesion_order)
@@ -503,6 +615,8 @@ def solve(graph: Graph, k: int, d: int, options: SolveOptions = None) -> SolveRe
         "max_adhesion": max(len(ctx.adhesion) for ctx in solver.contexts),
         "minbeta_modes": solver.stats["modes"],
         "families_evaluated": solver.stats["families_evaluated"],
+        "sides_considered": solver.stats["sides_considered"],
+        "overloaded_side_prunes": solver.stats["overloaded_side_prunes"],
     })
     if opts.family_kind == "randomized":
         stats["family_seed"] = opts.family_seed

@@ -59,6 +59,27 @@ def gray_small_cuts(local_adj, k):
     return found
 
 
+def vertex_mask(vertices):
+    """The vertices as a bitmask over vertex ids, the form the solver's
+    candidate sides take."""
+    return sum(1 << v for v in vertices)
+
+
+def split_items(solver, node, side):
+    """Reference for the solver's mask split counts: the ``(child, trace)``
+    pairs of the children whose adhesion the frozenset side splits, and the
+    bag edges it splits, by set operations on the node's contexts."""
+    kids = []
+    for c in solver.children[node]:
+        child_adhesion = solver.contexts[c].adhesion
+        trace = side & child_adhesion
+        if trace and trace != child_adhesion:
+            kids.append((c, trace))
+    edges = [e for e in solver.contexts[node].bag_edges
+             if (e[0] in side) != (e[1] in side)]
+    return kids, edges
+
+
 def make_corpus(count, seed, n_lo=4, n_hi=12):
     """Seeded random connected graphs with n in [n_lo, n_hi] and
     m in [n-1, 2n]."""
@@ -79,7 +100,7 @@ class AllSubsetsSolver(DPSolver):
     def _side_candidates(self, node):
         bag_order = sorted(self.contexts[node].bag)
         top = min(self.k, len(bag_order) - 1)
-        return [frozenset(combo) for size in range(1, top + 1)
+        return [vertex_mask(combo) for size in range(1, top + 1)
                 for combo in combinations(bag_order, size)], "enumerate"
 
 
@@ -108,8 +129,10 @@ class ComponentSplitSolver(DPSolver):
             len(bag), self.k, self.k * self.k + self.k)
         members = randomized_members_reference(
             bag, self.family_seed * 100003 + node * 7919, rounds)
-        adj = self._helper_graph(node)
+        adj = {v: {w for w in bag if mask >> w & 1}
+               for v, mask in self._helper_masks(node).items()}
         sides = {side for member in set(members)
                  for side in components(adj, member)
                  if len(side) <= self.k and side != bag}
-        return sorted(sides, key=sorted), "colorcode"
+        return [vertex_mask(side)
+                for side in sorted(sides, key=sorted)], "colorcode"

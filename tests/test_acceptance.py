@@ -239,17 +239,9 @@ def _reference_triple_selection(child_items, edge_items, d, k, adhesion,
     return families
 
 
-def test_criterion_5_enumeration_oracles():
-    from dcut import bounded_multisets
-    combos = 0
-    for q in range(0, 5):
-        for d in range(1, 4):
-            for k in range(q, 5):
-                got = bounded_multisets(range(q), d, k)
-                assert len(got) == _independent_multiset_count(q, d, k)
-                assert len(set(got)) == len(got)
-                combos += 1
-
+def _criterion_5_configs():
+    """The 50 seeded ``(d, k, child_items, edge_items, adhesion,
+    parent_budget)`` split configurations of criterion 5."""
     rng = random.Random(424242)
     configs = 0
     while configs < 50:
@@ -272,6 +264,24 @@ def test_criterion_5_enumeration_oracles():
             continue
         adhesion = frozenset(rng.sample(range(5), rng.randint(0, 3)))
         parent_budget = {v: rng.randint(0, d) for v in adhesion}
+        yield d, k, child_items, edge_items, adhesion, parent_budget
+        configs += 1
+
+
+def test_criterion_5_enumeration_oracles():
+    from dcut import bounded_multisets
+    combos = 0
+    for q in range(0, 5):
+        for d in range(1, 4):
+            for k in range(q, 5):
+                got = bounded_multisets(range(q), d, k)
+                assert len(got) == _independent_multiset_count(q, d, k)
+                assert len(set(got)) == len(got)
+                combos += 1
+
+    configs = 0
+    for d, k, child_items, edge_items, adhesion, parent_budget \
+            in _criterion_5_configs():
         reference = _reference_triple_selection(
             child_items, edge_items, d, k, adhesion, parent_budget)
         # The enumerator the fill uses, offered every budget at zero cost
@@ -300,9 +310,35 @@ def test_criterion_5_enumeration_oracles():
             direct.add(key)
         assert direct == reference
         configs += 1
+    assert configs == 50
     report("criterion-5", f"{combos} multiset counts match; {configs} "
                           "family enumerations match the copy-selection "
                           "procedure")
+
+
+def test_budget_families_start_vector_equals_edge_items():
+    # Split edges passed as a start vector give the families of the edges
+    # put first as items, less the edge picks, under the fill's cost cap k
+    # and with no cap.
+    from dcut import bounded_multisets
+    configs = 0
+    for d, k, child_items, edge_items, adhesion, _ in _criterion_5_configs():
+        order = sorted(adhesion)
+        kids = [(key, adh, [(b, 1 + sum(b)) for b in bounded_multisets(adh, d, k)])
+                for key, adh in child_items]
+        edges = [(key, ends, [((1, 1), 1)]) for key, ends in edge_items]
+        counts = {}
+        for _, ends in edge_items:
+            for v in ends:
+                counts[v] = counts.get(v, 0) + 1
+        for cap in (k, INFEASIBLE):
+            prepended = [(usage, cost, picks[len(edges):]) for usage, cost, picks
+                         in budget_families(edges + kids, d, k, cap, order)]
+            started = budget_families(kids, d, k, cap, order,
+                                      (counts, len(edges)))
+            assert started == prepended
+        configs += 1
+    assert configs == 50
 
 
 def test_criterion_6_table_invariants(corpus_run):

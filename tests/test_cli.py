@@ -66,6 +66,22 @@ class TestGenerators:
         with pytest.raises(ValueError, match="unknown model"):
             generate_instance("mystery", {}, 0)
 
+    @pytest.mark.parametrize("model,params,message", [
+        ("gnm", {"n": "10"}, "model 'gnm' needs parameter 'm'"),
+        ("two-cliques-bridged", {}, "needs parameter 'q'"),
+        ("grid", {"rows": "2"}, "needs parameter 'cols'"),
+        ("gnm", {"n": "10", "m": "15", "q": "3"}, "model 'gnm' has no parameter 'q'"),
+        ("grid", {"rows": "2", "cols": "3", "connected": "1"},
+         "has no parameter 'connected'"),
+    ])
+    def test_missing_or_unknown_parameter_named(self, model, params, message):
+        with pytest.raises(ValueError, match=message):
+            generate_instance(model, params, 0)
+
+    def test_connected_stays_optional_for_gnm(self):
+        g = generate_instance("gnm", {"n": "6", "m": "3", "connected": "0"}, 1)
+        assert g.n == 6 and g.m == 3
+
 
 class TestRun:
     def test_fpt_yes_with_fields(self, tmp_path):
@@ -202,6 +218,34 @@ class TestMain:
                      "--td-in", str(td_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "vertex-count-mismatch" in err
+
+    @pytest.mark.parametrize("spec,message", [
+        ("gnm:n=10", "needs parameter 'm'"),
+        ("two-cliques-bridged", "needs parameter 'q'"),
+        ("gnm:n=10,m=15,q=3", "has no parameter 'q'"),
+    ])
+    def test_bad_generator_parameter_exit_one(self, capsys, spec, message):
+        assert main(["--gen", spec, "--k", "2", "--d", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_td_out_off_dp_route_notes_file_not_written(self, tmp_path, capsys):
+        td_path = tmp_path / "x.td"
+        args = ["--gen", "grid:rows=2,cols=3", "--k", "1", "--d", "1", "--json"]
+        assert main(args + ["--td-out", str(td_path)]) == 0
+        captured = capsys.readouterr()
+        assert not td_path.exists()
+        assert captured.err == (f"note: route mincut uses no decomposition; "
+                                f"{td_path} not written\n")
+        # the document is the one printed without --td-out
+        assert main(args) == 0
+        assert capsys.readouterr().out == captured.out
+
+    def test_td_out_on_dp_route_writes_quietly(self, tmp_path, capsys):
+        td_path = tmp_path / "x.td"
+        assert main(["--gen", "grid:rows=2,cols=3", "--k", "2", "--d", "1",
+                     "--td-out", str(td_path)]) == 0
+        assert td_path.exists() and capsys.readouterr().err == ""
 
     def test_generator_flags(self, capsys):
         code = main(["--gen", "gnm:n=8,m=12", "--seed", "5", "--k", "2",

@@ -1,9 +1,10 @@
-"""Smoke test of the documented experiment script."""
+"""Smoke tests of the documented experiment scripts."""
 
 import json
 import os
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -21,3 +22,22 @@ def test_run_corpus_agrees_with_oracle(tmp_path):
     summary = json.loads(out.read_text())
     assert summary["count"] == 3 and summary["runs"] == 3 * 2 * 7
     assert summary["disagreements"] == []
+
+
+def test_solver_digest_repeats_itself():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    command = [sys.executable, os.path.join(ROOT, "scripts", "solver_digest.py"),
+               "--slice", "corpus", "--slice", "colorcode", "--count", "3"]
+    start = time.perf_counter()
+    outputs = [subprocess.run(command, env=env, capture_output=True, text=True,
+                              timeout=60) for _ in range(2)]
+    assert time.perf_counter() - start < 10
+    for proc in outputs:
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = outputs[0].stdout.splitlines()
+    assert [line.split()[:2] for line in lines] == [["corpus", "42"],
+                                                    ["colorcode", "42"]]
+    assert all(len(line.split()[2]) == 64 for line in lines)
+    assert outputs[1].stdout == outputs[0].stdout

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from conftest import (AllSubsetsSolver, ComponentSplitSolver, complete_graph,
-                      cycle_graph, local_edges, make_corpus, path_graph)
+                      cycle_graph, local_edges, make_corpus, path_graph,
+                      split_items, vertex_mask)
 from dcut import (DPSolver, Graph, INFEASIBLE, SolveOptions, bounded_multisets,
                   edge_cut, is_d_cut, is_d_matching, solve)
 from dcut import decomposition
@@ -90,7 +91,7 @@ class TestEdgeCosts:
         g = path_graph(3)  # 0-1-2; side {0} splits (0,1) only
         td = RootedDecomposition(3, (frozenset({0, 1, 2}),), (None,))
         solver = dp(g, td, 1, 2)
-        kids, edges = solver.split_items(0, frozenset({0}))
+        kids, edges = split_items(solver, 0, frozenset({0}))
         assert kids == [] and edges == [(0, 1)]
         # one family: the split edge alone, on an empty adhesion
         assert choice_rows(solver.plans[0], "bag", frozenset({0})) == (((), 1, {}),)
@@ -124,7 +125,7 @@ class TestEdgeCosts:
             for node, plan in enumerate(solver.plans):
                 for side in plan.sides:
                     entries = choice_rows(plan, "bag", side)
-                    kids, edges = solver.split_items(node, side)
+                    kids, edges = split_items(solver, node, side)
                     for usage, cost, fam in entries:
                         assert 1 <= cost <= 3
                         assert sorted(fam) == sorted(c for c, _ in kids)
@@ -173,32 +174,79 @@ class TestTrivialCost:
             assert value == (INFEASIBLE if budget == (0, 0) else 1)
 
 
+def mask_split(solver, node, side):
+    """The solver's mask split counts for a frozenset side, in the form of
+    the ``split_items`` reference: the split children with their traces as
+    frozensets, and the number of split bag edges."""
+    _, edges, traces = solver._splitter(node)(vertex_mask(side))
+    return [(c, frozenset(v for v in side if trace >> v & 1))
+            for c, trace in traces], edges
+
+
 class TestSplitItems:
+    """The frozenset reference in ``conftest`` and the solver's mask
+    counts, on hand-checked sides and on every candidate side of a
+    corpus."""
+
     def test_side_splitting_child_and_edge(self, c4_fixture):
         solver = DPSolver(*c4_fixture, 1, 2)
-        kids, edges = solver.split_items(0, frozenset({0}))
+        kids, edges = split_items(solver, 0, frozenset({0}))
         assert kids == [(1, frozenset({0}))]
         assert edges == [(0, 1)]
+        assert mask_split(solver, 0, frozenset({0})) == (kids, 1)
 
     def test_side_containing_child_adhesion_splits_nothing(self, c4_fixture):
         solver = DPSolver(*c4_fixture, 1, 2)
-        assert solver.split_items(0, frozenset({0, 1})) == ([], [])
+        assert split_items(solver, 0, frozenset({0, 1})) == ([], [])
+        assert mask_split(solver, 0, frozenset({0, 1})) == ([], 0)
 
     def test_edgeless_bag_splits_nothing(self, nested_p2):
         solver = DPSolver(*nested_p2, 1, 2)
-        assert solver.split_items(1, frozenset({0})) == ([], [])
+        assert split_items(solver, 1, frozenset({0})) == ([], [])
+        assert mask_split(solver, 1, frozenset({0})) == ([], 0)
 
     def test_traces_recorded(self, c4_fixture):
         solver = DPSolver(*c4_fixture, 1, 2)
-        kids, edges = solver.split_items(0, frozenset({1}))
+        kids, edges = split_items(solver, 0, frozenset({1}))
         assert kids == [(1, frozenset({1}))]
         assert edges == [(0, 1)]
+        assert mask_split(solver, 0, frozenset({1})) == (kids, 1)
+
+    def test_mask_counts_match_reference_on_corpus(self):
+        # every candidate side: the same split children and edge count,
+        # each side vertex's cross neighbours are its split edges, and a
+        # side is pruned exactly when it splits more than k items
+        checked = 0
+        for g in make_corpus(60, seed=20250808):
+            for k in range(7):
+                td = construct(g, k)
+                for d in (1, 2):
+                    solver = dp(g, td, d, k, record_choices=False)
+                    for node, plan in enumerate(solver.plans):
+                        split = solver._splitter(node)
+                        bag_rows = solver._bag_rows(node)
+                        for mask, side in zip(plan.side_masks, plan.sides):
+                            kids, edges = split_items(solver, node, side)
+                            crossing, count, traces = split(mask)
+                            assert traces == [(c, vertex_mask(t)) for c, t in kids]
+                            assert count == len(edges)
+                            assert sorted((low.bit_length() - 1, out)
+                                          for low, out in crossing) == sorted(
+                                (v, vertex_mask(w for e in edges if v in e
+                                                for w in e if w != v))
+                                for v in side if any(v in e for e in edges))
+                            before = solver.stats["overloaded_side_prunes"]
+                            bag_rows(mask)
+                            pruned = solver.stats["overloaded_side_prunes"] > before
+                            assert pruned == (len(kids) + len(edges) > k)
+                            checked += 1
+        assert checked > 40000
 
 
 class TestBudgetFamilies:
     def test_no_split_items_yields_exactly_the_empty_family(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 2)
-        rows = solver._bag_rows(0, frozenset({0, 1}))
+        rows = solver._bag_rows(0)(vertex_mask({0, 1}))
         assert rows == [((), 0, ("bag", frozenset({0, 1}), {}))]
 
     def test_single_split_edge_matches_nested_enumeration(self):
@@ -230,6 +278,20 @@ class TestBudgetFamilies:
         brute = sum(1 for spend in itertools.product(range(3), repeat=3)
                     if sum(spend) <= 4)
         assert len(fams) == brute
+
+    def test_start_vector_is_spent_before_the_items(self):
+        # the split edges (0,1) and (0,2) as a start vector: vertex 0 has
+        # two cross neighbours, so nothing fits at d=1; at d=2 the families
+        # are those of the edges as items, without their picks, unless
+        # their cost alone exceeds the cap
+        edges = [((0, 1), (0, 1), [((1, 1), 1)]), ((0, 2), (0, 2), [((1, 1), 1)])]
+        start = ({0: 2, 1: 1, 2: 1}, 2)
+        assert budget_families([], 1, 3, 3, (0, 1), start) == []
+        assert budget_families([], 2, 3, 3, (0, 1), start) == [((2, 1), 2, ())]
+        assert budget_families(edges, 2, 3, 3, (0, 1)) == [
+            ((2, 1), 2, (((0, 1), (1, 1)), ((0, 2), (1, 1))))]
+        assert budget_families([], 2, 3, 1, (0, 1), start) == []
+        assert budget_families(edges, 2, 3, 1, (0, 1)) == []
 
     def test_combined_is_sum_union(self):
         # the usage vector is the pointwise sum of the picked budgets
@@ -535,8 +597,13 @@ class TestSolveEndToEnd:
     def test_stats_fields(self):
         res = solve(cycle_graph(4), 2, 1)
         for field in ("root_value", "table_entries", "decomposition_nodes",
-                      "max_bag", "max_adhesion", "minbeta_modes"):
+                      "max_bag", "max_adhesion", "minbeta_modes",
+                      "sides_considered", "overloaded_side_prunes"):
             assert field in res.stats
+        for field in ("families_evaluated", "sides_considered",
+                      "overloaded_side_prunes"):
+            assert res.stats[field] == res.solver.stats[field]
+        assert res.stats["sides_considered"] > res.stats["overloaded_side_prunes"]
 
 
 class TestModes:
