@@ -10,7 +10,11 @@ its digests with its parent's.
 
 Every set is written as a sorted tuple: a frozenset's ``repr`` follows
 its hash table, so equal sets built in different orders can print
-differently.
+differently.  The digest does not depend on how the solver holds a side:
+every side, whether a vertex set or a vertex mask, is written as its
+sorted vertex tuple, and every table, menu and choice key as the smaller
+of the sorted vertex tuples of the keyed side and its adhesion
+complement.
 
 Slices:
     corpus     connected gnm graphs, n in 4..12 and m in [n-1, 2n], over
@@ -50,6 +54,52 @@ def canonical(obj):
     return obj
 
 
+def vertex_set(side):
+    """The side as a frozenset, given as a vertex set or a vertex mask."""
+    if isinstance(side, int):
+        return frozenset(v for v in range(side.bit_length()) if side >> v & 1)
+    return frozenset(side)
+
+
+def side_key(adhesion, side):
+    """The smaller of the sorted vertex tuples of the side and of its
+    complement in the adhesion, as a set."""
+    side = vertex_set(side)
+    return frozenset(min(sorted(side), sorted(adhesion - side)))
+
+
+def choice_record(choice):
+    """A recorded choice with its side, if it has one, as a vertex set."""
+    kind, *data = choice
+    if kind == "bag":
+        side, picks = data
+        return (kind, vertex_set(side), picks)
+    return choice
+
+
+def solver_record(solver):
+    """The plan sides, menus, table, recorded choices and counters of a
+    filled solver, with every side and key in the form above."""
+    adhesions = [ctx.adhesion for ctx in solver.contexts]
+
+    def row(entry):
+        usage, cost, choice = entry
+        return (usage, cost, choice_record(choice))
+
+    def keyed(key):
+        node, side, budget = key
+        return (node, side_key(adhesions[node], side), budget)
+
+    return [[[vertex_set(side) for side in plan.sides] for plan in solver.plans],
+            [{side_key(adhesions[node], key): [row(entry) for entry in menu]
+              for key, menu in plan.menus.items()}
+             for node, plan in enumerate(solver.plans)],
+            {keyed(key): value for key, value in solver.table.entries()},
+            {keyed(key): choice_record(choice)
+             for key, choice in solver._choices.items()},
+            solver.stats]
+
+
 def corpus_graphs(count, seed):
     rng = random.Random(seed)
     graphs = []
@@ -81,11 +131,8 @@ def record(result, excluded):
              if key not in excluded}
     out = [result.answer, witness and witness.side_a, result.cut_size,
            result.route, stats]
-    solver = result.solver
-    if solver is not None:
-        out += [[plan.sides for plan in solver.plans],
-                [plan.menus for plan in solver.plans],
-                dict(solver.table.entries()), solver._choices, solver.stats]
+    if result.solver is not None:
+        out += solver_record(result.solver)
     return canonical(out)
 
 

@@ -17,8 +17,7 @@ from .decomposition import (DecompositionError, NodeContext,
                             construct, derive_contexts, parse, serialize,
                             verify)
 from .setfamily import (SubsetFamily, build_exhaustive, build_randomized,
-                        find_covering_family, heuristic_rounds,
-                        verify_covering)
+                        heuristic_rounds)
 from .oracle import OracleResult, brute_force_min_dcut, oracle_decide
 from .solver import (DPSolver, INFEASIBLE, SolveOptions, SolveResult,
                      WitnessCertificationError, solve)
@@ -35,7 +34,7 @@ __all__ = [
     "VerificationReport", "construct", "derive_contexts", "parse",
     "serialize", "verify",
     "SubsetFamily", "build_exhaustive", "build_randomized",
-    "find_covering_family", "heuristic_rounds", "verify_covering",
+    "heuristic_rounds",
     "OracleResult", "brute_force_min_dcut", "oracle_decide",
     "DPSolver", "INFEASIBLE", "SolveOptions", "SolveResult",
     "WitnessCertificationError", "solve",

@@ -54,6 +54,9 @@ class RunConfig:
                 f"--family-rounds must be at least 1, got {self.family_rounds}")
         if self.family_rounds is not None and self.minbeta != "colorcode":
             raise ValueError("--family-rounds needs --minbeta colorcode")
+        for flag, path in (("--td-in", self.td_in), ("--td-out", self.td_out)):
+            if path is not None and self.algorithm == "brute":
+                raise ValueError(f"{flag} needs --algorithm fpt or both")
 
 
 def _parse_gen_spec(spec: str):

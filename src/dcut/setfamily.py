@@ -4,9 +4,11 @@ A family F over a universe U covers bounds (a, b) when every disjoint
 pair A, B of subsets with |A| <= a and |B| <= b has some member S with
 A inside S and B disjoint from S.  Two constructions are provided: the
 exhaustive one (all subsets, trivially covering) for small universes,
-and a seeded randomized one with an exhaustive checker so that a passing
-seed can be pinned.  A randomized family that misses a pair can only
-push the solver's costs up, never down, so its failures are one-sided.
+and a seeded randomized one.  The solver draws its randomized members
+as masks (:func:`distinct_draws`); the exhaustive covering checker that
+pins a passing seed lives with the tests.  A randomized family that
+misses a pair can only push the solver's costs up, never down, so its
+failures are one-sided.
 """
 
 from __future__ import annotations
@@ -92,41 +94,6 @@ def build_randomized(universe, a: int, b: int, seed: int, rounds: int) -> Subset
                         f"randomized(a={a},b={b},seed={seed},rounds={rounds})")
 
 
-def _subsets_up_to(order, bound):
-    for size in range(min(bound, len(order)) + 1):
-        yield from combinations(order, size)
-
-
-def verify_covering(family: SubsetFamily, a: int, b: int, *,
-                    pair_budget: int = 10 ** 7):
-    """None if the family covers (a, b); otherwise the first uncovered
-    disjoint pair (A, B) in (size, lexicographic) order.
-
-    Members and candidate pairs are compared as bitmasks so the exhaustive
-    pair scan stays cheap for the universes this is meant for.
-    """
-    order = family.universe
-    n = len(order)
-    count_a = sum(math.comb(n, i) for i in range(min(a, n) + 1))
-    count_b = sum(math.comb(n, i) for i in range(min(b, n) + 1))
-    if count_a * count_b > pair_budget:
-        raise FamilySizeLimit(
-            f"{count_a * count_b} candidate pairs exceed budget {pair_budget}")
-    index = {u: i for i, u in enumerate(order)}
-    member_masks = [sum(1 << index[u] for u in s) for s in family.members]
-    for combo_a in _subsets_up_to(order, a):
-        mask_a = sum(1 << index[u] for u in combo_a)
-        rest = [u for u in order if not mask_a >> index[u] & 1]
-        for combo_b in _subsets_up_to(rest, b):
-            mask_b = sum(1 << index[u] for u in combo_b)
-            for s in member_masks:
-                if not mask_a & ~s and not mask_b & s:
-                    break
-            else:
-                return combo_a, combo_b
-    return None
-
-
 def heuristic_rounds(universe_size: int, a: int, b: int, *,
                      scale: float = 4.0, cap: int = 8) -> int:
     """Round count for solver-scale randomized families where exhaustive
@@ -134,18 +101,3 @@ def heuristic_rounds(universe_size: int, a: int, b: int, *,
     logarithmically with the universe."""
     effective = min(a, b, cap)
     return max(1, math.ceil(scale * (4 ** effective) * math.log(max(universe_size, 2))))
-
-
-def find_covering_family(universe, a: int, b: int, *, seed: int = 0,
-                         rounds: int | None = None, retries: int = 10) -> SubsetFamily:
-    """Draw, verify, and retry with incremented seeds until a family
-    covers (a, b); the returned provenance records the seed that passed."""
-    order = tuple(sorted(universe))
-    if rounds is None:
-        rounds = heuristic_rounds(len(order), a, b)
-    for attempt in range(retries):
-        family = build_randomized(order, a, b, seed + attempt, rounds)
-        if verify_covering(family, a, b) is None:
-            return family
-    raise RuntimeError(
-        f"no covering family within {retries} retries (seed={seed}, rounds={rounds})")

@@ -22,20 +22,20 @@ graph's components on its distinct members, each member a mask of bag
 indices split by a breadth-first search over the helper graph's
 neighbour masks.
 
-The fill works on integer masks over vertex ids.  Sides, child
-adhesions and bag-edge neighbourhoods are masks built once per node; a
-side's split edges and children are counted with popcounts, and a side
-splitting more than k of them is pruned before any frozenset, trace or
-item exists.  The split edges enter the budget search as a start vector,
-and each child's finite options are read once per trace.  Only the sides
-that yield rows become frozensets, in the recorded choices.
+The fill works on integer masks over vertex ids, and a side takes no
+other form: sides, table keys, menus, recorded choices and the witness
+rebuild hold masks, and only the rebuilt witness is handed out as a
+frozenset.  A side's split edges and children are counted with
+popcounts on masks built once per node, and a side splitting more than
+k of them is pruned before any trace or item exists.  The split edges
+enter the budget search as a start vector, and each child's finite
+options are read once per trace.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from .decomposition import (CONSTRUCT_LIMIT, DecompositionError,
                             RootedDecomposition, _construct, _verify,
@@ -57,8 +57,9 @@ class WitnessCertificationError(RuntimeError):
     """A reconstructed witness failed certification; internal bug signal."""
 
 
-def _check_arguments(k, d, mode, family_kind):
-    """Reject a bad k or d, or an unknown side-search mode or family kind."""
+def _check_arguments(k, d, mode, family_kind, family_rounds):
+    """Reject a bad k, d or round count, or an unknown side-search mode or
+    family kind."""
     if k < 0:
         raise ValueError("k must be non-negative")
     if d < 1:
@@ -67,6 +68,8 @@ def _check_arguments(k, d, mode, family_kind):
         raise ValueError(f"unknown mode {mode!r}")
     if family_kind not in ("exhaustive", "randomized"):
         raise ValueError(f"unknown family kind {family_kind!r}")
+    if family_rounds is not None and family_rounds < 1:
+        raise ValueError(f"family_rounds must be at least 1, got {family_rounds}")
 
 
 def budget_families(items, d, k, cost_cap, usage_order, start=None) -> list:
@@ -157,54 +160,41 @@ def cheapest(entries, pvec):
 
 
 class CostTable:
-    """The cost table, keyed under the lexicographically smaller of a side
-    and its adhesion complement (the semantics are symmetric in the two),
-    written exactly once per key."""
+    """The cost table, keyed per side of a node's adhesion, given as a
+    vertex mask, under whichever of the side and its adhesion complement
+    leaves out the adhesion's least vertex (the semantics are symmetric in
+    the two), written exactly once per key."""
 
     def __init__(self, adhesions):
-        self._keys = [self._canonical_keys(adhesion) for adhesion in adhesions]
+        self._adhesions = [_mask(adhesion) for adhesion in adhesions]
         self._data = {}
 
-    @staticmethod
-    def _canonical_keys(adhesion):
-        """Every subset of the adhesion, as a vertex mask, mapped to its
-        key, the subsets taken by size, then in lexicographic order."""
-        order = sorted(adhesion)
-        keys = {}
-        for size in range(len(order) + 1):
-            for combo in combinations(order, size):
-                rest = tuple(v for v in order if v not in combo)
-                keys[_mask(combo)] = frozenset(min(combo, rest))
-        return keys
-
-    def key(self, node, mask):
+    def key(self, node, side):
         """The key of the adhesion subset given as a vertex mask."""
-        return self._keys[node][mask]
+        adhesion = self._adhesions[node]
+        if side & ~adhesion:
+            raise ValueError(f"side {_members(side)} not within adhesion "
+                             f"of node {node}")
+        return side ^ adhesion if side & adhesion & -adhesion else side
 
-    def canonical_side(self, node, side):
-        try:
-            return self._keys[node][_mask(side)]
-        except KeyError:
-            raise ValueError(
-                f"side {sorted(side)} not within adhesion of node {node}") from None
-
-    def canonical_sides(self, node):
-        """The node's distinct keys, in the order their first subsets
-        take in :meth:`_canonical_keys`."""
-        return list(dict.fromkeys(self._keys[node].values()))
+    def keys(self, node):
+        """The node's distinct keys: the submasks of its adhesion without
+        the least vertex, ascending."""
+        adhesion = self._adhesions[node]
+        rest = adhesion & (adhesion - 1)
+        found = [rest]
+        while found[-1]:
+            found.append((found[-1] - 1) & rest)
+        return found[::-1]
 
     def set(self, node, side, budget, value):
-        key = (node, self.canonical_side(node, side), budget)
+        key = (node, self.key(node, side), budget)
         if key in self._data:
             raise RuntimeError(f"table key written twice: {key}")
         self._data[key] = value
 
     def get(self, node, side, budget):
-        return self._data[(node, self.canonical_side(node, side), budget)]
-
-    def at(self, node, mask, budget):
-        """The value under the adhesion subset given as a vertex mask."""
-        return self._data[(node, self._keys[node][mask], budget)]
+        return self._data[(node, self.key(node, side), budget)]
 
     def entries(self):
         yield from self._data.items()
@@ -219,14 +209,9 @@ class NodePlan:
 
     adhesion_order: list
     budgets: list         # count vectors on adhesion_order
-    side_masks: list      # candidate sides as vertex masks; their order ranks them
-    menus: dict           # canonical trace -> cost-sorted (usage, cost, choice)
+    sides: list           # candidate sides as vertex masks; their order ranks them
+    menus: dict           # table key -> cost-sorted (usage, cost, choice)
     mode: str
-
-    @property
-    def sides(self):
-        """The candidate sides as frozensets, in rank order."""
-        return [frozenset(_members(mask)) for mask in self.side_masks]
 
 
 class DPSolver:
@@ -237,7 +222,7 @@ class DPSolver:
                  family_seed: int = 0, family_rounds=None,
                  enumerate_budget: int = ENUMERATE_BUDGET,
                  record_choices: bool = True):
-        _check_arguments(k, d, mode, family_kind)
+        _check_arguments(k, d, mode, family_kind, family_rounds)
         self.graph = graph
         self.td = td
         self.d = d
@@ -265,7 +250,7 @@ class DPSolver:
         return self
 
     def root_value(self):
-        return self.table.get(self.td.root, frozenset(), ())
+        return self.table.get(self.td.root, 0, ())
 
     def _splitter(self, node):
         """A function from a side, as a vertex mask, to the bag edges and
@@ -319,7 +304,7 @@ class DPSolver:
             plan = self.plans[c]
             opts = []
             for b in plan.budgets:
-                val = self.table.at(c, trace, b)
+                val = self.table.get(c, trace, b)
                 if val is INFEASIBLE:
                     continue
                 # A split child always pays at least one crossing edge.
@@ -347,10 +332,7 @@ class DPSolver:
             families = budget_families(items, d, k, k, usage_order,
                                        (counts, edges))
             stats["families_evaluated"] += len(families)
-            if not families:
-                return []
-            vertices = frozenset(_members(side))
-            return [(usage, cost, ("bag", vertices, dict(picks)))
+            return [(usage, cost, ("bag", side, dict(picks)))
                     for usage, cost, picks in families]
 
         return rows
@@ -450,7 +432,7 @@ class DPSolver:
         # offer finite table values), then side (a child after every side),
         # then usage; the sort is stable, so the first family, child and
         # child budget win the remaining ties.
-        ranked = {key: [] for key in self.table.canonical_sides(node)}
+        ranked = {key: [] for key in self.table.keys(node)}
         adhesion_mask = _mask(adhesion)
         bag_rows = self._bag_rows(node)
         for rank, side in enumerate(sides):
@@ -461,12 +443,11 @@ class DPSolver:
         for c in self.children[node]:
             child_plan = self.plans[c]
             for cb in child_plan.budgets:
-                cost = self.table.at(c, 0, cb)
+                cost = self.table.get(c, 0, cb)
                 if cost is not INFEASIBLE:
                     counts = dict(zip(child_plan.adhesion_order, cb))
                     usage = tuple(counts.get(v, 0) for v in adhesion_order)
-                    ranked[frozenset()].append(
-                        (cost, len(sides), usage, ("child", c, cb)))
+                    ranked[0].append((cost, len(sides), usage, ("child", c, cb)))
         for key, rows in ranked.items():
             rows.sort(key=lambda row: row[:3])
             menu = plan.menus[key] = tuple((usage, cost, choice)
@@ -490,29 +471,31 @@ class DPSolver:
             raise RuntimeError("no witness: root value exceeds k")
         if not self.record_choices:
             raise RuntimeError("witness reconstruction needs recorded choices")
-        side = self._rebuild(root, (), frozenset())
-        return frozenset(side)
+        return frozenset(_members(self._rebuild(root, (), 0)))
 
     def _rebuild(self, node, budget, wanted_trace):
+        """A part of the node's cone, as a vertex mask, that achieves the
+        table value under the budget and meets the adhesion in the wanted
+        trace."""
         ctx = self.contexts[node]
-        adhesion = ctx.adhesion
-        s_key = self.table.canonical_side(node, wanted_trace)
+        adhesion = _mask(ctx.adhesion)
+        s_key = self.table.key(node, wanted_trace)
         kind, *data = self._choices[(node, s_key, budget)]
         if kind == "child":
             c, cb = data
-            part = self._rebuild(c, cb, frozenset())
+            part = self._rebuild(c, cb, 0)
         else:
             side, fam = data
-            part = set(side)
+            part = side
             for c in self.children[node]:
-                child_adhesion = self.contexts[c].adhesion
+                child_adhesion = _mask(self.contexts[c].adhesion)
                 trace = side & child_adhesion
                 if c in fam:
                     part |= self._rebuild(c, fam[c], trace)
                 elif child_adhesion and trace == child_adhesion:
-                    part |= self.contexts[c].cone
+                    part |= _mask(self.contexts[c].cone)
         if part & adhesion != wanted_trace:
-            part = set(ctx.cone) - part
+            part = _mask(ctx.cone) & ~part
         assert part & adhesion == wanted_trace
         return part
 
@@ -555,11 +538,19 @@ def solve(graph: Graph, k: int, d: int, options: SolveOptions = None) -> SolveRe
     the question degenerates to whether the global minimum cut is within
     k (every such cut is automatically degree-bounded).  Otherwise the
     dynamic program runs over a verified decomposition; any emitted
-    witness is certified before being returned.
+    witness is certified before being returned.  A supplied decomposition
+    is verified before the route is chosen, so a bad one is rejected on
+    every route.
     """
     opts = options or SolveOptions()
-    _check_arguments(k, d, opts.mode, opts.family_kind)
+    _check_arguments(k, d, opts.mode, opts.family_kind, opts.family_rounds)
     stats = {"n": graph.n, "m": graph.m, "k": k, "d": d}
+    td = opts.decomposition
+    if td is not None:
+        report, contexts = _verify(graph, td, k, opts.max_construct_vertices)
+        if not report.passed:
+            raise DecompositionError(
+                f"supplied decomposition failed verification: {report.summary()}")
 
     comps = connected_components(graph)
     if len(comps) > 1:
@@ -581,13 +572,7 @@ def solve(graph: Graph, k: int, d: int, options: SolveOptions = None) -> SolveRe
         stats["min_cut"] = size
         return SolveResult(answer, witness, cut_size, "mincut", stats)
 
-    td = opts.decomposition
-    if td is not None:
-        report, contexts = _verify(graph, td, k, opts.max_construct_vertices)
-        if not report.passed:
-            raise DecompositionError(
-                f"supplied decomposition failed verification: {report.summary()}")
-    else:
+    if td is None:
         td, contexts = _construct(graph, k, opts.max_construct_vertices)
     solver = DPSolver(graph, td, d, k, contexts=contexts, mode=opts.mode,
                       family_kind=opts.family_kind,

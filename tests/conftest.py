@@ -1,9 +1,12 @@
+import math
 import random
 from itertools import combinations
 
-from dcut import DPSolver, Graph, heuristic_rounds
+from dcut import (DPSolver, Graph, SubsetFamily, build_randomized,
+                  heuristic_rounds)
 from dcut.generators import gnm_random
 from dcut.graph import components
+from dcut.setfamily import FamilySizeLimit
 
 
 def path_graph(n):
@@ -63,6 +66,11 @@ def vertex_mask(vertices):
     """The vertices as a bitmask over vertex ids, the form the solver's
     candidate sides take."""
     return sum(1 << v for v in vertices)
+
+
+def vertex_set(mask):
+    """The vertex ids of a bitmask as a frozenset."""
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def split_items(solver, node, side):
@@ -136,3 +144,53 @@ class ComponentSplitSolver(DPSolver):
                  if len(side) <= self.k and side != bag}
         return [vertex_mask(side)
                 for side in sorted(sides, key=sorted)], "colorcode"
+
+
+def _subsets_up_to(order, bound):
+    for size in range(min(bound, len(order)) + 1):
+        yield from combinations(order, size)
+
+
+def verify_covering(family: SubsetFamily, a: int, b: int, *,
+                    pair_budget: int = 10 ** 7):
+    """None if the family covers (a, b); otherwise the first uncovered
+    disjoint pair (A, B) in (size, lexicographic) order.
+
+    Members and candidate pairs are compared as bitmasks so the exhaustive
+    pair scan stays cheap for the universes this is meant for.
+    """
+    order = family.universe
+    n = len(order)
+    count_a = sum(math.comb(n, i) for i in range(min(a, n) + 1))
+    count_b = sum(math.comb(n, i) for i in range(min(b, n) + 1))
+    if count_a * count_b > pair_budget:
+        raise FamilySizeLimit(
+            f"{count_a * count_b} candidate pairs exceed budget {pair_budget}")
+    index = {u: i for i, u in enumerate(order)}
+    member_masks = [sum(1 << index[u] for u in s) for s in family.members]
+    for combo_a in _subsets_up_to(order, a):
+        mask_a = sum(1 << index[u] for u in combo_a)
+        rest = [u for u in order if not mask_a >> index[u] & 1]
+        for combo_b in _subsets_up_to(rest, b):
+            mask_b = sum(1 << index[u] for u in combo_b)
+            for s in member_masks:
+                if not mask_a & ~s and not mask_b & s:
+                    break
+            else:
+                return combo_a, combo_b
+    return None
+
+
+def find_covering_family(universe, a: int, b: int, *, seed: int = 0,
+                         rounds: int | None = None, retries: int = 10) -> SubsetFamily:
+    """Draw, verify, and retry with incremented seeds until a family
+    covers (a, b); the returned provenance records the seed that passed."""
+    order = tuple(sorted(universe))
+    if rounds is None:
+        rounds = heuristic_rounds(len(order), a, b)
+    for attempt in range(retries):
+        family = build_randomized(order, a, b, seed + attempt, rounds)
+        if verify_covering(family, a, b) is None:
+            return family
+    raise RuntimeError(
+        f"no covering family within {retries} retries (seed={seed}, rounds={rounds})")

@@ -241,6 +241,28 @@ class TestMain:
         assert main(args) == 0
         assert capsys.readouterr().out == captured.out
 
+    @pytest.mark.parametrize("k,route", [(1, "mincut"), (3, "dp")])
+    def test_bad_td_in_rejected_on_every_route(self, tmp_path, capsys, k, route):
+        # no bag holds both ends of the grid edge 1-4 (0-based (0, 3))
+        args = ["--gen", "grid:rows=2,cols=3", "--k", str(k), "--d", "1"]
+        assert main(args + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["fpt"]["route"] == route
+        td_path = tmp_path / "bad.td"
+        td_path.write_text("s td 2 5 6\nb 1 1 2 3 5 6\nb 2 2 3 4 5 6\np 2 1\n")
+        assert main(args + ["--td-in", str(td_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: supplied decomposition failed verification")
+        assert "uncovered-edge" in err
+
+    @pytest.mark.parametrize("flag", ["--td-in", "--td-out"])
+    def test_td_files_rejected_with_brute(self, tmp_path, capsys, flag):
+        td_path = tmp_path / "missing.td"
+        assert main(["--gen", "grid:rows=2,cols=3", "--k", "1", "--d", "1",
+                     "--algorithm", "brute", flag, str(td_path)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {flag} needs --algorithm fpt or both\n"
+        assert not td_path.exists()
+
     def test_td_out_on_dp_route_writes_quietly(self, tmp_path, capsys):
         td_path = tmp_path / "x.td"
         assert main(["--gen", "grid:rows=2,cols=3", "--k", "2", "--d", "1",

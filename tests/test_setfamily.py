@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from conftest import randomized_members_reference
-from dcut import (build_exhaustive, build_randomized, find_covering_family,
-                  heuristic_rounds, verify_covering)
+from conftest import (find_covering_family, randomized_members_reference,
+                      verify_covering)
+from dcut import build_exhaustive, build_randomized, heuristic_rounds
 from dcut.setfamily import FamilySizeLimit
 
 

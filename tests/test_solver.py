@@ -4,14 +4,15 @@ import pytest
 
 from conftest import (AllSubsetsSolver, ComponentSplitSolver, complete_graph,
                       cycle_graph, local_edges, make_corpus, path_graph,
-                      split_items, vertex_mask)
+                      split_items, vertex_mask, vertex_set)
 from dcut import (DPSolver, Graph, INFEASIBLE, SolveOptions, bounded_multisets,
-                  edge_cut, is_d_cut, is_d_matching, solve)
+                  brute_force_min_dcut, edge_cut, is_d_cut, is_d_matching,
+                  solve)
 from dcut import decomposition
 from dcut import solver as solver_module
 from dcut.decomposition import (DecompositionError, RootedDecomposition,
                                 construct, derive_contexts)
-from dcut.generators import two_cliques_bridged
+from dcut.generators import gnm_random, two_cliques_bridged
 from dcut.solver import (EnumerationBudgetExceeded, CostTable,
                          budget_families, cheapest)
 
@@ -28,7 +29,7 @@ def cost_under(entries, budget):
 
 def choice_rows(plan, kind, which=None):
     """The plan's menu rows whose choice is of the kind ("bag" or "child"),
-    for the side or child ``which`` if given, as ``(usage, cost, child
+    for the side (a vertex mask) or child ``which`` if given, as ``(usage, cost, child
     budgets)`` for a side and ``(usage, cost, child budget)`` for a child."""
     return tuple((usage, cost, choice[2]) for menu in plan.menus.values()
                  for usage, cost, choice in menu
@@ -94,13 +95,13 @@ class TestEdgeCosts:
         kids, edges = split_items(solver, 0, frozenset({0}))
         assert kids == [] and edges == [(0, 1)]
         # one family: the split edge alone, on an empty adhesion
-        assert choice_rows(solver.plans[0], "bag", frozenset({0})) == (((), 1, {}),)
+        assert choice_rows(solver.plans[0], "bag", vertex_mask({0})) == (((), 1, {}),)
 
     def test_split_trace_with_both_budgeted_costs_one(self):
         g = path_graph(2)
         td = RootedDecomposition(2, (frozenset({0, 1}),), (None,))
         solver = dp(g, td, 1, 2)
-        for side in (frozenset({0}), frozenset({1})):
+        for side in (vertex_mask({0}), vertex_mask({1})):
             assert choice_rows(solver.plans[0], "bag", side) == (((), 1, {}),)
         # the edge's option grants each endpoint one cross neighbor
         fams = families([((0, 1), (0, 1), [((1, 1), 1)])], 1, 2, 2, (0, 1))
@@ -111,7 +112,7 @@ class TestEdgeCosts:
         # 0 must be granted its cross neighbor
         solver = dp(*c4_fixture, 1, 2)
         plan = solver.plans[1]
-        entries = choice_rows(plan, "bag", frozenset({0}))
+        entries = choice_rows(plan, "bag", vertex_mask({0}))
         assert plan.adhesion_order == [0, 1]
         assert entries == (((1, 0), 1, {}),)
         assert cost_under(entries, (1, 0)) == 1
@@ -125,7 +126,7 @@ class TestEdgeCosts:
             for node, plan in enumerate(solver.plans):
                 for side in plan.sides:
                     entries = choice_rows(plan, "bag", side)
-                    kids, edges = split_items(solver, node, side)
+                    kids, edges = split_items(solver, node, vertex_set(side))
                     for usage, cost, fam in entries:
                         assert 1 <= cost <= 3
                         assert sorted(fam) == sorted(c for c, _ in kids)
@@ -161,16 +162,16 @@ class TestTrivialCost:
         # sides {2} and {0,1} leave the child adhesion {0,1} empty or full:
         # they pay only the split bag edges (0,2) and (1,2), no child budget
         plan = dp(*ear_fixture, 2, 3).plans[0]
-        for side in (frozenset({2}), frozenset({0, 1})):
+        for side in (vertex_mask({2}), vertex_mask({0, 1})):
             assert choice_rows(plan, "bag", side) == (((), 2, {}),)
-        assert choice_rows(plan, "bag", frozenset({0})) == (((), 3, {1: (0, 1)}),)
+        assert choice_rows(plan, "bag", vertex_mask({0})) == (((), 3, {1: (0, 1)}),)
 
     def test_proper_split_is_infeasible(self, ear_fixture):
         # splitting the child adhesion cuts 0-3 or 3-1: without a budget
         # for 0 or 1 no partition pays for it
         solver = dp(*ear_fixture, 2, 3)
         for budget in solver.plans[1].budgets:
-            value = solver.table.get(1, frozenset({0}), budget)
+            value = solver.table.get(1, vertex_mask({0}), budget)
             assert value == (INFEASIBLE if budget == (0, 0) else 1)
 
 
@@ -225,7 +226,8 @@ class TestSplitItems:
                     for node, plan in enumerate(solver.plans):
                         split = solver._splitter(node)
                         bag_rows = solver._bag_rows(node)
-                        for mask, side in zip(plan.side_masks, plan.sides):
+                        for mask in plan.sides:
+                            side = vertex_set(mask)
                             kids, edges = split_items(solver, node, side)
                             crossing, count, traces = split(mask)
                             assert traces == [(c, vertex_mask(t)) for c, t in kids]
@@ -247,7 +249,7 @@ class TestBudgetFamilies:
     def test_no_split_items_yields_exactly_the_empty_family(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 2)
         rows = solver._bag_rows(0)(vertex_mask({0, 1}))
-        assert rows == [((), 0, ("bag", frozenset({0, 1}), {}))]
+        assert rows == [((), 0, ("bag", vertex_mask({0, 1}), {}))]
 
     def test_single_split_edge_matches_nested_enumeration(self):
         fams = families([zero_cost_item((0, 1), (0, 1), 1, 2)], d=1, k=2)
@@ -311,20 +313,20 @@ class TestFamilyCost:
         # the edgeless leaf: a side splitting nothing costs nothing
         solver = DPSolver(*nested_p2, 1, 2)
         solver.fill_node(1)
-        assert choice_rows(solver.plans[1], "bag", frozenset({0})) == (((0, 0), 0, {}),)
+        assert choice_rows(solver.plans[1], "bag", vertex_mask({0})) == (((0, 0), 0, {}),)
 
     def test_single_edge_family(self):
         g = path_graph(2)
         td = RootedDecomposition(2, (frozenset({0, 1}),), (None,))
         solver = dp(g, td, 1, 2)
         # one family: the split edge at cost one, with no child budgets
-        assert choice_rows(solver.plans[0], "bag", frozenset({0})) == (((), 1, {}),)
+        assert choice_rows(solver.plans[0], "bag", vertex_mask({0})) == (((), 1, {}),)
         # below an adhesion {0, 1}, the split edge (1, 2) spends one at 1
         g = Graph(3, [(0, 1), (0, 2), (1, 2)])
         td = RootedDecomposition(3, (frozenset({0, 1}), frozenset({0, 1, 2})),
                                  (None, 0))
         plan = dp(g, td, 1, 2).plans[1]
-        assert choice_rows(plan, "bag", frozenset({0, 2})) == (((0, 1), 1, {}),)
+        assert choice_rows(plan, "bag", vertex_mask({0, 2})) == (((0, 1), 1, {}),)
 
 
 class TestBestFamilyCost:
@@ -332,7 +334,7 @@ class TestBestFamilyCost:
         star = Graph(5, [(0, i) for i in range(1, 5)])
         td = RootedDecomposition(5, (frozenset(range(5)),), (None,))
         solver = dp(star, td, 1, 3)
-        assert choice_rows(solver.plans[0], "bag", frozenset({0})) == ()
+        assert choice_rows(solver.plans[0], "bag", vertex_mask({0})) == ()
         assert solver.stats["overloaded_side_prunes"] >= 1
 
     def test_side_splitting_nothing_costs_zero(self, nested_p2):
@@ -341,32 +343,32 @@ class TestBestFamilyCost:
         solver = DPSolver(*nested_p2, 1, 2)
         solver.fill_node(1)
         plan = solver.plans[1]
-        assert cost_under(choice_rows(plan, "bag", frozenset({0})), (1, 1)) == 0
+        assert cost_under(choice_rows(plan, "bag", vertex_mask({0})), (1, 1)) == 0
 
     def test_c4_child_side_costs_two(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 3)
         plan = solver.plans[1]
-        assert cost_under(choice_rows(plan, "bag", frozenset({2, 3})), (1, 1)) == 2
+        assert cost_under(choice_rows(plan, "bag", vertex_mask({2, 3})), (1, 1)) == 2
 
     def test_budget_restricts_value(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 3)
         plan = solver.plans[1]
-        side = frozenset({2, 3})
+        side = vertex_mask({2, 3})
         assert cost_under(choice_rows(plan, "bag", side), (0, 0)) is INFEASIBLE
 
     def test_invalid_sides_rejected(self, c4_fixture):
         # empty, whole-bag and oversized sides never get a family table
         solver = dp(*c4_fixture, 1, 2)
         sides = solver.plans[1].sides
-        assert frozenset() not in sides
-        assert frozenset({0, 1, 2, 3}) not in sides
-        assert frozenset({0, 1, 2}) not in sides
-        assert all(0 < len(side) <= 2 for side in sides)
+        assert 0 not in sides
+        assert vertex_mask({0, 1, 2, 3}) not in sides
+        assert vertex_mask({0, 1, 2}) not in sides
+        assert all(0 < side.bit_count() <= 2 for side in sides)
 
 
 def cost_via_bag(solver, node, side_class, budget):
     plan = solver.plans[node]
-    key = solver.table.canonical_side(node, side_class)
+    key = solver.table.key(node, side_class)
     return cost_under([row for row in plan.menus[key] if row[2][0] == "bag"],
                       budget)
 
@@ -374,7 +376,7 @@ def cost_via_bag(solver, node, side_class, budget):
 class TestBagSplitSearch:
     def test_c4_root_split_value(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 3)
-        assert cost_via_bag(solver, 0, frozenset(), ()) == 2
+        assert cost_via_bag(solver, 0, 0, ()) == 2
 
     def test_singleton_bag_has_no_compatible_side(self):
         g = path_graph(3)
@@ -382,8 +384,7 @@ class TestBagSplitSearch:
             3, (frozenset({1}), frozenset({0, 1}), frozenset({1, 2})),
             (None, 0, 0))
         solver = dp(g, td, 1, 2)
-        assert cost_via_bag(solver, 0, frozenset(), ()) \
-            is INFEASIBLE
+        assert cost_via_bag(solver, 0, 0, ()) is INFEASIBLE
         # the cut still surfaces through the children
         assert solver.root_value() == 1
 
@@ -400,7 +401,7 @@ class TestChildDescent:
         solver = dp(*c4_fixture, 1, 3)
         # nontrivial partitions of the child's local path 1-2-3-0 that do
         # not split {0,1} cost two edges
-        assert solver.table.get(1, frozenset(), (1, 1)) == 2
+        assert solver.table.get(1, 0, (1, 1)) == 2
         assert cost_under(choice_rows(solver.plans[0], "child"), ()) == 2
         assert solver.root_value() == 2
 
@@ -418,31 +419,73 @@ class TestFillValues:
         td = construct(g, 2)
         solver = dp(g, td, 1, 2)
         for (node, side, budget), value in solver.table.entries():
-            adhesion = solver.contexts[node].adhesion
+            adhesion = vertex_mask(solver.contexts[node].adhesion)
             if side and side != adhesion:
                 assert value >= 1
 
     def test_complement_symmetry_of_lookups(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 2)
         adhesion = solver.contexts[1].adhesion
+        whole = vertex_mask(adhesion)
         for budget in solver.plans[1].budgets:
             for r in range(len(adhesion) + 1):
                 for combo in itertools.combinations(sorted(adhesion), r):
-                    side = frozenset(combo)
+                    side = vertex_mask(combo)
                     assert solver.table.get(1, side, budget) == \
-                        solver.table.get(1, adhesion - side, budget)
+                        solver.table.get(1, whole ^ side, budget)
 
     def test_table_rejects_double_write(self):
         table = CostTable([frozenset()])
-        table.set(0, frozenset(), (), 0)
+        table.set(0, 0, (), 0)
         with pytest.raises(RuntimeError, match="twice"):
-            table.set(0, frozenset(), (), 1)
+            table.set(0, 0, (), 1)
 
     def test_table_rejects_side_outside_adhesion(self):
         table = CostTable([frozenset({1, 2})])
-        assert table.canonical_side(0, {2}) == frozenset({1})
+        # {1} and {2} share the key that leaves out the least vertex 1
+        assert table.key(0, vertex_mask({1})) == vertex_mask({2})
+        assert table.key(0, vertex_mask({2})) == vertex_mask({2})
+        outside = vertex_mask({2, 3})
         with pytest.raises(ValueError, match="not within adhesion"):
-            table.canonical_side(0, {2, 3})
+            table.key(0, outside)
+        with pytest.raises(ValueError, match="not within adhesion"):
+            table.set(0, outside, (), 0)
+        with pytest.raises(ValueError, match="not within adhesion"):
+            table.get(0, outside, ())
+
+    def test_keys_on_corpus_adhesions(self):
+        # a side and its complement share a key, which is one of the two;
+        # keys() lists each class once; the rebuilt side is a frozenset
+        classes = rebuilt = 0
+        for g in make_corpus(60, seed=20250808):
+            for k in range(7):
+                td = construct(g, k)
+                solver = dp(g, td, 1, k)
+                table = solver.table
+                for node, ctx in enumerate(solver.contexts):
+                    whole = vertex_mask(ctx.adhesion)
+                    a = len(ctx.adhesion)
+                    keys = table.keys(node)
+                    assert len(keys) == len(set(keys)) == \
+                        (2 ** (a - 1) if a else 1)
+                    if not a:
+                        assert keys == [0]
+                    found = set()
+                    for r in range(a + 1):
+                        for combo in itertools.combinations(sorted(ctx.adhesion), r):
+                            side = vertex_mask(combo)
+                            key = table.key(node, side)
+                            assert key == table.key(node, whole ^ side)
+                            assert key in (side, whole ^ side)
+                            found.add(key)
+                    assert found == set(keys)
+                    classes += len(keys)
+                if solver.root_value() <= k:
+                    side = solver.rebuild_side()
+                    assert isinstance(side, frozenset)
+                    assert side <= set(g.vertices)
+                    rebuilt += 1
+        assert classes > 700 and rebuilt > 200
 
     def test_budget_monotonicity(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 3)
@@ -511,7 +554,6 @@ class TestSolveEndToEnd:
         assert res.answer and res.witness is None
 
     def test_dp_value_matches_oracle_minimum(self):
-        from dcut import brute_force_min_dcut
         g = cycle_graph(6)
         res = solve(g, 3, 1)
         assert res.stats["root_value"] == \
@@ -562,6 +604,22 @@ class TestSolveEndToEnd:
             solve(path_graph(2), -1, 1)
         with pytest.raises(ValueError):
             solve(path_graph(2), 1, 0)
+
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_family_rounds_below_one_rejected(self, rounds):
+        # with no round drawn, this graph of matching-cut minimum 1 would
+        # answer no; with a negative count the draw itself would fail
+        g = gnm_random(10, 14, seed=3)
+        assert brute_force_min_dcut(g, 1).min_cut_size == 1
+        options = dict(mode="colorcode", family_kind="randomized",
+                       family_rounds=rounds)
+        with pytest.raises(ValueError,
+                           match=f"family_rounds must be at least 1, got {rounds}"):
+            solve(g, 3, 1, SolveOptions(**options))
+        with pytest.raises(ValueError, match="family_rounds must be at least 1"):
+            DPSolver(g, construct(g, 3), 1, 3, **options)
+        assert solve(g, 3, 1, SolveOptions(**dict(options, family_rounds=1))) \
+            .route == "dp"
 
     def test_unknown_search_options_rejected_on_every_route(self):
         routes = [(Graph(4, [(0, 1), (2, 3)]), 0, 1, "disconnected"),
@@ -637,8 +695,8 @@ class TestModes:
         # cycle 0-1-2-3-0, so {0,2} and {1,3} are the disconnected pairs
         solver = dp(*c4_fixture, 1, 2)
         assert solver.plans[1].sides == [
-            frozenset(s) for s in ({0}, {1}, {2}, {3},
-                                   {0, 1}, {0, 3}, {1, 2}, {2, 3})]
+            vertex_mask(s) for s in ({0}, {1}, {2}, {3},
+                                     {0, 1}, {0, 3}, {1, 2}, {2, 3})]
 
     def test_exhaustive_colorcode_answers_above_family_limit(self):
         # a 22-vertex bag, beyond the 20-vertex exhaustive covering family
@@ -721,7 +779,7 @@ class TestRealizability:
                     achieved = None
                     for r in range(len(rest) + 1):
                         for extra in itertools.combinations(rest, r):
-                            a = set(side) | set(extra)
+                            a = vertex_set(side) | set(extra)
                             cut = [e for e in edges
                                    if (e[0] in a) != (e[1] in a)]
                             if len(cut) > value:
@@ -739,4 +797,5 @@ class TestRealizability:
                             break
                         if achieved is not None:
                             break
-                    assert achieved is not None, (node, side, budget, value)
+                    assert achieved is not None, (node, sorted(vertex_set(side)),
+                                                  budget, value)
