@@ -4,9 +4,12 @@
 Solves seeded instances built with ``dcut.generators`` and prints one
 SHA-256 per slice over the answers, witnesses, cut sizes, routes and
 ``stats`` of every decision and, on the ``dp`` route, the solver's plan
-sides, menus, tables, recorded choices and counters.  Two trees that
-print equal digests decide, rank and record alike; a refactor compares
-its digests with its parent's.
+sides, menus, tables, recorded choices and counters.  The ``construct``
+slice digests the decomposition layer on its own instead: the text form
+of what ``construct`` builds, or the class and text of the error it
+raises, and the ``verify`` summary of the single whole-graph bag.  Two
+trees that print equal digests decide, rank and record alike; a refactor
+compares its digests with its parent's.
 
 Every set is written as a sorted tuple: a frozenset's ``repr`` follows
 its hash table, so equal sets built in different orders can print
@@ -23,6 +26,9 @@ Slices:
                with ``family_seed=7``
     large-n    two_cliques_bridged(9), (10), grid_graph(3,6), (4,5) at
                d = 1, k = 2..4
+    construct  the corpus graphs, the large-n graphs and
+               gnm_random(n, int(1.6 n), seed=SEED + n) for n = 16..24,
+               at k = 0..6
 
 Usage:
     python scripts/solver_digest.py --count 60
@@ -35,10 +41,13 @@ import hashlib
 import random
 import sys
 
-from dcut import SolveOptions, solve
+from dcut import SolveOptions, construct, serialize, solve, verify
+from dcut.decomposition import (DecompositionError, RootedDecomposition,
+                                SizeLimitExceeded)
 from dcut.generators import gnm_random, grid_graph, two_cliques_bridged
+from dcut.graph import DisconnectedGraph
 
-SLICES = ("corpus", "colorcode", "large-n")
+SLICES = ("corpus", "colorcode", "large-n", "construct")
 
 
 def canonical(obj):
@@ -110,12 +119,15 @@ def corpus_graphs(count, seed):
     return graphs
 
 
+def large_graphs():
+    return [two_cliques_bridged(9), two_cliques_bridged(10),
+            grid_graph(3, 6), grid_graph(4, 5)]
+
+
 def decisions(name, count, seed):
     """The slice's ``(graph, k, d, options)`` decisions."""
     if name == "large-n":
-        fixed = [two_cliques_bridged(9), two_cliques_bridged(10),
-                 grid_graph(3, 6), grid_graph(4, 5)]
-        return [(g, k, 1, SolveOptions()) for g in fixed for k in (2, 3, 4)]
+        return [(g, k, 1, SolveOptions()) for g in large_graphs() for k in (2, 3, 4)]
     options = SolveOptions()
     if name == "colorcode":
         options = SolveOptions(mode="colorcode", family_kind="randomized",
@@ -136,13 +148,34 @@ def record(result, excluded):
     return canonical(out)
 
 
+def construct_record(graph, k):
+    """The text form of the graph's constructed decomposition, or the
+    error's class and text, and the single-bag ``verify`` summary."""
+    try:
+        built = serialize(construct(graph, k))
+    except (DecompositionError, DisconnectedGraph, SizeLimitExceeded) as exc:
+        built = (type(exc).__name__, str(exc))
+    one_bag = RootedDecomposition(graph.n, (frozenset(graph.vertices),), (None,))
+    return built, verify(graph, one_bag, k).summary()
+
+
+def slice_records(name, count, seed, excluded):
+    """One record per decision, or per (graph, k) of the construct slice."""
+    if name == "construct":
+        graphs = corpus_graphs(count, seed) + large_graphs() + [
+            gnm_random(n, int(1.6 * n), seed=seed + n) for n in range(16, 25)]
+        return [construct_record(g, k) for g in graphs for k in range(7)]
+    return [record(solve(graph, k, d, options), excluded)
+            for graph, k, d, options in decisions(name, count, seed)]
+
+
 def slice_digest(name, count, seed, excluded):
     digest = hashlib.sha256()
-    runs = decisions(name, count, seed)
-    for graph, k, d, options in runs:
-        digest.update(repr(record(solve(graph, k, d, options), excluded)).encode())
+    records = slice_records(name, count, seed, excluded)
+    for rec in records:
+        digest.update(repr(rec).encode())
         digest.update(b"\n")
-    return len(runs), digest.hexdigest()
+    return len(records), digest.hexdigest()
 
 
 def main(argv=None):
@@ -150,7 +183,7 @@ def main(argv=None):
     parser.add_argument("--slice", action="append", choices=SLICES,
                         help="slice to digest (repeatable; default: all)")
     parser.add_argument("--count", type=int, default=60,
-                        help="corpus graphs per corpus and colorcode slice")
+                        help="corpus graphs per corpus, colorcode and construct slice")
     parser.add_argument("--seed", type=int, default=20250808)
     parser.add_argument("--exclude-stat", action="append", default=[],
                         metavar="KEY", help="leave this solve() stats key out")

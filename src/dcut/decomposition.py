@@ -10,6 +10,10 @@ witness cut when one exists, and keeps children compact by recursing on
 connected components with their exact neighborhoods as adhesions.
 Whatever it returns must pass :func:`verify` in full; the solver relies
 on nothing else about the construction.
+
+The constructor and the unbreakability check hold every vertex set as a
+vertex mask, as the solver does; only the decomposition, contexts and
+reports they hand out hold frozensets.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import DisconnectedGraph, Graph, components, is_connected
+from .graph import (DisconnectedGraph, Graph, _mask, _members, components,
+                    is_connected, mask_components)
 
 CONSTRUCT_LIMIT = 24  # most vertices construct and verify list small cuts for
 _FALLBACK_LIMIT = 16  # pieces this small also try every bag above the adhesion
@@ -209,40 +214,38 @@ class VerificationReport:
         raise KeyError(name)
 
 
-def _small_cuts(local_adj, k):
-    """Every bipartition of the local indices crossed by at most k edges,
-    as (side mask, number of crossing edges), sorted by mask.  The last
-    index stays on the fixed side, so each unordered bipartition appears
-    exactly once.
+def _small_cuts(adj, piece, k):
+    """Every bipartition of the piece, a vertex mask, crossed by at most k
+    edges of ``adj`` (a neighbour mask per vertex), as (side mask, number
+    of crossing edges), sorted by mask.  The piece's highest vertex stays
+    on the fixed side, so each bipartition appears exactly once.
 
-    The indices are placed one at a time in the order of a breadth-first
-    spanning forest: a tree from the last index, then one from the least
-    unplaced index of each further component.  Each placement extends
-    every partial side kept so far, on either side, counting the edges
-    back to the indices already placed, and keeps the extensions crossed
-    by at most k of them.  Every index but a tree's root is placed after
-    its tree parent, so a kept partial side separates at most k tree edges
-    (the cut space of the graph): at most sum_{j<=k} C(m-1, j) are kept
-    per choice of sides for the further components, not the 2^(m-1)
-    bipartitions.
+    The vertices are placed one at a time in the order of a breadth-first
+    spanning forest: a tree from the highest vertex, then one from the
+    least unplaced vertex of each further component.  Each placement
+    extends every partial side kept so far, on either side, counting the
+    edges back to the vertices already placed, and keeps the extensions
+    crossed by at most k of them.  Every vertex but a tree's root is
+    placed after its tree parent, so a kept partial side separates at most
+    k tree edges: at most sum_{j<=k} C(m-1, j) are kept per choice of
+    sides for the further components, not the 2^(m-1) bipartitions.
     """
-    m = len(local_adj)
-    if m <= 1:
+    if not piece & (piece - 1):
         return []
-    steps = []  # (index bit, edges back to the indices placed before it)
+    steps = []  # (vertex bit, edges back to the vertices placed before it)
     seen = placed = 0
-    for root in (m - 1, *range(m - 1)):
+    for root in (piece.bit_length() - 1, *_members(piece)):
         if seen >> root & 1:
             continue
         seen |= 1 << root
         tree = [root]
         for v in tree:  # tree grows as it is walked: a breadth-first search
-            steps.append((1 << v, local_adj[v] & placed))
+            steps.append((1 << v, adj[v] & placed))
             placed |= 1 << v
-            fresh = local_adj[v] & ~seen
+            fresh = adj[v] & piece & ~seen
             seen |= fresh
-            tree += [w for w in range(m) if fresh >> w & 1]
-    partial = [(0, 0)]  # the last index alone, on the fixed side
+            tree += _members(fresh)
+    partial = [(0, 0)]  # the highest vertex alone, on the fixed side
     for bit, back in steps[1:]:
         grown = []
         for side, cut in partial:
@@ -261,16 +264,6 @@ def _breaks(mask, bag_mask, bag_size, k):
     leaves more than k of them on the other side."""
     a = (mask & bag_mask).bit_count()
     return a > k and bag_size - a > k
-
-
-def _scan(graph: Graph, verts, k):
-    """The vertex set in sorted order, and the :func:`_small_cuts` of the
-    subgraph it induces, whose side masks index that order."""
-    order = sorted(verts)
-    index = {v: i for i, v in enumerate(order)}
-    masks = [sum(1 << index[w] for w in graph.adj[v] if w in index)
-             for v in order]
-    return order, _small_cuts(masks, k)
 
 
 def verify(graph: Graph, td: RootedDecomposition, k: int, *,
@@ -292,9 +285,9 @@ def verify(graph: Graph, td: RootedDecomposition, k: int, *,
 
 def _verify(graph, td, k, unbreakable_limit, scan=None):
     """:func:`verify`'s report, and the node contexts (None when the axioms
-    fail).  ``scan`` returns the whole graph's :func:`_scan` if the caller
-    has it; otherwise the scan is run here.  Either way it runs only when
-    some bag has more than 2k+1 vertices, and not above the limit."""
+    fail).  ``scan`` returns the whole graph's :func:`_small_cuts` if the
+    caller has them; otherwise they are searched here.  Either way only
+    when some bag has more than 2k+1 vertices, and not above the limit."""
     checks = []
     try:
         ctxs, detail = derive_contexts(graph, td), None
@@ -336,17 +329,15 @@ def _verify(graph, td, k, unbreakable_limit, scan=None):
         checks.append(CheckResult("unbreakable-bags", "skipped",
                                   f"n={graph.n} exceeds limit {unbreakable_limit}"))
     else:
-        order, cuts = scan() if scan else _scan(graph, graph.vertices, k)
-        index = {v: i for i, v in enumerate(order)}
-        bag_masks = [sum(1 << index[v] for v in bag) for bag in td.bags]
+        cuts = scan() if scan else _small_cuts(
+            [_mask(nbrs) for nbrs in graph.adj], (1 << graph.n) - 1, k)
+        bag_masks = [_mask(bag) for bag in td.bags]
         bag_sizes = [len(bag) for bag in td.bags]
         bad = None
         for mask, cut in cuts:
             for t, bm in enumerate(bag_masks):
                 if _breaks(mask, bm, bag_sizes[t], k):
-                    side = frozenset(order[i] for i in range(len(order))
-                                     if mask >> i & 1)
-                    bad = ("breakable-bag", (t, side, cut))
+                    bad = ("breakable-bag", (t, frozenset(_members(mask)), cut))
                     break
             if bad:
                 break
@@ -354,113 +345,101 @@ def _verify(graph, td, k, unbreakable_limit, scan=None):
     return VerificationReport(tuple(checks)), ctxs
 
 
-class _TreeNode:
-    __slots__ = ("bag", "children")
-
-    def __init__(self, bag, children):
-        self.bag = bag
-        self.children = children
-
-
 class _Builder:
     """Backtracking search for a decomposition of the required shape.
 
-    Root bags are tried in order: the whole current piece when it is
-    unbreakable, then bags derived from minimum-order witness cuts
-    (one-sided endpoint sets, then both), then an exhaustive fallback for
-    small pieces.  Failures are memoized per (piece, adhesion), cut scans
-    per piece, for the length of one construction.
+    Pieces, adhesions and bags are vertex masks, and a node is a
+    ``(bag, children)`` pair.  Root bags are tried in order: the whole
+    current piece when it is unbreakable, then bags derived from
+    minimum-order witness cuts (one-sided endpoint sets, then both), then
+    an exhaustive fallback for small pieces.  Failures are memoized per
+    (piece, adhesion), cut searches per piece, for the length of one
+    construction.
     """
 
     def __init__(self, graph: Graph, k: int):
-        self.graph = graph
+        self.adj = [_mask(nbrs) for nbrs in graph.adj]
         self.k = k
         self._failed = set()
         self._scans = {}
 
-    def scan(self, piece: frozenset):
-        """The piece's :func:`_scan`, run once per piece."""
+    def scan(self, piece):
+        """The piece's :func:`_small_cuts`, searched once per piece."""
         found = self._scans.get(piece)
         if found is None:
-            found = self._scans[piece] = _scan(self.graph, piece, self.k)
+            found = self._scans[piece] = _small_cuts(self.adj, piece, self.k)
         return found
 
-    def build(self, piece: frozenset, adhesion: frozenset):
+    def build(self, piece, adhesion):
         key = (piece, adhesion)
         if key in self._failed:
             return None
-        if len(piece) <= 2 * self.k + 1:
-            return _TreeNode(piece, [])
-        order, cuts = self.scan(piece)
-        witnesses = self._witnesses(order, cuts)
+        if piece.bit_count() <= 2 * self.k + 1:
+            return piece, []
+        cuts = self.scan(piece)
+        witnesses = self._witnesses(piece, cuts)
         if not witnesses:
-            return _TreeNode(piece, [])
+            return piece, []
         for bag in self._candidates(piece, adhesion, witnesses):
-            node = self._try_bag(piece, adhesion, bag, order, cuts)
+            node = self._try_bag(piece, bag, cuts)
             if node is not None:
                 return node
         self._failed.add(key)
         return None
 
-    def _witnesses(self, order, cuts):
+    def _witnesses(self, piece, cuts):
         """Minimum-order cuts splitting the piece into two sides of more
-        than k vertices each; empty iff the piece is unbreakable."""
+        than k vertices each, by sorted vertex tuple; empty iff the piece
+        is unbreakable."""
         k = self.k
-        m = len(order)
-        whole = (1 << m) - 1
+        size = piece.bit_count()
         best = None
         found = []
         for mask, cut in cuts:
-            if _breaks(mask, whole, m, k):
+            if _breaks(mask, piece, size, k):
                 if best is None or cut < best:
                     best = cut
                     found = [mask]
                 elif cut == best:
                     found.append(mask)
-        sides = sorted(tuple(order[i] for i in range(m) if mask >> i & 1)
-                       for mask in found)
-        return [frozenset(side) for side in sides[:_WITNESS_CAP]]
+        return sorted(found, key=_members)[:_WITNESS_CAP]
 
     def _candidates(self, piece, adhesion, witnesses):
         seen = set()
         for side in witnesses:
-            ends_a = set()
-            ends_b = set()
-            for u in side:
-                for w in self.graph.adj[u]:
-                    if w in piece and w not in side:
-                        ends_a.add(u)
-                        ends_b.add(w)
+            other = piece & ~side
+            ends_a = ends_b = 0
+            for u in _members(side):
+                out = self.adj[u] & other
+                if out:
+                    ends_a |= 1 << u
+                    ends_b |= out
             for extra in (ends_a, ends_b, ends_a | ends_b):
-                bag = adhesion | frozenset(extra)
-                if bag not in seen and adhesion < bag < piece:
+                bag = adhesion | extra
+                if bag not in seen and bag != adhesion and bag != piece:
                     seen.add(bag)
                     yield bag
-        if len(piece) <= _FALLBACK_LIMIT:
-            rest = sorted(piece - adhesion)
+        if piece.bit_count() <= _FALLBACK_LIMIT:
+            rest = _members(piece & ~adhesion)
             for size in range(1, len(rest)):
                 for extra in combinations(rest, size):
-                    bag = adhesion | frozenset(extra)
-                    if bag not in seen and bag < piece:
+                    bag = adhesion | _mask(extra)
+                    if bag not in seen:
                         seen.add(bag)
                         yield bag
 
-    def _bag_unbreakable(self, bag, order, cuts):
-        k = self.k
-        size = len(bag)
-        if size <= 2 * k + 1:
-            return True
-        bag_mask = sum(1 << i for i, v in enumerate(order) if v in bag)
-        return not any(_breaks(mask, bag_mask, size, k) for mask, _ in cuts)
-
-    def _try_bag(self, piece, adhesion, bag, order, cuts):
-        if not self._bag_unbreakable(bag, order, cuts):
+    def _try_bag(self, piece, bag, cuts):
+        size = bag.bit_count()
+        if size > 2 * self.k + 1 and any(
+                _breaks(mask, bag, size, self.k) for mask, _ in cuts):
             return None
         children = []
-        for comp in components(self.graph.adj, sorted(piece - bag)):
-            boundary = frozenset(w for v in comp for w in self.graph.adj[v]
-                                 if w in piece) - comp
-            if len(boundary) > self.k:
+        for comp in mask_components(self.adj, piece & ~bag):
+            near = 0
+            for v in _members(comp):
+                near |= self.adj[v]
+            boundary = near & piece & ~comp
+            if boundary.bit_count() > self.k:
                 return None
             sub_piece = comp | boundary
             if sub_piece == piece:
@@ -469,7 +448,7 @@ class _Builder:
             if child is None:
                 return None
             children.append(child)
-        return _TreeNode(bag, children)
+        return bag, children
 
 
 def construct(graph: Graph, k: int, *,
@@ -492,19 +471,19 @@ def _construct(graph, k, max_vertices):
     if not is_connected(graph):
         raise DisconnectedGraph("construction requires a connected graph")
     builder = _Builder(graph, k)
-    whole = frozenset(graph.vertices)
-    root = builder.build(whole, frozenset())
+    whole = (1 << graph.n) - 1
+    root = builder.build(whole, 0)
     if root is None:
         raise DecompositionError("bag search exhausted without a valid decomposition")
     bags = []
     parents = []
     stack = [(root, None)]
     while stack:
-        node, parent = stack.pop()
+        (bag, children), parent = stack.pop()
         idx = len(bags)
-        bags.append(frozenset(node.bag))
+        bags.append(frozenset(_members(bag)))
         parents.append(parent)
-        for child in reversed(node.children):
+        for child in reversed(children):
             stack.append((child, idx))
     td = RootedDecomposition(graph.n, tuple(bags), tuple(parents))
     # The root piece is the whole graph, so its scan serves the final check.

@@ -2,6 +2,8 @@
 
 Vertices are dense integer ids ``0..n-1``.  Graphs are immutable after
 construction and safe to share; every operation in this module is pure.
+Inside the decomposition and the solver a vertex set is a bitmask over
+vertex ids, bit v for vertex v; the mask helpers here serve both.
 """
 
 from __future__ import annotations
@@ -65,9 +67,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._edge_set
-
     def __eq__(self, other):
         if isinstance(other, Graph):
             return self.n == other.n and self.edges == other.edges
@@ -124,6 +123,41 @@ def components(adj, vertices) -> list:
                     left.remove(w)
                     comp.append(w)
         comps.append(frozenset(comp))
+    return comps
+
+
+def _mask(vertices):
+    """The vertices as a bitmask over vertex ids."""
+    return sum(1 << v for v in vertices)
+
+
+def _members(mask):
+    """The vertex ids of a bitmask, ascending."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return found
+
+
+def mask_components(adj, mask) -> list:
+    """Bitmasks of the components that ``adj`` (a neighbour bitmask per
+    bit) induces on the bits of ``mask``, lowest bit first, each grown by
+    breadth-first layers."""
+    comps = []
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & mask & ~comp
+            comp |= frontier
+        mask ^= comp
+        comps.append(comp)
     return comps
 
 

@@ -19,8 +19,8 @@ the bag subsets of at most k vertices connected in a helper graph
 (adhesions turned into cliques plus the bag edges), listed exactly, grown
 size by size, or, with a randomized covering family, as the helper
 graph's components on its distinct members, each member a mask of bag
-indices split by a breadth-first search over the helper graph's
-neighbour masks.
+indices split by :func:`dcut.graph.mask_components`, the mask
+component search the decomposition's constructor shares.
 
 The fill works on integer masks over vertex ids, and a side takes no
 other form: sides, table keys, menus, recorded choices and the witness
@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from .decomposition import (CONSTRUCT_LIMIT, DecompositionError,
                             RootedDecomposition, _construct, _verify,
                             derive_contexts)
-from .graph import (Bipartition, Graph, connected_components,
-                    edge_cut, global_min_cut, is_d_cut)
+from .graph import (Bipartition, Graph, _mask, _members, connected_components,
+                    edge_cut, global_min_cut, is_d_cut, mask_components)
 from .multisets import bounded_multisets
 from .setfamily import distinct_draws, heuristic_rounds
 
@@ -123,21 +123,6 @@ def budget_families(items, d, k, cost_cap, usage_order, start=None) -> list:
                 counts[v] -= m
 
     rec(0, sum(counts.values()), cost)
-    return found
-
-
-def _mask(vertices):
-    """The vertices as a bitmask over vertex ids."""
-    return sum(1 << v for v in vertices)
-
-
-def _members(mask):
-    """The vertex ids of a bitmask, ascending."""
-    found = []
-    while mask:
-        low = mask & -mask
-        found.append(low.bit_length() - 1)
-        mask ^= low
     return found
 
 
@@ -393,8 +378,8 @@ class DPSolver:
         """The helper graph's components of 1..k vertices, short of the
         whole bag, on the distinct members of the node's randomized
         covering family, as vertex masks in lexicographic order; each
-        member is split by a breadth-first search over masks of bag
-        indices."""
+        member, a mask of bag indices, is split by :func:`mask_components`
+        over the helper graph on those indices."""
         index = {v: i for i, v in enumerate(bag_order)}
         local = [sum(1 << index[w] for w in _members(nbrs[v])) for v in bag_order]
         whole = (1 << len(bag_order)) - 1
@@ -403,18 +388,8 @@ class DPSolver:
             rounds = heuristic_rounds(len(bag_order), self.k, self.k * self.k + self.k)
         seed = self.family_seed * 100003 + node * 7919
         kept = set()
-        for left in distinct_draws(len(bag_order), seed, rounds):
-            while left:
-                comp = frontier = left & -left
-                while frontier:
-                    reach = 0
-                    while frontier:
-                        low = frontier & -frontier
-                        reach |= local[low.bit_length() - 1]
-                        frontier ^= low
-                    frontier = reach & left & ~comp
-                    comp |= frontier
-                left ^= comp
+        for member in distinct_draws(len(bag_order), seed, rounds):
+            for comp in mask_components(local, member):
                 if comp.bit_count() <= self.k and comp != whole:
                     kept.add(comp)
         sides = [_mask(bag_order[i] for i in _members(comp)) for comp in kept]
@@ -603,7 +578,8 @@ def solve(graph: Graph, k: int, d: int, options: SolveOptions = None) -> SolveRe
         "sides_considered": solver.stats["sides_considered"],
         "overloaded_side_prunes": solver.stats["overloaded_side_prunes"],
     })
-    if opts.family_kind == "randomized":
+    if opts.family_kind == "randomized" and "colorcode" in solver.stats["modes"]:
+        # only colorcode nodes draw a family; other nodes list sides exactly
         stats["family_seed"] = opts.family_seed
         stats["family_rounds"] = opts.family_rounds
     return SolveResult(answer, witness, cut_size, "dp", stats, td, solver)

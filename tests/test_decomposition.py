@@ -102,8 +102,10 @@ class TestSmallCuts:
 
     def assert_same_cuts(self, graph):
         adj = adjacency_masks(graph)
+        whole = (1 << graph.n) - 1
         for k in range(7):
-            assert set(decomposition._small_cuts(adj, k)) == set(gray_small_cuts(adj, k)), \
+            assert set(decomposition._small_cuts(adj, whole, k)) == \
+                set(gray_small_cuts(adj, k)), \
                 (graph.n, graph.edges, k)
 
     def test_matches_reference_on_corpus(self):
@@ -125,13 +127,32 @@ class TestSmallCuts:
             self.assert_same_cuts(Graph(n, [(0, n - 1)]))
             self.assert_same_cuts(Graph(n, [(0, 1)]))
 
+    def test_matches_reference_on_sub_pieces(self):
+        # the reference scans the induced subgraph on local indices, whose
+        # cuts, mapped back to vertex ids, keep their sorted order
+        rng = random.Random(31)
+        for g in make_corpus(40, seed=41):
+            adj = adjacency_masks(g)
+            for _ in range(3):
+                piece = rng.getrandbits(g.n)
+                order = [v for v in g.vertices if piece >> v & 1]
+                local = [sum(1 << i for i, w in enumerate(order) if w in g.adj[v])
+                         for v in order]
+                for k in range(7):
+                    expected = sorted(
+                        (sum(1 << v for i, v in enumerate(order) if mask >> i & 1), cut)
+                        for mask, cut in gray_small_cuts(local, k))
+                    assert decomposition._small_cuts(adj, piece, k) == expected, \
+                        (g.n, g.edges, piece, k)
+
     def test_sorted_by_mask_without_duplicates(self):
         rng = random.Random(11)
         graphs = make_corpus(20, seed=3) + [random_disconnected(rng, 10)
                                             for _ in range(20)]
         for g in graphs:
             for k in range(7):
-                masks = [mask for mask, _ in decomposition._small_cuts(adjacency_masks(g), k)]
+                masks = [mask for mask, _ in decomposition._small_cuts(
+                    adjacency_masks(g), (1 << g.n) - 1, k)]
                 assert all(a < b for a, b in zip(masks, masks[1:]))
                 assert all(0 < mask < 1 << (g.n - 1) for mask in masks)
 
@@ -139,7 +160,7 @@ class TestSmallCuts:
 @pytest.fixture
 def no_cut_search(monkeypatch):
     """Makes any call of the cut search fail the test."""
-    def fail(local_adj, k):
+    def fail(*args):
         raise AssertionError("cut search ran")
 
     monkeypatch.setattr(decomposition, "_small_cuts", fail)
@@ -303,8 +324,7 @@ class TestConstruct:
         # check must catch it although the builder never scanned the graph
         g = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
         monkeypatch.setattr(decomposition._Builder, "build",
-                            lambda self, piece, adhesion:
-                            decomposition._TreeNode(piece, []))
+                            lambda self, piece, adhesion: (piece, []))
         with pytest.raises(DecompositionError, match="unbreakable-bags fail"):
             construct(g, 1)
 

@@ -1,14 +1,16 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complete_graph, cycle_graph, path_graph
+from conftest import (adjacency_masks, complete_graph, cycle_graph, make_corpus,
+                      path_graph, vertex_mask, vertex_set)
 from dcut import (Bipartition, DisconnectedGraph, Graph, InvalidBipartition,
                   connected_components, edge_cut, global_min_cut,
                   global_min_cut_at_most, is_d_cut, is_d_matching)
-from dcut.graph import UnknownEdge, components
+from dcut.graph import UnknownEdge, components, mask_components
 
 
 def bipartition(g, side):
@@ -65,6 +67,41 @@ class TestComponents:
 
     def test_empty_input(self):
         assert components(path_graph(3).adj, []) == []
+
+
+class TestMaskComponents:
+    """The mask component search against ``components`` on the sorted
+    members, which lists components by least member as the masks must."""
+
+    def assert_matches(self, graph, mask):
+        expected = [vertex_mask(c)
+                    for c in components(graph.adj, sorted(vertex_set(mask)))]
+        assert mask_components(adjacency_masks(graph), mask) == expected, \
+            (graph.n, graph.edges, mask)
+
+    def test_matches_components_on_random_masks(self):
+        rng = random.Random(17)
+        sparse = []  # at most n edges: usually disconnected, often isolated bits
+        for n in range(2, 12):
+            pairs = list(itertools.combinations(range(n), 2))
+            sparse += [Graph(n, rng.sample(pairs, rng.randint(0, min(n, len(pairs)))))
+                       for _ in range(4)]
+        for g in make_corpus(40, seed=23) + sparse:
+            for _ in range(5):
+                self.assert_matches(g, rng.getrandbits(g.n))
+            self.assert_matches(g, (1 << g.n) - 1)
+
+    def test_empty_mask(self):
+        assert mask_components(adjacency_masks(path_graph(3)), 0) == []
+
+    def test_isolated_bits(self):
+        # no edges, and on the path only non-adjacent bits: one component each
+        assert mask_components(adjacency_masks(Graph(6, [])), 0b101101) == [
+            0b1, 0b100, 0b1000, 0b100000]
+        assert mask_components(adjacency_masks(path_graph(6)), 0b10101) == [
+            0b1, 0b100, 0b10000]
+        assert mask_components(adjacency_masks(path_graph(6)), 0b110110) == [
+            0b110, 0b110000]
 
 
 class TestEdgeCut:

@@ -621,6 +621,21 @@ class TestSolveEndToEnd:
         assert solve(g, 3, 1, SolveOptions(**dict(options, family_rounds=1))) \
             .route == "dp"
 
+    def test_family_stats_only_when_a_family_was_drawn(self):
+        # auto mode lists every node's sides exactly here, so no family is
+        # drawn and the family keys stay out of the stats
+        g = gnm_random(10, 14, seed=3)
+        for mode, drawn in (("auto", False), ("colorcode", True)):
+            stats = solve(g, 3, 1, SolveOptions(
+                mode=mode, family_kind="randomized", family_seed=5,
+                family_rounds=1)).stats
+            assert ("colorcode" in stats["minbeta_modes"]) == drawn
+            if drawn:
+                assert (stats["family_seed"], stats["family_rounds"]) == (5, 1)
+            else:
+                assert stats["minbeta_modes"] == {"enumerate": 5}
+                assert "family_seed" not in stats and "family_rounds" not in stats
+
     def test_unknown_search_options_rejected_on_every_route(self):
         routes = [(Graph(4, [(0, 1), (2, 3)]), 0, 1, "disconnected"),
                   (path_graph(3), 1, 1, "mincut"),
