@@ -7,7 +7,9 @@ SHA-256 per slice over the answers, witnesses, cut sizes, routes and
 sides, menus, tables, recorded choices and counters.  The ``construct``
 slice digests the decomposition layer on its own instead: the text form
 of what ``construct`` builds, or the class and text of the error it
-raises, and the ``verify`` summary of the single whole-graph bag.  Two
+raises, and the ``verify`` summary of the single whole-graph bag.  The
+``oracle`` slice digests the brute-force oracle: the minimum and the
+first minimiser's side A of each (graph, d).  Two
 trees that print equal digests decide, rank and record alike; a refactor
 compares its digests with its parent's.
 
@@ -29,6 +31,8 @@ Slices:
     construct  the corpus graphs, the large-n graphs and
                gnm_random(n, int(1.6 n), seed=SEED + n) for n = 16..24,
                at k = 0..6
+    oracle     the corpus graphs at d = 1, 2, 3 and
+               gnm_random(15, m, seed=SEED + m) for m = 27..30 at d = 1, 2
 
 Usage:
     python scripts/solver_digest.py --count 60
@@ -41,13 +45,14 @@ import hashlib
 import random
 import sys
 
-from dcut import SolveOptions, construct, serialize, solve, verify
+from dcut import (SolveOptions, brute_force_min_dcut, construct, serialize,
+                  solve, verify)
 from dcut.decomposition import (DecompositionError, RootedDecomposition,
                                 SizeLimitExceeded)
 from dcut.generators import gnm_random, grid_graph, two_cliques_bridged
 from dcut.graph import DisconnectedGraph
 
-SLICES = ("corpus", "colorcode", "large-n", "construct")
+SLICES = ("corpus", "colorcode", "large-n", "construct", "oracle")
 
 
 def canonical(obj):
@@ -159,8 +164,20 @@ def construct_record(graph, k):
     return built, verify(graph, one_bag, k).summary()
 
 
+def oracle_record(graph, d):
+    """The oracle's minimum and its first minimiser's side A."""
+    result = brute_force_min_dcut(graph, d)
+    return canonical((result.min_cut_size, result.best_cut and result.best_cut.side_a))
+
+
 def slice_records(name, count, seed, excluded):
-    """One record per decision, or per (graph, k) of the construct slice."""
+    """One record per decision, per (graph, k) of the construct slice, or
+    per (graph, d) of the oracle slice."""
+    if name == "oracle":
+        return [oracle_record(g, d) for g in corpus_graphs(count, seed)
+                for d in (1, 2, 3)] + [
+            oracle_record(gnm_random(15, m, seed=seed + m), d)
+            for m in range(27, 31) for d in (1, 2)]
     if name == "construct":
         graphs = corpus_graphs(count, seed) + large_graphs() + [
             gnm_random(n, int(1.6 * n), seed=seed + n) for n in range(16, 25)]
@@ -183,7 +200,8 @@ def main(argv=None):
     parser.add_argument("--slice", action="append", choices=SLICES,
                         help="slice to digest (repeatable; default: all)")
     parser.add_argument("--count", type=int, default=60,
-                        help="corpus graphs per corpus, colorcode and construct slice")
+                        help="corpus graphs per corpus, colorcode, construct and "
+                             "oracle slice")
     parser.add_argument("--seed", type=int, default=20250808)
     parser.add_argument("--exclude-stat", action="append", default=[],
                         metavar="KEY", help="leave this solve() stats key out")

@@ -19,7 +19,7 @@ from . import decomposition as tdio
 from .dimacs import DimacsParseError, parse_graph
 from .generators import generate_instance
 from .graph import edge_cut
-from .oracle import ORACLE_LIMIT, OracleSizeLimit, brute_force_min_dcut
+from .oracle import OracleSizeLimit, brute_force_min_dcut, check_oracle_size
 from .solver import EnumerationBudgetExceeded, SolveOptions, solve
 
 
@@ -92,6 +92,8 @@ def run(config: RunConfig):
     graph, instance = _load_graph(config)
     timings["load"] = time.perf_counter() - start
     instance.update({"n": graph.n, "m": graph.m})
+    if config.algorithm in ("brute", "both"):
+        check_oracle_size(graph.n)  # before the solve, which may fail first
 
     doc = {
         "instance": instance,
@@ -144,9 +146,6 @@ def run(config: RunConfig):
 
     brute_answer = None
     if config.algorithm in ("brute", "both"):
-        if graph.n > ORACLE_LIMIT:
-            raise ValueError(
-                f"brute force limited to {ORACLE_LIMIT} vertices, got {graph.n}")
         start = time.perf_counter()
         oracle = brute_force_min_dcut(graph, config.d)
         # A disconnected graph's minimum is the empty cut, size 0.

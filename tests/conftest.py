@@ -5,7 +5,8 @@ from itertools import combinations
 from dcut import (DPSolver, Graph, SubsetFamily, build_randomized,
                   heuristic_rounds)
 from dcut.generators import gnm_random
-from dcut.graph import components
+from dcut.graph import Bipartition, components, is_d_cut
+from dcut.oracle import OracleResult
 from dcut.setfamily import FamilySizeLimit
 
 
@@ -60,6 +61,56 @@ def gray_small_cuts(local_adj, k):
         if cut <= k:
             found.append((mask, cut))
     return found
+
+
+def gray_reference_min_dcut(graph, d):
+    """Reference for ``oracle.brute_force_min_dcut``: the same Gray-code
+    order over subsets of vertices 0..n-2, but each step updates every
+    vertex's cross-degree and a count of vertices over d, and a side is
+    kept when none is over d and its cut beats the best so far."""
+    n = graph.n
+    if n < 2:
+        return OracleResult(None, None)
+    side = 0
+    cut = 0
+    cross = [0] * n
+    over = 0  # vertices with more than d cross neighbors
+    best = None
+    best_mask = 0
+    neighbors = [tuple(graph.adj[v]) for v in range(n)]
+    for i in range(1, 1 << (n - 1)):
+        j = (i & -i).bit_length() - 1
+        bit = 1 << j
+        j_in_a = not side & bit
+        side ^= bit
+        new_cross_j = 0
+        for u in neighbors[j]:
+            old = cross[u]
+            if bool(side & (1 << u)) != j_in_a:
+                new_cross_j += 1
+                cross[u] = old + 1
+                if old == d:
+                    over += 1
+                cut += 1
+            else:
+                cross[u] = old - 1
+                if old == d + 1:
+                    over -= 1
+                cut -= 1
+        old_j = cross[j]
+        cross[j] = new_cross_j
+        if old_j > d >= new_cross_j:
+            over -= 1
+        elif old_j <= d < new_cross_j:
+            over += 1
+        if side and over == 0 and (best is None or cut < best):
+            best = cut
+            best_mask = side
+    if best is None:
+        return OracleResult(None, None)
+    part = Bipartition.of(graph, {v for v in range(n - 1) if best_mask >> v & 1})
+    assert is_d_cut(graph, part, d) and best >= 0
+    return OracleResult(best, part)
 
 
 def vertex_mask(vertices):

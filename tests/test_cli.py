@@ -8,6 +8,7 @@ from dcut.cli import RunConfig, main, run
 from dcut.dimacs import DimacsParseError
 from dcut.generators import (generate_instance, gnm_random, grid_graph,
                              two_cliques_bridged)
+from dcut.oracle import OracleSizeLimit
 
 C4_TEXT = "p edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n"
 
@@ -173,7 +174,7 @@ class TestRun:
         assert doc["fpt"]["stats"]["minbeta_modes"] == {"colorcode": 4}
 
     def test_brute_force_respects_oracle_threshold(self):
-        with pytest.raises(ValueError, match="brute force limited"):
+        with pytest.raises(OracleSizeLimit, match="oracle limited to 20 vertices"):
             run(RunConfig(k=2, d=1, gen_spec="grid:rows=5,cols=5",
                           algorithm="brute"))
 
@@ -185,6 +186,15 @@ class TestRun:
 
 
 class TestMain:
+    def test_oracle_limit_checked_before_solve(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("solve called past the oracle's limit")
+        monkeypatch.setattr("dcut.cli.solve", fail)
+        code = main(["--gen", "gnm:n=24,m=36", "--seed", "2", "--k", "3",
+                     "--d", "1", "--algorithm", "both"])
+        assert code == 1
+        assert "oracle limited to 20 vertices, got n=24" in capsys.readouterr().err
+
     def test_json_output(self, tmp_path, capsys):
         path = tmp_path / "c4.gr"
         path.write_text(C4_TEXT)

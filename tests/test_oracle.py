@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import pytest
 
-from conftest import complete_graph, cycle_graph, make_corpus, path_graph
+from conftest import (complete_graph, cycle_graph, gray_reference_min_dcut,
+                      make_corpus, path_graph)
 from dcut import (Bipartition, Graph, brute_force_min_dcut, edge_cut,
-                  is_d_cut, oracle_decide)
+                  connected_components, is_d_cut, oracle_decide)
+from dcut.generators import gnm_random
 from dcut.oracle import OracleSizeLimit
 
 
@@ -47,10 +50,55 @@ class TestBruteForce:
             brute_force_min_dcut(path_graph(8), 1, max_vertices=6)
 
     def test_matches_slow_reference(self):
-        for g in make_corpus(15, seed=321, n_lo=3, n_hi=8):
+        for g in make_corpus(15, seed=321, n_lo=3, n_hi=11):
             for d in (1, 2):
                 assert brute_force_min_dcut(g, d).min_cut_size == \
                     slow_reference_min(g, d)
+
+
+class TestAgainstGrayReference:
+    """The whole result, minimum and first minimiser in Gray order, equals
+    the cross-degree walk's."""
+
+    @staticmethod
+    def assert_matches(graphs, ds):
+        for g in graphs:
+            for d in ds:
+                assert brute_force_min_dcut(g, d) == gray_reference_min_dcut(g, d), \
+                    (g, d)
+
+    def test_corpus(self):
+        self.assert_matches(make_corpus(40, seed=20250808), (1, 2, 3))
+
+    def test_tiny(self):
+        self.assert_matches([Graph(0, []), Graph(1, []), Graph(2, []),
+                             Graph(2, [(0, 1)])], (1, 2))
+
+    def test_edgeless_and_disconnected(self):
+        rng = random.Random(13)
+        graphs = [Graph(n, []) for n in (3, 7)]
+        graphs.append(Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]))
+        for n in (5, 8, 11):
+            pairs = list(itertools.combinations(range(n), 2))
+            graphs += [Graph(n, [e for e in rng.sample(pairs, n) if max(e) < n - 2]),
+                       Graph(n, [e for e in rng.sample(pairs, 2 * n) if min(e) > 0])]
+        assert all(len(connected_components(g)) > 1 for g in graphs)
+        self.assert_matches(graphs, (1, 2, 3))
+
+    def test_complete_graphs_have_no_d_cut(self):
+        # K_n has no d-cut when n > 2d, so every step runs the d check.
+        graphs = [complete_graph(n) for n in range(7, 12)]
+        self.assert_matches(graphs, (1, 2, 3))
+        assert all(brute_force_min_dcut(g, 3).min_cut_size is None for g in graphs)
+
+    def test_d_at_or_above_max_degree(self):
+        for g in make_corpus(20, seed=77) + [complete_graph(6)]:
+            top = max(len(g.adj[v]) for v in g.vertices)
+            self.assert_matches([g], (top, top + 1))
+
+    def test_larger_random_graphs(self):
+        graphs = [gnm_random(n, 2 * n, seed=n) for n in (16, 17, 18)]
+        self.assert_matches(graphs, (1, 2))
 
 
 class TestOracleDecide:
