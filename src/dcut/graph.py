@@ -141,23 +141,26 @@ def _members(mask):
     return found
 
 
+def lowest_component(adj, mask):
+    """The component of ``mask``'s lowest bit, ``adj`` a neighbour mask per bit."""
+    comp = frontier = mask & -mask
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & mask & ~comp
+        comp |= frontier
+    return comp
+
+
 def mask_components(adj, mask) -> list:
-    """Bitmasks of the components that ``adj`` (a neighbour bitmask per
-    bit) induces on the bits of ``mask``, lowest bit first, each grown by
-    breadth-first layers."""
+    """Each :func:`lowest_component` (grown breadth-first) of ``mask`` in turn."""
     comps = []
     while mask:
-        comp = frontier = mask & -mask
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & mask & ~comp
-            comp |= frontier
-        mask ^= comp
-        comps.append(comp)
+        comps.append(lowest_component(adj, mask))
+        mask ^= comps[-1]
     return comps
 
 

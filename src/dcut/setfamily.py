@@ -5,16 +5,17 @@ pair A, B of subsets with |A| <= a and |B| <= b has some member S with
 A inside S and B disjoint from S.  Two constructions are provided: the
 exhaustive one (all subsets, trivially covering) for small universes,
 and a seeded randomized one.  The solver draws its randomized members
-as masks (:func:`distinct_draws`); the exhaustive covering checker that
-pins a passing seed lives with the tests.  A randomized family that
-misses a pair can only push the solver's costs up, never down, so its
-failures are one-sided.
+as vertex masks (:func:`distinct_draws`); the exhaustive covering
+checker that pins a passing seed lives with the tests.  A randomized
+family that misses a pair can only push the solver's costs up, never
+down, so its failures are one-sided.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from itertools import combinations, compress
 
@@ -52,7 +53,8 @@ def build_exhaustive(universe, *,
 # 32-bit generator output, and that output's top byte is every fourth
 # byte of a longer draw laid out little-endian.
 _TOP_BIT = bytes(byte >> 7 for byte in range(256))
-_DIGITS = bytes.maketrans(b"\0\1", b"01")  # 0/1 flags as binary digits
+_BLOCK_ROUNDS = 1 << 14  # rounds per getrandbits call in distinct_draws
+_LANE_FLIP = 0 if sys.byteorder == "little" else 7  # lane i sits at byte i ^ this
 
 
 def draw_rounds(size: int, seed: int, rounds: int) -> list:
@@ -68,12 +70,29 @@ def draw_rounds(size: int, seed: int, rounds: int) -> list:
     return [flags[i:i + size] for i in range(0, total, size)]
 
 
-def distinct_draws(size: int, seed: int, rounds: int) -> set:
-    """The distinct draws of :func:`draw_rounds`, each as a mask with flag
-    i as bit i."""
-    # an empty universe draws empty strings, read as the empty mask
-    return {int(flags[::-1].translate(_DIGITS) or b"0", 2)
-            for flags in set(draw_rounds(size, seed, rounds))}
+def distinct_draws(positions, seed: int, rounds: int) -> set:
+    """The distinct draws of :func:`draw_rounds` over ``len(positions)``
+    elements as masks, flag i at bit ``positions[i]``: blocks of rounds
+    continue one stream, read column-wise into the byte lanes of only
+    those 64-bit words that hold a position."""
+    size = len(positions)
+    spans = sorted({p >> 6 for p in positions}) or [0]  # words with a position
+    lane_of = [8 * spans.index(p >> 6) + (p >> 3 & 7) for p in positions]
+    rng, found = random.Random(seed), set()
+    for start in range(0, rounds, _BLOCK_ROUNDS):
+        block = min(_BLOCK_ROUNDS, rounds - start)
+        stream = rng.getrandbits(32 * size * block).to_bytes(4 * size * block, "little")
+        flags = stream[3::4].translate(_TOP_BIT)
+        lanes = [0] * 8 * len(spans)
+        for j, p in enumerate(positions):
+            lanes[lane_of[j]] |= int.from_bytes(flags[j::size], "little") << (p & 7)
+        rows = bytearray(8 * len(spans) * block)
+        for i, lane in enumerate(lanes):
+            rows[i ^ _LANE_FLIP::8 * len(spans)] = lane.to_bytes(block, "little")
+        values = memoryview(rows).cast("Q").tolist()
+        found.update(values if spans == [0] else zip(*[iter(values)] * len(spans)))
+    return found if spans == [0] else {
+        sum(word << 64 * w for w, word in zip(spans, group)) for group in found}
 
 
 def build_randomized(universe, a: int, b: int, seed: int, rounds: int) -> SubsetFamily:

@@ -18,9 +18,9 @@ row for each way to descend entirely into one child.  Candidate sides are
 the bag subsets of at most k vertices connected in a helper graph
 (adhesions turned into cliques plus the bag edges), listed exactly, grown
 size by size, or, with a randomized covering family, as the helper
-graph's components on its distinct members, each member a mask of bag
-indices split by :func:`dcut.graph.mask_components`, the mask
-component search the decomposition's constructor shares.
+graph's components on its distinct members, vertex masks split one
+:func:`dcut.graph.lowest_component` (the constructor's component step)
+at a time, each distinct remainder once.
 
 The fill works on integer masks over vertex ids, and a side takes no
 other form: sides, table keys, menus, recorded choices and the witness
@@ -41,7 +41,7 @@ from .decomposition import (CONSTRUCT_LIMIT, DecompositionError,
                             RootedDecomposition, _construct, _verify,
                             derive_contexts)
 from .graph import (Bipartition, Graph, _mask, _members, connected_components,
-                    edge_cut, global_min_cut, is_d_cut, mask_components)
+                    edge_cut, global_min_cut, is_d_cut, lowest_component)
 from .multisets import bounded_multisets
 from .setfamily import distinct_draws, heuristic_rounds
 
@@ -57,9 +57,13 @@ class WitnessCertificationError(RuntimeError):
     """A reconstructed witness failed certification; internal bug signal."""
 
 
-def _check_arguments(k, d, mode, family_kind, family_rounds):
-    """Reject a bad k, d or round count, or an unknown side-search mode or
-    family kind."""
+def _check_arguments(k, d, mode, family_kind, family_seed, family_rounds):
+    """Reject a bad k, d, seed or round count, mode or family kind."""
+    rounds = 1 if family_rounds is None else family_rounds  # None: heuristic rounds
+    for name, value in dict(k=k, d=d, family_seed=family_seed,
+                            family_rounds=rounds).items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, got {value!r}")
     if k < 0:
         raise ValueError("k must be non-negative")
     if d < 1:
@@ -207,7 +211,7 @@ class DPSolver:
                  family_seed: int = 0, family_rounds=None,
                  enumerate_budget: int = ENUMERATE_BUDGET,
                  record_choices: bool = True):
-        _check_arguments(k, d, mode, family_kind, family_rounds)
+        _check_arguments(k, d, mode, family_kind, family_seed, family_rounds)
         self.graph = graph
         self.td = td
         self.d = d
@@ -377,23 +381,21 @@ class DPSolver:
     def _drawn_sides(self, node, bag_order, nbrs):
         """The helper graph's components of 1..k vertices, short of the
         whole bag, on the distinct members of the node's randomized
-        covering family, as vertex masks in lexicographic order; each
-        member, a mask of bag indices, is split by :func:`mask_components`
-        over the helper graph on those indices."""
-        index = {v: i for i, v in enumerate(bag_order)}
-        local = [sum(1 << index[w] for w in _members(nbrs[v])) for v in bag_order]
-        whole = (1 << len(bag_order)) - 1
-        rounds = self.family_rounds
-        if rounds is None:
-            rounds = heuristic_rounds(len(bag_order), self.k, self.k * self.k + self.k)
+        covering family, as vertex masks in lexicographic order; a member's
+        remainder already split, its components kept, is not walked again."""
+        bag = _mask(bag_order)
+        rounds = self.family_rounds or heuristic_rounds(
+            len(bag_order), self.k, self.k * self.k + self.k)
         seed = self.family_seed * 100003 + node * 7919
-        kept = set()
-        for member in distinct_draws(len(bag_order), seed, rounds):
-            for comp in mask_components(local, member):
-                if comp.bit_count() <= self.k and comp != whole:
+        kept, walked = set(), set()
+        for rest in distinct_draws(bag_order, seed, rounds):
+            while rest and rest not in walked:
+                walked.add(rest)
+                comp = lowest_component(nbrs, rest)
+                if comp.bit_count() <= self.k and comp != bag:
                     kept.add(comp)
-        sides = [_mask(bag_order[i] for i in _members(comp)) for comp in kept]
-        return sorted(sides, key=_lex_key, reverse=True)
+                rest ^= comp
+        return sorted(kept, key=_lex_key, reverse=True)
 
     def fill_node(self, node):
         adhesion = self.contexts[node].adhesion
@@ -518,7 +520,8 @@ def solve(graph: Graph, k: int, d: int, options: SolveOptions = None) -> SolveRe
     every route.
     """
     opts = options or SolveOptions()
-    _check_arguments(k, d, opts.mode, opts.family_kind, opts.family_rounds)
+    _check_arguments(k, d, opts.mode, opts.family_kind, opts.family_seed,
+                     opts.family_rounds)
     stats = {"n": graph.n, "m": graph.m, "k": k, "d": d}
     td = opts.decomposition
     if td is not None:

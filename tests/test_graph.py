@@ -10,7 +10,8 @@ from conftest import (adjacency_masks, complete_graph, cycle_graph, make_corpus,
 from dcut import (Bipartition, DisconnectedGraph, Graph, InvalidBipartition,
                   connected_components, edge_cut, global_min_cut,
                   global_min_cut_at_most, is_d_cut, is_d_matching)
-from dcut.graph import UnknownEdge, components, mask_components
+from dcut.graph import (UnknownEdge, components, lowest_component,
+                        mask_components)
 
 
 def bipartition(g, side):
@@ -102,6 +103,25 @@ class TestMaskComponents:
             0b1, 0b100, 0b10000]
         assert mask_components(adjacency_masks(path_graph(6)), 0b110110) == [
             0b110, 0b110000]
+
+
+class TestLowestComponent:
+    def test_is_the_component_of_the_lowest_member(self):
+        # the component ``components`` lists first on the sorted members
+        rng = random.Random(29)
+        for g in make_corpus(40, seed=31):
+            adj = adjacency_masks(g)
+            for _ in range(5):
+                mask = rng.getrandbits(g.n) | 1 << rng.randrange(g.n)
+                first = components(g.adj, sorted(vertex_set(mask)))[0]
+                assert lowest_component(adj, mask) == vertex_mask(first), \
+                    (g.n, g.edges, mask)
+
+    def test_empty_mask_and_lone_bit(self):
+        adj = adjacency_masks(path_graph(5))
+        assert lowest_component(adj, 0) == 0
+        assert lowest_component(adj, 0b11010) == 0b10
+        assert lowest_component(adj, 0b11100) == 0b11100
 
 
 class TestEdgeCut:

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from conftest import (find_covering_family, randomized_members_reference,
-                      verify_covering)
+                      verify_covering, vertex_mask)
 from dcut import build_exhaustive, build_randomized, heuristic_rounds
-from dcut.setfamily import FamilySizeLimit
+from dcut import setfamily
+from dcut.setfamily import FamilySizeLimit, distinct_draws, draw_rounds
 
 
 class TestExhaustive:
@@ -61,6 +62,52 @@ class TestRandomized:
     def test_rounds_must_be_positive(self):
         with pytest.raises(ValueError):
             build_randomized(range(4), 1, 1, seed=0, rounds=0)
+
+
+def remapped(members, positions):
+    """Members over element indices as masks with element i at bit
+    ``positions[i]``."""
+    return {vertex_mask(positions[i] for i in member) for member in members}
+
+
+def draw_positions():
+    """Bit positions for the draws: contiguous and gapped (past bit 64)
+    at sizes around one byte and one word, lanes that straddle word
+    boundaries, and words with no position between those with some."""
+    rng = random.Random(8)
+    for size in (0, 1, 7, 8, 9, 63, 64, 65):
+        yield list(range(size))
+        yield sorted(rng.sample(range(2 * size + 80), size))
+    yield from ([56, 60, 63, 64, 65, 71, 72], [63, 64], [64],
+                [0, 127, 128, 250], [7, 8, 15, 16], [3, 500, 1000, 1001])
+
+
+class TestDistinctDraws:
+    @pytest.mark.parametrize("positions", list(draw_positions()))
+    def test_equals_per_bit_reference(self, positions):
+        rng = random.Random(len(positions))
+        for rounds in (1, 2, 300):
+            seed = rng.randrange(2 ** 64)
+            members = randomized_members_reference(range(len(positions)),
+                                                   seed, rounds)
+            assert distinct_draws(positions, seed, rounds) == \
+                remapped(members[:-1], positions), (seed, rounds)
+
+    @pytest.mark.parametrize("positions,block", [
+        ([0, 2, 3, 9, 12], setfamily._BLOCK_ROUNDS),
+        ([1, 5, 64, 66, 100, 130], 7)])
+    def test_blocks_equal_one_draw(self, monkeypatch, positions, block):
+        # rounds over three blocks and a part, against draw_rounds' single
+        # getrandbits call
+        monkeypatch.setattr(setfamily, "_BLOCK_ROUNDS", block)
+        rounds = 3 * block + 5
+        draws = draw_rounds(len(positions), 21, rounds)
+        expected = remapped(({i for i, flag in enumerate(flags) if flag}
+                             for flags in draws), positions)
+        assert distinct_draws(positions, 21, rounds) == expected
+
+    def test_no_rounds_no_draws(self):
+        assert distinct_draws([0, 1], 3, 0) == set()
 
 
 class TestVerifyCovering:

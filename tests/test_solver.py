@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -621,6 +622,34 @@ class TestSolveEndToEnd:
         assert solve(g, 3, 1, SolveOptions(**dict(options, family_rounds=1))) \
             .route == "dp"
 
+    @staticmethod
+    def assert_type_error(name, value, k=3, d=1, **options):
+        # the message names the argument and its value, through both doors
+        g = gnm_random(10, 14, seed=3)
+        message = re.escape(f"{name} must be an int, got {value!r}")
+        with pytest.raises(TypeError, match=message):
+            solve(g, k, d, SolveOptions(**options))
+        with pytest.raises(TypeError, match=message):
+            DPSolver(g, construct(g, 3), d, k, **options)
+
+    @pytest.mark.parametrize("value", [2.5, "3", None, True])
+    def test_non_int_k_rejected(self, value):
+        self.assert_type_error("k", value, k=value)
+
+    @pytest.mark.parametrize("value", [1.5, "1", None, True])
+    def test_non_int_d_rejected(self, value):
+        self.assert_type_error("d", value, d=value)
+
+    @pytest.mark.parametrize("value", [2.5, "2", False])
+    def test_non_int_family_rounds_rejected(self, value):
+        self.assert_type_error("family_rounds", value, family_rounds=value,
+                               mode="colorcode", family_kind="randomized")
+
+    @pytest.mark.parametrize("value", [1.5, None, "1", True])
+    def test_non_int_family_seed_rejected(self, value):
+        self.assert_type_error("family_seed", value, family_seed=value,
+                               mode="colorcode", family_kind="randomized")
+
     def test_family_stats_only_when_a_family_was_drawn(self):
         # auto mode lists every node's sides exactly here, so no family is
         # drawn and the family keys stay out of the stats
@@ -751,6 +780,25 @@ class TestModes:
                         [p.sides for p in two.plans]
                     assert dict(one.table.entries()) == \
                         dict(two.table.entries())
+
+    @pytest.mark.parametrize("rounds", [None, 1])
+    def test_mask_split_past_bit_64(self, rounds):
+        # a 70-cycle under bags {0, i, i+1}: the draws' masks reach bit 69
+        g = cycle_graph(70)
+        td = RootedDecomposition(70, tuple(frozenset({0, i, i + 1})
+                                           for i in range(1, 69)),
+                                 (None, *range(67)))
+        options = dict(mode="colorcode", family_kind="randomized",
+                       family_rounds=rounds)
+        one = DPSolver(g, td, 1, 2, **options).run()
+        two = ComponentSplitSolver(g, td, 1, 2, **options).run()
+        assert [p.sides for p in one.plans] == [p.sides for p in two.plans]
+        assert dict(one.table.entries()) == dict(two.table.entries())
+        assert one.stats["modes"] == {"colorcode": 68}
+        if rounds is None:
+            assert one.stats["sides_considered"] == 408
+            res = solve(g, 2, 1, SolveOptions(decomposition=td, **options))
+            assert res.answer and res.cut_size == 2
 
     def test_enumerate_budget_guard(self):
         g = complete_graph(5)
