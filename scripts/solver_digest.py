@@ -4,14 +4,19 @@
 Solves seeded instances built with ``dcut.generators`` and prints one
 SHA-256 per slice over the answers, witnesses, cut sizes, routes and
 ``stats`` of every decision and, on the ``dp`` route, the solver's plan
-sides, menus, tables, recorded choices and counters.  The ``construct``
-slice digests the decomposition layer on its own instead: the text form
-of what ``construct`` builds, or the class and text of the error it
-raises, and the ``verify`` summary of the single whole-graph bag.  The
+sides, menus, tables, choices and counters.  The choice of each finite
+table entry is read as ``cheapest(menu, budget)``, the call the fill and
+the witness rebuild make.  The ``construct`` slice digests the
+decomposition layer on its own instead: the text form of what
+``construct`` builds, or the class and text of the error it raises, and
+the ``verify`` summary of the single whole-graph bag.  The ``verify``
+slice digests the checks: each ``verify`` report's (name, status,
+detail) triples and, where the axioms hold, the ``derive_contexts``
+fields, on constructed decompositions and seeded mutations of them.  The
 ``oracle`` slice digests the brute-force oracle: the minimum and the
-first minimiser's side A of each (graph, d).  Two
-trees that print equal digests decide, rank and record alike; a refactor
-compares its digests with its parent's.
+first minimiser's side A of each (graph, d).  Two trees that print equal
+digests decide, rank and record alike; a refactor compares its digests
+with its parent's.
 
 Every set is written as a sorted tuple: a frozenset's ``repr`` follows
 its hash table, so equal sets built in different orders can print
@@ -33,6 +38,10 @@ Slices:
                at k = 0..6
     oracle     the corpus graphs at d = 1, 2, 3 and
                gnm_random(15, m, seed=SEED + m) for m = 27..30 at d = 1, 2
+    verify     each corpus graph's construct(g, k) at k = 0..6, then its
+               mutations: a vertex dropped from a bag, a tree neighbour's
+               vertex added to a bag, a parent link moved, one vertex too
+               many, and one too many with an isolated vertex in the graph
 
 Usage:
     python scripts/solver_digest.py --count 60
@@ -45,14 +54,15 @@ import hashlib
 import random
 import sys
 
-from dcut import (SolveOptions, brute_force_min_dcut, construct, serialize,
-                  solve, verify)
+from dcut import (Graph, SolveOptions, brute_force_min_dcut, construct,
+                  derive_contexts, serialize, solve, verify)
 from dcut.decomposition import (DecompositionError, RootedDecomposition,
                                 SizeLimitExceeded)
 from dcut.generators import gnm_random, grid_graph, two_cliques_bridged
 from dcut.graph import DisconnectedGraph
+from dcut.solver import INFEASIBLE, cheapest
 
-SLICES = ("corpus", "colorcode", "large-n", "construct", "oracle")
+SLICES = ("corpus", "colorcode", "large-n", "construct", "oracle", "verify")
 
 
 def canonical(obj):
@@ -83,7 +93,7 @@ def side_key(adhesion, side):
 
 
 def choice_record(choice):
-    """A recorded choice with its side, if it has one, as a vertex set."""
+    """A menu row's choice with its side, if it has one, as a vertex set."""
     kind, *data = choice
     if kind == "bag":
         side, picks = data
@@ -92,8 +102,8 @@ def choice_record(choice):
 
 
 def solver_record(solver):
-    """The plan sides, menus, table, recorded choices and counters of a
-    filled solver, with every side and key in the form above."""
+    """The plan sides, menus, table, each finite entry's choice and the
+    counters of a filled solver, with every side and key in the form above."""
     adhesions = [ctx.adhesion for ctx in solver.contexts]
 
     def row(entry):
@@ -104,13 +114,17 @@ def solver_record(solver):
         node, side, budget = key
         return (node, side_key(adhesions[node], side), budget)
 
+    def choice(key):
+        node, side, budget = key
+        return cheapest(solver.plans[node].menus[side], budget)[2]
+
     return [[[vertex_set(side) for side in plan.sides] for plan in solver.plans],
             [{side_key(adhesions[node], key): [row(entry) for entry in menu]
               for key, menu in plan.menus.items()}
              for node, plan in enumerate(solver.plans)],
             {keyed(key): value for key, value in solver.table.entries()},
-            {keyed(key): choice_record(choice)
-             for key, choice in solver._choices.items()},
+            {keyed(key): choice_record(choice(key))
+             for key, value in solver.table.entries() if value is not INFEASIBLE},
             solver.stats]
 
 
@@ -170,6 +184,73 @@ def oracle_record(graph, d):
     return canonical((result.min_cut_size, result.best_cut and result.best_cut.side_a))
 
 
+def mutations(graph, td, rng):
+    """Seeded ``(graph, decomposition)`` mutations of a decomposition: a
+    vertex dropped from a bag; a vertex of a tree neighbour's bag added to
+    a bag; a non-root node moved under a node outside its subtree; one
+    vertex too many, and the same with an isolated vertex in the graph."""
+    n, bags, parent = td.n_vertices, td.bags, td.parent
+
+    def with_bag(t, bag):
+        return graph, RootedDecomposition(n, bags[:t] + (bag,) + bags[t + 1:], parent)
+
+    t = rng.randrange(len(bags))
+    found = [with_bag(t, bags[t] - {rng.choice(sorted(bags[t]))})]
+    t = rng.randrange(len(bags))
+    near = set().union(*(bags[i] for i, p in enumerate(parent)
+                         if p == t or parent[t] == i)) - bags[t]
+    if near:
+        found.append(with_bag(t, bags[t] | {rng.choice(sorted(near))}))
+    movable = [i for i, p in enumerate(parent) if p is not None]
+    if movable:
+        t = rng.choice(movable)
+        others = [i for i in range(len(bags))
+                  if t not in ancestors(parent, i) and i != parent[t]]
+        if others:
+            moved = tuple(rng.choice(others) if i == t else p
+                          for i, p in enumerate(parent))
+            found.append((graph, RootedDecomposition(n, bags, moved)))
+    more = RootedDecomposition(n + 1, bags, parent)
+    return found + [(graph, more), (Graph(n + 1, graph.edges), more)]
+
+
+def ancestors(parent, node):
+    """The node and its ancestors."""
+    found = [node]
+    while parent[found[-1]] is not None:
+        found.append(parent[found[-1]])
+    return found
+
+
+def verify_cases(count, seed):
+    """``(graph, decomposition, k)`` triples: each corpus graph's
+    constructed decomposition at k = 0..6, where one is found, followed by
+    its :func:`mutations`."""
+    rng = random.Random(seed)
+    cases = []
+    for graph in corpus_graphs(count, seed):
+        for k in range(7):
+            try:
+                td = construct(graph, k)
+            except DecompositionError:
+                continue
+            cases.append((graph, td, k))
+            cases += [(g, mutant, k) for g, mutant in mutations(graph, td, rng)]
+    return cases
+
+
+def verify_record(graph, td, k):
+    """The ``verify`` report's checks and, where the axioms hold, the node
+    contexts."""
+    report = verify(graph, td, k)
+    contexts = None
+    if report["axioms"].status == "pass":
+        contexts = [(c.node, c.bag, c.adhesion, c.cone, c.interior, c.bag_edges)
+                    for c in derive_contexts(graph, td)]
+    return canonical(([(c.name, c.status, c.detail) for c in report.checks],
+                      contexts))
+
+
 def slice_records(name, count, seed, excluded):
     """One record per decision, per (graph, k) of the construct slice, or
     per (graph, d) of the oracle slice."""
@@ -178,6 +259,8 @@ def slice_records(name, count, seed, excluded):
                 for d in (1, 2, 3)] + [
             oracle_record(gnm_random(15, m, seed=seed + m), d)
             for m in range(27, 31) for d in (1, 2)]
+    if name == "verify":
+        return [verify_record(*case) for case in verify_cases(count, seed)]
     if name == "construct":
         graphs = corpus_graphs(count, seed) + large_graphs() + [
             gnm_random(n, int(1.6 * n), seed=seed + n) for n in range(16, 25)]
@@ -200,8 +283,8 @@ def main(argv=None):
     parser.add_argument("--slice", action="append", choices=SLICES,
                         help="slice to digest (repeatable; default: all)")
     parser.add_argument("--count", type=int, default=60,
-                        help="corpus graphs per corpus, colorcode, construct and "
-                             "oracle slice")
+                        help="corpus graphs per corpus, colorcode, construct, "
+                             "oracle and verify slice")
     parser.add_argument("--seed", type=int, default=20250808)
     parser.add_argument("--exclude-stat", action="append", default=[],
                         metavar="KEY", help="leave this solve() stats key out")

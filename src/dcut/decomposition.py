@@ -11,9 +11,11 @@ connected components with their exact neighborhoods as adhesions.
 Whatever it returns must pass :func:`verify` in full; the solver relies
 on nothing else about the construction.
 
-The constructor and the unbreakability check hold every vertex set as a
-vertex mask, as the solver does; only the decomposition, contexts and
-reports they hand out hold frozensets.
+The constructor and the checks hold every vertex set as a vertex mask,
+as the solver does, and read the graph's neighbour masks: the axioms on
+per-vertex node masks, compactness and bag edges on vertex masks, with
+one component search, :func:`dcut.graph.lowest_component`.  Only the
+decomposition, contexts and reports they hand out hold frozensets.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import (DisconnectedGraph, Graph, _mask, _members, components,
-                    is_connected, mask_components)
+from .graph import (DisconnectedGraph, Graph, _mask, _members, is_connected,
+                    lowest_component, mask_components)
 
 CONSTRUCT_LIMIT = 24  # most vertices construct and verify list small cuts for
 _FALLBACK_LIMIT = 16  # pieces this small also try every bag above the adhesion
@@ -73,14 +75,8 @@ class RootedDecomposition:
         for i, p in enumerate(self.parent):
             if p is not None and not (0 <= p < len(self.bags)):
                 raise ValueError(f"parent of node {i} out of range")
-        for i in range(len(self.bags)):
-            seen = {i}
-            j = self.parent[i]
-            while j is not None:
-                if j in seen:
-                    raise ValueError("parent links contain a cycle")
-                seen.add(j)
-                j = self.parent[j]
+        if len(self.postorder()) != len(self.bags):  # a cycle hangs off no root
+            raise ValueError("parent links contain a cycle")
         for i, bag in enumerate(self.bags):
             for v in bag:
                 if not (0 <= v < self.n_vertices):
@@ -136,19 +132,19 @@ def _axiom_violation(graph: Graph, td: RootedDecomposition):
     """None if the tree-decomposition axioms hold, else a counterexample."""
     if td.n_vertices != graph.n:
         return ("vertex-count-mismatch", (td.n_vertices, graph.n))
-    for e in graph.edges:
-        if not any(e[0] in bag and e[1] in bag for bag in td.bags):
-            return ("uncovered-edge", e)
-    occurrence = [set() for _ in range(graph.n)]
+    occurrence = [0] * graph.n  # each vertex's nodes, and the tree, as node masks
     for i, bag in enumerate(td.bags):
         for v in bag:
-            occurrence[v].add(i)
-    tree = [kids + (() if p is None else (p,))
+            occurrence[v] |= 1 << i
+    for u, v in graph.edges:
+        if not occurrence[u] & occurrence[v]:
+            return ("uncovered-edge", (u, v))
+    tree = [_mask(kids) | (0 if p is None else 1 << p)
             for kids, p in zip(td.children(), td.parent)]
-    for v in graph.vertices:
-        if not occurrence[v]:
+    for v, nodes in enumerate(occurrence):
+        if not nodes:
             return ("missing-vertex", v)
-        if len(components(tree, occurrence[v])) != 1:
+        if lowest_component(tree, nodes) != nodes:
             return ("disconnected-occurrence", v)
     return None
 
@@ -169,14 +165,15 @@ def derive_contexts(graph: Graph, td: RootedDecomposition) -> list:
     for t in range(td.node_count):
         p = td.parent[t]
         adhesion = frozenset() if p is None else td.bags[t] & td.bags[p]
-        cone = cones[t]
         bag = td.bags[t]
-        bag_edges = tuple(e for e in graph.edges
-                          if e[0] in bag and e[1] in bag
-                          and not (e[0] in adhesion and e[1] in adhesion))
+        bag_mask, adhesion_mask = _mask(bag), _mask(adhesion)
+        bag_edges = tuple(  # u's bag neighbours above u, unless both in the adhesion
+            (u, v) for u in sorted(bag) for v in _members(
+                graph.adj_masks[u] & -(2 << u)
+                & (bag_mask & ~adhesion_mask if u in adhesion else bag_mask)))
         contexts.append(NodeContext(
-            node=t, bag=bag, adhesion=adhesion, cone=cone,
-            interior=cone - adhesion, bag_edges=bag_edges))
+            node=t, bag=bag, adhesion=adhesion, cone=cones[t],
+            interior=cones[t] - adhesion, bag_edges=bag_edges))
     return contexts
 
 
@@ -283,6 +280,31 @@ def verify(graph: Graph, td: RootedDecomposition, k: int, *,
     return _verify(graph, td, k, unbreakable_limit)[0]
 
 
+def _compactness_failure(graph, td, ctxs):
+    """None if every non-root node's interior is non-empty, connected and
+    has its adhesion as neighbourhood; else the failure at the least such
+    node.  By the axioms an interior's neighbours lie in the cone, and a
+    child's interior in its parent's: children come first, and a node's
+    component search grows the largest part its children's searches found."""
+    adj, kids = graph.adj_masks, td.children()
+    found, failures = {}, {}
+    for t in td.postorder()[:-1]:  # the root comes last and has no adhesion
+        interior, adhesion = _mask(ctxs[t].interior), _mask(ctxs[t].adhesion)
+        part = max((found[c] for c in kids[t]), key=int.bit_count, default=0)
+        rest = interior & ~part
+        near = _mask(v for v in _members(rest) if adj[v] & part) if part else None
+        found[t] = part | lowest_component(adj, rest, near)
+        boundary = _mask(a for a in ctxs[t].adhesion if adj[a] & interior)
+        if not interior:
+            failures[t] = ("empty-interior", t)
+        elif found[t] != interior:
+            failures[t] = ("interior-disconnected", t)
+        elif boundary != adhesion:
+            failures[t] = ("adhesion-mismatch",
+                           (t, frozenset(_members(boundary)), ctxs[t].adhesion))
+    return failures[min(failures)] if failures else None
+
+
 def _verify(graph, td, k, unbreakable_limit, scan=None):
     """:func:`verify`'s report, and the node contexts (None when the axioms
     fail).  ``scan`` returns the whole graph's :func:`_small_cuts` if the
@@ -295,21 +317,7 @@ def _verify(graph, td, k, unbreakable_limit, scan=None):
         ctxs, detail = None, (exc.kind, exc.payload)
     checks.append(CheckResult("axioms", "fail" if detail else "pass", detail))
     if detail is None:
-        bad = None
-        for ctx in ctxs:
-            if td.parent[ctx.node] is None:
-                continue
-            interior = ctx.interior
-            if not interior:
-                bad = ("empty-interior", ctx.node)
-                break
-            if len(components(graph.adj, interior)) != 1:
-                bad = ("interior-disconnected", ctx.node)
-                break
-            boundary = frozenset(w for v in interior for w in graph.adj[v]) - interior
-            if boundary != ctx.adhesion:
-                bad = ("adhesion-mismatch", (ctx.node, boundary, ctx.adhesion))
-                break
+        bad = _compactness_failure(graph, td, ctxs)
         checks.append(CheckResult("compactness", "fail" if bad else "pass", bad))
         oversize = [(ctx.node, len(ctx.adhesion)) for ctx in ctxs
                     if len(ctx.adhesion) > k]
@@ -329,8 +337,7 @@ def _verify(graph, td, k, unbreakable_limit, scan=None):
         checks.append(CheckResult("unbreakable-bags", "skipped",
                                   f"n={graph.n} exceeds limit {unbreakable_limit}"))
     else:
-        cuts = scan() if scan else _small_cuts(
-            [_mask(nbrs) for nbrs in graph.adj], (1 << graph.n) - 1, k)
+        cuts = scan() if scan else _small_cuts(graph.adj_masks, (1 << graph.n) - 1, k)
         bag_masks = [_mask(bag) for bag in td.bags]
         bag_sizes = [len(bag) for bag in td.bags]
         bad = None
@@ -358,7 +365,7 @@ class _Builder:
     """
 
     def __init__(self, graph: Graph, k: int):
-        self.adj = [_mask(nbrs) for nbrs in graph.adj]
+        self.adj = graph.adj_masks
         self.k = k
         self._failed = set()
         self._scans = {}

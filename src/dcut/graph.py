@@ -3,7 +3,8 @@
 Vertices are dense integer ids ``0..n-1``.  Graphs are immutable after
 construction and safe to share; every operation in this module is pure.
 Inside the decomposition and the solver a vertex set is a bitmask over
-vertex ids, bit v for vertex v; the mask helpers here serve both.
+vertex ids, bit v for vertex v; the mask helpers here serve both, and a
+graph carries its neighbour masks (``adj_masks``) beside ``adj``.
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ class Graph:
     data problems.
     """
 
-    __slots__ = ("n", "edges", "adj", "_edge_set", "_hash")
+    __slots__ = ("n", "edges", "adj", "adj_masks", "_edge_set", "_hash")
 
     def __init__(self, n: int, edges):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         seen = set()
         adj = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
@@ -50,9 +52,12 @@ class Graph:
             seen.add(key)
             adj[u].add(v)
             adj[v].add(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         self.n = n
         self.edges = tuple(sorted(seen))
         self.adj = tuple(frozenset(s) for s in adj)
+        self.adj_masks = tuple(masks)
         self._edge_set = seen
         self._hash = hash((n, self.edges))
 
@@ -106,26 +111,6 @@ def _check_bipartition(graph: Graph, part: Bipartition) -> None:
         raise InvalidBipartition("sides do not cover the vertex set")
 
 
-def components(adj, vertices) -> list:
-    """Vertex sets of the components that ``adj`` (a sequence or mapping
-    from vertex to neighbours) induces on ``vertices``, in the order of
-    each component's first member in ``vertices``."""
-    left = set(vertices)
-    comps = []
-    for start in vertices:
-        if start not in left:
-            continue
-        left.remove(start)
-        comp = [start]
-        for u in comp:  # comp grows as it is walked: a breadth-first search
-            for w in adj[u]:
-                if w in left:
-                    left.remove(w)
-                    comp.append(w)
-        comps.append(frozenset(comp))
-    return comps
-
-
 def _mask(vertices):
     """The vertices as a bitmask over vertex ids."""
     return sum(1 << v for v in vertices)
@@ -141,9 +126,10 @@ def _members(mask):
     return found
 
 
-def lowest_component(adj, mask):
-    """The component of ``mask``'s lowest bit, ``adj`` a neighbour mask per bit."""
-    comp = frontier = mask & -mask
+def lowest_component(adj, mask, seed=None):
+    """The component of ``mask``'s lowest bit, ``adj`` a neighbour mask per
+    bit; or, given bits of ``mask`` as ``seed``, the components they meet."""
+    comp = frontier = mask & -mask if seed is None else seed
     while frontier:
         reach = 0
         while frontier:
@@ -166,11 +152,13 @@ def mask_components(adj, mask) -> list:
 
 def connected_components(graph: Graph) -> list:
     """Maximal connected vertex sets, sorted by smallest member."""
-    return components(graph.adj, graph.vertices)
+    return [frozenset(_members(comp))
+            for comp in mask_components(graph.adj_masks, (1 << graph.n) - 1)]
 
 
 def is_connected(graph: Graph) -> bool:
-    return graph.n <= 1 or len(connected_components(graph)) == 1
+    whole = (1 << graph.n) - 1
+    return lowest_component(graph.adj_masks, whole) == whole
 
 
 def edge_cut(graph: Graph, part: Bipartition) -> list:
@@ -261,9 +249,10 @@ def global_min_cut(graph: Graph):
         if best is None or value < best:
             best = value
             best_residual = residual
-    # The first component walked from vertex 0 is what it reaches in the residual.
-    residual = [[w for w, c in out.items() if c > 0] for out in best_residual]
-    return best, Bipartition.of(graph, components(residual, graph.vertices)[0])
+    # Side A is what vertex 0 reaches in the residual.
+    residual = [_mask(w for w, c in out.items() if c > 0) for out in best_residual]
+    side = lowest_component(residual, (1 << graph.n) - 1)
+    return best, Bipartition.of(graph, _members(side))
 
 
 def global_min_cut_at_most(graph: Graph, k: int) -> bool:

@@ -23,13 +23,14 @@ graph's components on its distinct members, vertex masks split one
 at a time, each distinct remainder once.
 
 The fill works on integer masks over vertex ids, and a side takes no
-other form: sides, table keys, menus, recorded choices and the witness
-rebuild hold masks, and only the rebuilt witness is handed out as a
-frozenset.  A side's split edges and children are counted with
-popcounts on masks built once per node, and a side splitting more than
-k of them is pruned before any trace or item exists.  The split edges
-enter the budget search as a start vector, and each child's finite
-options are read once per trace.
+other form: sides, table keys, menus and the witness rebuild hold masks,
+and only the rebuilt witness is handed out as a frozenset.  The menus
+record the fill's choices: the rebuild reads each as the menu's
+cheapest fitting row, the same call the fill made.  A side's split
+edges and children are counted with popcounts on masks built once per
+node, and a side splitting more than k of them is pruned before any
+trace or item exists.  The split edges enter the budget search as a
+start vector, and each child's finite options are read once per trace.
 """
 
 from __future__ import annotations
@@ -57,11 +58,11 @@ class WitnessCertificationError(RuntimeError):
     """A reconstructed witness failed certification; internal bug signal."""
 
 
-def _check_arguments(k, d, mode, family_kind, family_seed, family_rounds):
-    """Reject a bad k, d, seed or round count, mode or family kind."""
+def _check_arguments(k, d, mode, family_kind, family_seed, family_rounds, **sizes):
+    """Reject a bad k, d, seed, round count, size option, mode or family kind."""
     rounds = 1 if family_rounds is None else family_rounds  # None: heuristic rounds
     for name, value in dict(k=k, d=d, family_seed=family_seed,
-                            family_rounds=rounds).items():
+                            family_rounds=rounds, **sizes).items():
         if not isinstance(value, int) or isinstance(value, bool):
             raise TypeError(f"{name} must be an int, got {value!r}")
     if k < 0:
@@ -199,7 +200,7 @@ class NodePlan:
     adhesion_order: list
     budgets: list         # count vectors on adhesion_order
     sides: list           # candidate sides as vertex masks; their order ranks them
-    menus: dict           # table key -> cost-sorted (usage, cost, choice)
+    menus: dict           # table key -> cost-sorted (usage, cost, choice), if recorded
     mode: str
 
 
@@ -211,7 +212,8 @@ class DPSolver:
                  family_seed: int = 0, family_rounds=None,
                  enumerate_budget: int = ENUMERATE_BUDGET,
                  record_choices: bool = True):
-        _check_arguments(k, d, mode, family_kind, family_seed, family_rounds)
+        _check_arguments(k, d, mode, family_kind, family_seed, family_rounds,
+                         enumerate_budget=enumerate_budget)
         self.graph = graph
         self.td = td
         self.d = d
@@ -228,7 +230,6 @@ class DPSolver:
         self.plans = [None] * td.node_count
         self.stats = {"modes": {}, "families_evaluated": 0, "sides_considered": 0,
                       "overloaded_side_prunes": 0}
-        self._choices = {}
 
     # ------------------------------------------------------------------
     # node evaluation
@@ -427,54 +428,52 @@ class DPSolver:
                     ranked[0].append((cost, len(sides), usage, ("child", c, cb)))
         for key, rows in ranked.items():
             rows.sort(key=lambda row: row[:3])
-            menu = plan.menus[key] = tuple((usage, cost, choice)
-                                           for cost, _, usage, choice in rows)
+            menu = tuple((usage, cost, choice) for cost, _, usage, choice in rows)
+            if self.record_choices:
+                plan.menus[key] = menu
             for budget in budgets:
                 hit = cheapest(menu, budget)
                 self.table.set(node, key, budget,
                                INFEASIBLE if hit is None else hit[1])
-                if self.record_choices and hit is not None:
-                    self._choices[(node, key, budget)] = hit[2]
 
     # ------------------------------------------------------------------
     # witness reconstruction
 
     def rebuild_side(self):
-        """The A side of a partition achieving the root value, rebuilt from
-        the recorded argmin choices."""
-        root = self.td.root
+        """The A side of a partition achieving the root value.  A visited
+        node takes its menu's cheapest row under its budget, as the fill
+        did; its part is the row's side with its visited children's parts,
+        or their complement in its cone, whichever meets its adhesion in the
+        wanted trace.  Nodes are visited top-down and closed bottom-up."""
         value = self.root_value()
         if value is INFEASIBLE or value > self.k:
             raise RuntimeError("no witness: root value exceeds k")
         if not self.record_choices:
             raise RuntimeError("witness reconstruction needs recorded choices")
-        return frozenset(_members(self._rebuild(root, (), 0)))
-
-    def _rebuild(self, node, budget, wanted_trace):
-        """A part of the node's cone, as a vertex mask, that achieves the
-        table value under the budget and meets the adhesion in the wanted
-        trace."""
-        ctx = self.contexts[node]
-        adhesion = _mask(ctx.adhesion)
-        s_key = self.table.key(node, wanted_trace)
-        kind, *data = self._choices[(node, s_key, budget)]
-        if kind == "child":
-            c, cb = data
-            part = self._rebuild(c, cb, 0)
-        else:
-            side, fam = data
-            part = side
+        visits = [(self.td.root, (), 0, None)]  # node, budget, wanted trace, caller
+        parts = []
+        for node, budget, wanted, _ in visits:  # visits grows as it is walked
+            menu = self.plans[node].menus[self.table.key(node, wanted)]
+            kind, *data = cheapest(menu, budget)[2]
+            # descending into one child is the empty side splitting it alone
+            side, picks = (0, {data[0]: data[1]}) if kind == "child" else data
+            parts.append(side)
             for c in self.children[node]:
                 child_adhesion = _mask(self.contexts[c].adhesion)
                 trace = side & child_adhesion
-                if c in fam:
-                    part |= self._rebuild(c, fam[c], trace)
+                if c in picks:
+                    visits.append((c, picks[c], trace, len(parts) - 1))
                 elif child_adhesion and trace == child_adhesion:
-                    part |= _mask(self.contexts[c].cone)
-        if part & adhesion != wanted_trace:
-            part = _mask(ctx.cone) & ~part
-        assert part & adhesion == wanted_trace
-        return part
+                    parts[-1] |= _mask(self.contexts[c].cone)
+        for i in reversed(range(len(visits))):
+            node, _, wanted, caller = visits[i]
+            adhesion = _mask(self.contexts[node].adhesion)
+            if parts[i] & adhesion != wanted:
+                parts[i] = _mask(self.contexts[node].cone) & ~parts[i]
+            assert parts[i] & adhesion == wanted
+            if caller is not None:
+                parts[caller] |= parts[i]
+        return frozenset(_members(parts[0]))
 
 
 @dataclass
@@ -521,7 +520,8 @@ def solve(graph: Graph, k: int, d: int, options: SolveOptions = None) -> SolveRe
     """
     opts = options or SolveOptions()
     _check_arguments(k, d, opts.mode, opts.family_kind, opts.family_seed,
-                     opts.family_rounds)
+                     opts.family_rounds, enumerate_budget=opts.enumerate_budget,
+                     max_construct_vertices=opts.max_construct_vertices)
     stats = {"n": graph.n, "m": graph.m, "k": k, "d": d}
     td = opts.decomposition
     if td is not None:

@@ -5,9 +5,11 @@ from itertools import combinations
 from dcut import (DPSolver, Graph, SubsetFamily, build_randomized,
                   heuristic_rounds)
 from dcut.generators import gnm_random
-from dcut.graph import Bipartition, components, is_d_cut
+from dcut.decomposition import NodeContext
+from dcut.graph import Bipartition, is_d_cut
 from dcut.oracle import OracleResult
 from dcut.setfamily import FamilySizeLimit
+from dcut.solver import cheapest
 
 
 def path_graph(n):
@@ -113,6 +115,125 @@ def gray_reference_min_dcut(graph, d):
     return OracleResult(best, part)
 
 
+def components(adj, vertices) -> list:
+    """Vertex sets of the components that ``adj`` (a sequence or mapping
+    from vertex to neighbours) induces on ``vertices``, in the order of
+    each component's first member in ``vertices``."""
+    left = set(vertices)
+    comps = []
+    for start in vertices:
+        if start not in left:
+            continue
+        left.remove(start)
+        comp = [start]
+        for u in comp:  # comp grows as it is walked: a breadth-first search
+            for w in adj[u]:
+                if w in left:
+                    left.remove(w)
+                    comp.append(w)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def axiom_violation_reference(graph, td):
+    """Reference for ``decomposition._axiom_violation``: the same checks on
+    vertex and node sets, with ``components`` on the tree."""
+    if td.n_vertices != graph.n:
+        return ("vertex-count-mismatch", (td.n_vertices, graph.n))
+    for e in graph.edges:
+        if not any(e[0] in bag and e[1] in bag for bag in td.bags):
+            return ("uncovered-edge", e)
+    occurrence = [set() for _ in range(graph.n)]
+    for i, bag in enumerate(td.bags):
+        for v in bag:
+            occurrence[v].add(i)
+    tree = [kids + (() if p is None else (p,))
+            for kids, p in zip(td.children(), td.parent)]
+    for v in graph.vertices:
+        if not occurrence[v]:
+            return ("missing-vertex", v)
+        if len(components(tree, occurrence[v])) != 1:
+            return ("disconnected-occurrence", v)
+    return None
+
+
+def contexts_reference(graph, td):
+    """Reference for ``decomposition.derive_contexts`` on a decomposition
+    that meets the axioms: each node's bag edges by a scan of every edge."""
+    cones = [None] * td.node_count
+    kids = td.children()
+    for t in td.postorder():
+        cone = set(td.bags[t])
+        for c in kids[t]:
+            cone |= cones[c]
+        cones[t] = frozenset(cone)
+    contexts = []
+    for t in range(td.node_count):
+        p = td.parent[t]
+        adhesion = frozenset() if p is None else td.bags[t] & td.bags[p]
+        cone = cones[t]
+        bag = td.bags[t]
+        bag_edges = tuple(e for e in graph.edges
+                          if e[0] in bag and e[1] in bag
+                          and not (e[0] in adhesion and e[1] in adhesion))
+        contexts.append(NodeContext(
+            node=t, bag=bag, adhesion=adhesion, cone=cone,
+            interior=cone - adhesion, bag_edges=bag_edges))
+    return contexts
+
+
+def compactness_reference(graph, td, ctxs):
+    """Reference for ``decomposition.verify``'s compactness check: None, or
+    the first non-root node whose interior is empty, is disconnected (by
+    ``components``) or has another neighbourhood than its adhesion."""
+    bad = None
+    for ctx in ctxs:
+        if td.parent[ctx.node] is None:
+            continue
+        interior = ctx.interior
+        if not interior:
+            bad = ("empty-interior", ctx.node)
+            break
+        if len(components(graph.adj, interior)) != 1:
+            bad = ("interior-disconnected", ctx.node)
+            break
+        boundary = frozenset(w for v in interior for w in graph.adj[v]) - interior
+        if boundary != ctx.adhesion:
+            bad = ("adhesion-mismatch", (ctx.node, boundary, ctx.adhesion))
+            break
+    return bad
+
+
+def verify_reference(graph, td, k):
+    """Reference for ``decomposition.verify`` on graphs of at most 24
+    vertices: its checks as ``(name, status, detail)`` triples, from the
+    references above and, for the bags, the least breaking side among the
+    sorted ``gray_small_cuts``."""
+    assert graph.n <= 24
+    detail = axiom_violation_reference(graph, td)
+    if detail is not None:
+        return [("axioms", "fail", detail)] + [
+            (name, "skipped", "axioms failed")
+            for name in ("compactness", "adhesion-size", "unbreakable-bags")]
+    ctxs = contexts_reference(graph, td)
+    checks = [("axioms", "pass", None)]
+    bad = compactness_reference(graph, td, ctxs)
+    checks.append(("compactness", "fail" if bad else "pass", bad))
+    oversize = [(ctx.node, len(ctx.adhesion)) for ctx in ctxs if len(ctx.adhesion) > k]
+    checks.append(("adhesion-size", "fail" if oversize else "pass",
+                   oversize[0] if oversize else None))
+    bad = None
+    if any(len(bag) > 2 * k + 1 for bag in td.bags):
+        for mask, cut in sorted(gray_small_cuts(adjacency_masks(graph), k)):
+            side = vertex_set(mask)
+            broken = [t for t, bag in enumerate(td.bags)
+                      if min(len(bag & side), len(bag - side)) > k]
+            if broken:
+                bad = ("breakable-bag", (broken[0], side, cut))
+                break
+    return checks + [("unbreakable-bags", "fail" if bad else "pass", bad)]
+
+
 def vertex_mask(vertices):
     """The vertices as a bitmask over vertex ids, the form the solver's
     candidate sides take."""
@@ -137,6 +258,34 @@ def split_items(solver, node, side):
     edges = [e for e in solver.contexts[node].bag_edges
              if (e[0] in side) != (e[1] in side)]
     return kids, edges
+
+
+def rebuild_reference(solver):
+    """Reference for ``DPSolver.rebuild_side``: the recursive rebuild, one
+    call per visited node, each taking the menu row cheapest under its
+    budget.  Recurses as deep as the decomposition."""
+    def rebuild(node, budget, wanted):
+        ctx = solver.contexts[node]
+        menu = solver.plans[node].menus[solver.table.key(node, wanted)]
+        kind, *data = cheapest(menu, budget)[2]
+        if kind == "child":
+            c, cb = data
+            part = rebuild(c, cb, 0)
+        else:
+            side, fam = data
+            part = side
+            for c in solver.children[node]:
+                child_adhesion = vertex_mask(solver.contexts[c].adhesion)
+                trace = side & child_adhesion
+                if c in fam:
+                    part |= rebuild(c, fam[c], trace)
+                elif child_adhesion and trace == child_adhesion:
+                    part |= vertex_mask(solver.contexts[c].cone)
+        if part & vertex_mask(ctx.adhesion) != wanted:
+            part = vertex_mask(ctx.cone) & ~part
+        return part
+
+    return vertex_set(rebuild(solver.td.root, (), 0))
 
 
 def make_corpus(count, seed, n_lo=4, n_hi=12):

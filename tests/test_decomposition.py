@@ -1,9 +1,13 @@
+import importlib.util
+import os
 import random
+from collections import Counter
 
 import pytest
 
-from conftest import (adjacency_masks, complete_graph, cycle_graph,
-                      gray_small_cuts, local_edges, make_corpus, path_graph)
+from conftest import (adjacency_masks, complete_graph, contexts_reference,
+                      cycle_graph, gray_small_cuts, local_edges, make_corpus,
+                      path_graph, verify_reference)
 from dcut import (Graph, construct, derive_contexts, grid_graph, parse,
                   serialize, two_cliques_bridged, verify)
 from dcut import decomposition
@@ -14,8 +18,19 @@ from dcut.generators import gnm_random
 from dcut.graph import DisconnectedGraph, is_connected
 
 
+DIGEST = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "scripts", "solver_digest.py")
+
+
 def single_bag(graph):
     return RootedDecomposition(graph.n, (frozenset(graph.vertices),), (None,))
+
+
+def load_digest():
+    spec = importlib.util.spec_from_file_location("solver_digest", DIGEST)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestRootedDecomposition:
@@ -247,6 +262,59 @@ class TestVerify:
         assert report["unbreakable-bags"].status == "skipped"
         assert report["axioms"].status == "pass"
         assert not report.passed and report.ok
+
+
+class TestChecksAgainstSetReferences:
+    """``verify``'s mask checks and ``derive_contexts`` against the
+    set-based references in ``conftest``, on constructed decompositions and
+    the seeded mutations of ``solver_digest.py``'s ``verify`` slice."""
+
+    @staticmethod
+    def check(graph, td, k, kinds):
+        report = verify(graph, td, k)
+        assert [(c.name, c.status, c.detail) for c in report.checks] == \
+            verify_reference(graph, td, k), (graph.n, graph.edges, td, k)
+        if report["axioms"].status == "pass":
+            assert derive_contexts(graph, td) == contexts_reference(graph, td)
+        kinds.update(c.detail[0] for c in report.failures()
+                     if c.name in ("axioms", "compactness"))
+
+    def test_corpus_decompositions_and_their_mutations(self):
+        digest = load_digest()
+        rng = random.Random(20250808)
+        kinds = Counter()
+        built = 0
+        for graph in digest.corpus_graphs(60, 20250808):
+            for k in range(7):
+                td = construct(graph, k)
+                built += 1
+                self.check(graph, td, k, kinds)
+                for g, mutant in digest.mutations(graph, td, rng):
+                    self.check(g, mutant, k, kinds)
+        assert built >= 300
+        assert set(kinds) == {
+            "vertex-count-mismatch", "uncovered-edge", "missing-vertex",
+            "disconnected-occurrence", "empty-interior", "interior-disconnected",
+            "adhesion-mismatch"}
+
+    def test_path_decompositions_and_their_mutations(self):
+        # bags {0, i, i+1} on cycles: each node's component search grows
+        # from its child's, down to depth 11, then mutated twice over
+        digest = load_digest()
+        rng = random.Random(7)
+        kinds = Counter()
+        for n in range(5, 15):
+            g = cycle_graph(n)
+            td = RootedDecomposition(n, tuple(frozenset({0, i, i + 1})
+                                              for i in range(1, n - 1)),
+                                     (None, *range(n - 3)))
+            self.check(g, td, 2, kinds)
+            for _ in range(10):
+                for g1, mutant in digest.mutations(g, td, rng):
+                    self.check(g1, mutant, 2, kinds)
+                    for g2, twice in digest.mutations(g1, mutant, rng):
+                        self.check(g2, twice, 2, kinds)
+        assert {"interior-disconnected", "adhesion-mismatch"} <= set(kinds)
 
 
 class TestConstruct:

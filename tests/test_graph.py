@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (adjacency_masks, complete_graph, cycle_graph, make_corpus,
-                      path_graph, vertex_mask, vertex_set)
+from conftest import (adjacency_masks, complete_graph, components, cycle_graph,
+                      make_corpus, path_graph, vertex_mask, vertex_set)
 from dcut import (Bipartition, DisconnectedGraph, Graph, InvalidBipartition,
                   connected_components, edge_cut, global_min_cut,
-                  global_min_cut_at_most, is_d_cut, is_d_matching)
-from dcut.graph import (UnknownEdge, components, lowest_component,
-                        mask_components)
+                  global_min_cut_at_most, is_connected, is_d_cut, is_d_matching)
+from dcut.graph import UnknownEdge, lowest_component, mask_components
 
 
 def bipartition(g, side):
@@ -36,6 +35,12 @@ class TestGraphConstruction:
         assert g.edges == ((0, 2), (1, 2))
         assert g.adj[2] == {0, 1}
 
+    def test_neighbour_masks_match_adjacency(self):
+        graphs = make_corpus(40, seed=41) + [Graph(0, []), Graph(3, []),
+                                             Graph(70, [(0, 69), (5, 64)])]
+        for g in graphs:
+            assert g.adj_masks == tuple(adjacency_masks(g))
+
 
 class TestConnectedComponents:
     def test_singleton(self):
@@ -47,6 +52,35 @@ class TestConnectedComponents:
     def test_two_disjoint_edges(self):
         g = Graph(4, [(0, 1), (2, 3)])
         assert connected_components(g) == [frozenset({0, 1}), frozenset({2, 3})]
+
+    def test_empty_graph(self):
+        assert connected_components(Graph(0, [])) == []
+        assert is_connected(Graph(0, []))
+
+    def test_single_vertex_is_connected(self):
+        assert is_connected(Graph(1, []))
+
+    def test_edgeless_graph_is_all_singletons(self):
+        g = Graph(4, [])
+        assert connected_components(g) == [frozenset({v}) for v in range(4)]
+        assert not is_connected(g)
+
+    def test_disconnected_graph_by_least_member(self):
+        g = Graph(7, [(5, 1), (1, 3), (0, 6), (2, 4)])
+        assert connected_components(g) == [
+            frozenset({0, 6}), frozenset({1, 3, 5}), frozenset({2, 4})]
+        assert not is_connected(g)
+        assert is_connected(path_graph(5))
+
+    def test_matches_components_reference(self):
+        rng = random.Random(43)
+        sparse = [Graph(n, rng.sample(list(itertools.combinations(range(n), 2)),
+                                      min(n - 1, n * (n - 1) // 2)))
+                  for n in range(2, 14) for _ in range(3)]
+        for g in make_corpus(40, seed=47) + sparse:
+            expected = components(g.adj, g.vertices)
+            assert connected_components(g) == expected
+            assert is_connected(g) == (len(expected) == 1)
 
 
 class TestComponents:
@@ -122,6 +156,21 @@ class TestLowestComponent:
         assert lowest_component(adj, 0) == 0
         assert lowest_component(adj, 0b11010) == 0b10
         assert lowest_component(adj, 0b11100) == 0b11100
+
+    def test_seed_grows_the_components_it_meets(self):
+        adj = adjacency_masks(path_graph(6))  # {0, 1, 2} and {4, 5} in the mask
+        assert lowest_component(adj, 0b110111, 0b100000) == 0b110000
+        assert lowest_component(adj, 0b110111, 0b100001) == 0b110111
+        assert lowest_component(adj, 0b110111, 0) == 0
+        rng = random.Random(59)
+        for g in make_corpus(30, seed=61):
+            adj = adjacency_masks(g)
+            for _ in range(5):
+                mask = rng.getrandbits(g.n)
+                seed = mask & rng.getrandbits(g.n)
+                comps = components(g.adj, sorted(vertex_set(mask)))
+                expected = sum(vertex_mask(c) for c in comps if vertex_mask(c) & seed)
+                assert lowest_component(adj, mask, seed) == expected
 
 
 class TestEdgeCut:
@@ -226,6 +275,22 @@ class TestGlobalMinCut:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraph):
             global_min_cut(Graph(4, [(0, 1), (2, 3)]))
+
+    def test_edgeless_graph_rejected(self):
+        with pytest.raises(DisconnectedGraph):
+            global_min_cut(Graph(3, []))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_bipartition_below_two_vertices(self, n):
+        assert global_min_cut(Graph(n, [])) == (None, None)
+        assert not global_min_cut_at_most(Graph(n, []), 5)
+
+    def test_witness_side_holds_vertex_0(self):
+        # side A is what vertex 0 reaches in the residual of a minimum flow
+        for g in make_corpus(30, seed=53):
+            size, part = global_min_cut(g)
+            assert 0 in part.side_a and part.is_cut
+            assert len(edge_cut(g, part)) == size
 
     def test_cut_witness_achieves_value(self):
         size, part = global_min_cut(cycle_graph(6))

@@ -30,7 +30,7 @@ def test_solver_digest_repeats_itself():
         [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     command = [sys.executable, os.path.join(ROOT, "scripts", "solver_digest.py"),
                "--slice", "corpus", "--slice", "colorcode", "--slice", "oracle",
-               "--count", "3"]
+               "--slice", "verify", "--count", "3"]
     start = time.perf_counter()
     outputs = [subprocess.run(command, env=env, capture_output=True, text=True,
                               timeout=60) for _ in range(2)]
@@ -40,6 +40,7 @@ def test_solver_digest_repeats_itself():
     lines = outputs[0].stdout.splitlines()
     assert [line.split()[:2] for line in lines] == [["corpus", "42"],
                                                     ["colorcode", "42"],
-                                                    ["oracle", "17"]]
+                                                    ["oracle", "17"],
+                                                    ["verify", "91"]]
     assert all(len(line.split()[2]) == 64 for line in lines)
     assert outputs[1].stdout == outputs[0].stdout

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (AllSubsetsSolver, ComponentSplitSolver, complete_graph,
                       cycle_graph, local_edges, make_corpus, path_graph,
-                      split_items, vertex_mask, vertex_set)
+                      rebuild_reference, split_items, vertex_mask, vertex_set)
 from dcut import (DPSolver, Graph, INFEASIBLE, SolveOptions, bounded_multisets,
                   brute_force_min_dcut, edge_cut, is_d_cut, is_d_matching,
                   solve)
@@ -550,6 +550,36 @@ class TestSolveEndToEnd:
         res = solve(g, k, d)
         assert sorted(res.witness.side_a) == side_a
 
+    def test_rebuild_matches_recursive_reference(self):
+        rebuilt = 0
+        for g in make_corpus(40, seed=20250808):
+            for k in range(7):
+                for d in (1, 2):
+                    res = solve(g, k, d)
+                    if res.route == "dp" and res.answer:
+                        assert res.witness.side_a == rebuild_reference(res.solver)
+                        rebuilt += 1
+        assert rebuilt > 50
+
+    def test_witness_deeper_than_the_recursion_limit(self):
+        # bags {0, i, i+1} on an 1100-cycle: a path of 1098 nodes, past
+        # Python's default limit of 1000 frames
+        n = 1100
+        td = RootedDecomposition(n, tuple(frozenset({0, i, i + 1})
+                                          for i in range(1, n - 1)),
+                                 (None, *range(n - 3)))
+        res = solve(cycle_graph(n), 2, 1, SolveOptions(decomposition=td))
+        assert res.answer and res.cut_size == 2
+        assert res.witness.side_a == {0, n - 1}
+
+    def test_unrecorded_choices_keep_no_menus(self, c4_fixture):
+        solver = dp(*c4_fixture, 1, 2, record_choices=False)
+        assert [plan.menus for plan in solver.plans] == [{}, {}]
+        assert dict(solver.table.entries()) == \
+            dict(dp(*c4_fixture, 1, 2).table.entries())
+        with pytest.raises(RuntimeError, match="needs recorded choices"):
+            solver.rebuild_side()
+
     def test_witness_skippable(self):
         res = solve(cycle_graph(4), 2, 1, SolveOptions(witness=False))
         assert res.answer and res.witness is None
@@ -649,6 +679,18 @@ class TestSolveEndToEnd:
     def test_non_int_family_seed_rejected(self, value):
         self.assert_type_error("family_seed", value, family_seed=value,
                                mode="colorcode", family_kind="randomized")
+
+    @pytest.mark.parametrize("value", [1.5e6, None, "10", False])
+    def test_non_int_enumerate_budget_rejected(self, value):
+        self.assert_type_error("enumerate_budget", value, enumerate_budget=value)
+
+    @pytest.mark.parametrize("value", [2.5, None, "24", True])
+    def test_non_int_max_construct_vertices_rejected(self, value):
+        # a solve() option only: DPSolver takes a built decomposition
+        message = re.escape(f"max_construct_vertices must be an int, got {value!r}")
+        with pytest.raises(TypeError, match=message):
+            solve(gnm_random(10, 14, seed=3), 3, 1,
+                  SolveOptions(max_construct_vertices=value))
 
     def test_family_stats_only_when_a_family_was_drawn(self):
         # auto mode lists every node's sides exactly here, so no family is
