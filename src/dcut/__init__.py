@@ -9,8 +9,7 @@ brute-force oracle to check it against at desk scale.
 
 from .graph import (Bipartition, DisconnectedGraph, Graph, InvalidBipartition,
                     connected_components, edge_cut, global_min_cut,
-                    global_min_cut_at_most, is_connected, is_d_cut,
-                    is_d_matching)
+                    is_connected, is_d_cut, is_d_matching)
 from .multisets import bounded_multisets
 from .decomposition import (DecompositionError, NodeContext,
                             RootedDecomposition, VerificationReport,
@@ -18,7 +17,7 @@ from .decomposition import (DecompositionError, NodeContext,
                             verify)
 from .setfamily import (SubsetFamily, build_exhaustive, build_randomized,
                         heuristic_rounds)
-from .oracle import OracleResult, brute_force_min_dcut, oracle_decide
+from .oracle import OracleResult, brute_force_min_dcut
 from .solver import (DPSolver, INFEASIBLE, SolveOptions, SolveResult,
                      WitnessCertificationError, solve)
 from .dimacs import DimacsParseError, format_graph, parse_graph
@@ -28,14 +27,14 @@ from .generators import (generate_instance, gnm_random, grid_graph,
 __all__ = [
     "Bipartition", "DisconnectedGraph", "Graph", "InvalidBipartition",
     "connected_components", "edge_cut", "global_min_cut",
-    "global_min_cut_at_most", "is_connected", "is_d_cut", "is_d_matching",
+    "is_connected", "is_d_cut", "is_d_matching",
     "bounded_multisets",
     "DecompositionError", "NodeContext", "RootedDecomposition",
     "VerificationReport", "construct", "derive_contexts", "parse",
     "serialize", "verify",
     "SubsetFamily", "build_exhaustive", "build_randomized",
     "heuristic_rounds",
-    "OracleResult", "brute_force_min_dcut", "oracle_decide",
+    "OracleResult", "brute_force_min_dcut",
     "DPSolver", "INFEASIBLE", "SolveOptions", "SolveResult",
     "WitnessCertificationError", "solve",
     "DimacsParseError", "format_graph", "parse_graph",

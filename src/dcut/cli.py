@@ -20,7 +20,7 @@ from .dimacs import DimacsParseError, parse_graph
 from .generators import generate_instance
 from .graph import edge_cut
 from .oracle import OracleSizeLimit, brute_force_min_dcut, check_oracle_size
-from .solver import EnumerationBudgetExceeded, SolveOptions, solve
+from .solver import SolveOptions, solve
 
 
 @dataclass
@@ -30,7 +30,6 @@ class RunConfig:
     input_path: str | None = None
     gen_spec: str | None = None
     algorithm: str = "fpt"          # fpt | brute | both
-    minbeta: str | None = None      # None (auto) | enumerate | colorcode
     family_seed: int = 0
     family_rounds: int | None = None
     td_in: str | None = None
@@ -52,10 +51,9 @@ class RunConfig:
         if self.family_rounds is not None and self.family_rounds < 1:
             raise ValueError(
                 f"--family-rounds must be at least 1, got {self.family_rounds}")
-        if self.family_rounds is not None and self.minbeta != "colorcode":
-            raise ValueError("--family-rounds needs --minbeta colorcode")
-        for flag, path in (("--td-in", self.td_in), ("--td-out", self.td_out)):
-            if path is not None and self.algorithm == "brute":
+        for flag, value in (("--family-rounds", self.family_rounds),
+                            ("--td-in", self.td_in), ("--td-out", self.td_out)):
+            if value is not None and self.algorithm == "brute":
                 raise ValueError(f"{flag} needs --algorithm fpt or both")
 
 
@@ -99,7 +97,6 @@ def run(config: RunConfig):
         "instance": instance,
         "parameters": {
             "k": config.k, "d": config.d, "algorithm": config.algorithm,
-            "minbeta": config.minbeta or "auto",
             "family_seed": config.family_seed,
             "family_rounds": config.family_rounds,
             "seed": config.seed,
@@ -113,9 +110,10 @@ def run(config: RunConfig):
         if config.td_in is not None:
             with open(config.td_in) as fh:
                 td = tdio.parse(fh.read())
+        drawn = config.family_rounds is not None
         opts = SolveOptions(
-            mode=config.minbeta or "auto",
-            family_kind="randomized" if config.family_rounds else "exhaustive",
+            mode="colorcode" if drawn else "auto",
+            family_kind="randomized" if drawn else "exhaustive",
             family_seed=config.family_seed,
             family_rounds=config.family_rounds,
             witness=config.witness,
@@ -186,14 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="maximum cross neighbors per vertex")
     parser.add_argument("--algorithm", choices=("fpt", "brute", "both"),
                         default="fpt")
-    parser.add_argument("--minbeta", choices=("enumerate", "colorcode"),
-                        default=None,
-                        help="bag-split search mode (default: auto per node; "
-                             "colorcode without --family-rounds lists auto's sides)")
     parser.add_argument("--family-seed", type=int, default=0)
     parser.add_argument("--family-rounds", type=int, default=None,
-                        help="randomized covering-family rounds, with --minbeta "
-                             "colorcode (default: exhaustive, the exact side list)")
+                        help="draw every node's candidate sides from a randomized "
+                             "covering family of this many rounds (default: list "
+                             "them exactly)")
     parser.add_argument("--td-in", metavar="FILE",
                         help="use this decomposition (verified before use)")
     parser.add_argument("--td-out", metavar="FILE",
@@ -215,7 +210,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     config = RunConfig(
         k=args.k, d=args.d, input_path=args.input, gen_spec=args.gen,
-        algorithm=args.algorithm, minbeta=args.minbeta,
+        algorithm=args.algorithm,
         family_seed=args.family_seed, family_rounds=args.family_rounds,
         td_in=args.td_in, td_out=args.td_out, witness=args.witness,
         seed=args.seed, json_output=args.json, timings=args.timings)
@@ -223,7 +218,7 @@ def main(argv=None) -> int:
         doc, exit_code = run(config)
     except (ValueError, OSError, DimacsParseError, tdio.TdParseError,
             tdio.DecompositionError, tdio.SizeLimitExceeded,
-            EnumerationBudgetExceeded, OracleSizeLimit) as exc:
+            OracleSizeLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     route = doc.get("fpt", {}).get("route")

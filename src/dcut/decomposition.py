@@ -192,10 +192,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.status == "pass" for c in self.checks)
 
-    @property
-    def ok(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
-
     def failures(self) -> list:
         return [c for c in self.checks if c.status == "fail"]
 

@@ -100,9 +100,6 @@ class Bipartition:
     def is_cut(self) -> bool:
         return bool(self.side_a) and bool(self.side_b)
 
-    def flipped(self) -> "Bipartition":
-        return Bipartition(self.side_b, self.side_a)
-
 
 def _check_bipartition(graph: Graph, part: Bipartition) -> None:
     if part.side_a & part.side_b:
@@ -253,9 +250,3 @@ def global_min_cut(graph: Graph):
     residual = [_mask(w for w, c in out.items() if c > 0) for out in best_residual]
     side = lowest_component(residual, (1 << graph.n) - 1)
     return best, Bipartition.of(graph, _members(side))
-
-
-def global_min_cut_at_most(graph: Graph, k: int) -> bool:
-    """True iff some non-trivial bipartition has at most ``k`` crossing edges."""
-    size, _ = global_min_cut(graph)
-    return size is not None and size <= k

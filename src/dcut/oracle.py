@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Bipartition, Graph, _mask, connected_components, is_d_cut
+from .graph import Bipartition, Graph, _mask, is_d_cut
 
 ORACLE_LIMIT = 20  # most vertices whose bipartitions the oracle scans
 
@@ -73,15 +73,3 @@ def brute_force_min_dcut(graph: Graph, d: int, *,
     part = Bipartition.of(graph, {v for v in range(n - 1) if best_mask >> v & 1})
     assert is_d_cut(graph, part, d) and best >= 0
     return OracleResult(best, part)
-
-
-def oracle_decide(graph: Graph, k: int, d: int, *,
-                  max_vertices: int = ORACLE_LIMIT) -> bool:
-    """Yes iff the graph is disconnected (a zero-size cut exists) or some
-    qualifying cut has at most ``k`` crossing edges."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if len(connected_components(graph)) > 1:
-        return True
-    result = brute_force_min_dcut(graph, d, max_vertices=max_vertices)
-    return result.min_cut_size is not None and result.min_cut_size <= k

@@ -47,11 +47,7 @@ from .multisets import bounded_multisets
 from .setfamily import distinct_draws, heuristic_rounds
 
 INFEASIBLE = math.inf
-ENUMERATE_BUDGET = 10 ** 6  # enumerate's subset cap; auto picks colorcode above it
-
-
-class EnumerationBudgetExceeded(RuntimeError):
-    """Direct side enumeration was forced beyond its subset budget."""
+ENUMERATE_BUDGET = 10 ** 6  # auto draws a randomized family above this many bag subsets
 
 
 class WitnessCertificationError(RuntimeError):
@@ -69,7 +65,7 @@ def _check_arguments(k, d, mode, family_kind, family_seed, family_rounds, **size
         raise ValueError("k must be non-negative")
     if d < 1:
         raise ValueError("d must be at least 1")
-    if mode not in ("auto", "enumerate", "colorcode"):
+    if mode not in ("auto", "colorcode"):
         raise ValueError(f"unknown mode {mode!r}")
     if family_kind not in ("exhaustive", "randomized"):
         raise ValueError(f"unknown family kind {family_kind!r}")
@@ -328,21 +324,18 @@ class DPSolver:
         return rows
 
     def _side_candidates(self, node):
-        """Candidate sides for splitting the bag, as vertex masks, plus the
-        mode used."""
-        ctx = self.contexts[node]
-        bag_order = sorted(ctx.bag)
+        """Candidate sides for splitting the bag, as vertex masks, plus how
+        they were found: ``"colorcode"`` when drawn from the randomized
+        family, which happens in colorcode mode or, in auto mode, when the
+        bag has more than ``enumerate_budget`` subsets of at most k
+        vertices; ``"enumerate"`` when listed exactly."""
+        bag_order = sorted(self.contexts[node].bag)
         b = len(bag_order)
         subset_count = sum(math.comb(b, i) for i in range(min(self.k, b) + 1))
-        mode = self.mode
-        if mode == "auto":
-            mode = "enumerate" if subset_count <= self.enumerate_budget else "colorcode"
-        elif mode == "enumerate" and subset_count > self.enumerate_budget:
-            raise EnumerationBudgetExceeded(
-                f"{subset_count} bag subsets exceed budget {self.enumerate_budget}")
         nbrs = self._helper_masks(node)
-        if mode == "colorcode" and self.family_kind == "randomized":
-            return self._drawn_sides(node, bag_order, nbrs), mode
+        if self.family_kind == "randomized" and (
+                self.mode == "colorcode" or subset_count > self.enumerate_budget):
+            return self._drawn_sides(node, bag_order, nbrs), "colorcode"
         # A disconnected side never beats its component that meets the
         # adhesion, and that component comes first in this order.  Every
         # connected set of s + 1 vertices holds a connected set of s, so
@@ -363,7 +356,7 @@ class DPSolver:
                             grown[side | low] = near | by_bit[low]
                 level = grown
             sides += sorted(level, key=_lex_key, reverse=True)
-        return sides, mode
+        return sides, "enumerate"
 
     def _helper_masks(self, node):
         """Each bag vertex's neighbours, as a vertex mask, in the helper
@@ -478,7 +471,9 @@ class DPSolver:
 
 @dataclass
 class SolveOptions:
-    mode: str = "auto"                 # enumerate | colorcode | auto
+    # auto | colorcode.  With a randomized family, colorcode draws every
+    # node's sides, and auto only those of bags past enumerate_budget.
+    mode: str = "auto"
     family_kind: str = "exhaustive"    # exhaustive | randomized
     family_seed: int = 0
     family_rounds: int | None = None
@@ -531,58 +526,48 @@ def solve(graph: Graph, k: int, d: int, options: SolveOptions = None) -> SolveRe
                 f"supplied decomposition failed verification: {report.summary()}")
 
     comps = connected_components(graph)
+    solver = None
     if len(comps) > 1:
-        witness = None
-        cut_size = None
-        if opts.witness:
-            witness = Bipartition.of(graph, comps[0])
-            cut_size = _certify(graph, witness, d, k)
-        return SolveResult(True, witness, cut_size, "disconnected", stats)
-
-    if d >= k:
+        route, answer, side = "disconnected", True, comps[0]
+    elif d >= k:
         size, cut = global_min_cut(graph)
-        answer = size is not None and size <= k
-        witness = None
-        cut_size = None
-        if answer and opts.witness:
-            witness = cut
-            cut_size = _certify(graph, witness, d, k)
         stats["min_cut"] = size
-        return SolveResult(answer, witness, cut_size, "mincut", stats)
+        route, answer = "mincut", size is not None and size <= k
+        side = cut.side_a if answer else None
+    else:
+        if td is None:
+            td, contexts = _construct(graph, k, opts.max_construct_vertices)
+        solver = DPSolver(graph, td, d, k, contexts=contexts, mode=opts.mode,
+                          family_kind=opts.family_kind,
+                          family_seed=opts.family_seed,
+                          family_rounds=opts.family_rounds,
+                          enumerate_budget=opts.enumerate_budget,
+                          record_choices=opts.witness)
+        solver.run()
+        value = solver.root_value()
+        route, answer = "dp", value <= k
+        side = solver.rebuild_side() if answer and opts.witness else None
+        stats.update({
+            "root_value": None if value is INFEASIBLE else value,
+            "table_entries": len(solver.table),
+            "decomposition_nodes": td.node_count,
+            "max_bag": max(len(b) for b in td.bags),
+            "max_adhesion": max(len(ctx.adhesion) for ctx in solver.contexts),
+            "minbeta_modes": solver.stats["modes"],
+            "families_evaluated": solver.stats["families_evaluated"],
+            "sides_considered": solver.stats["sides_considered"],
+            "overloaded_side_prunes": solver.stats["overloaded_side_prunes"],
+        })
+        if "colorcode" in solver.stats["modes"]:  # only drawing nodes use these
+            stats["family_seed"] = opts.family_seed
+            stats["family_rounds"] = opts.family_rounds
 
-    if td is None:
-        td, contexts = _construct(graph, k, opts.max_construct_vertices)
-    solver = DPSolver(graph, td, d, k, contexts=contexts, mode=opts.mode,
-                      family_kind=opts.family_kind,
-                      family_seed=opts.family_seed,
-                      family_rounds=opts.family_rounds,
-                      enumerate_budget=opts.enumerate_budget,
-                      record_choices=opts.witness)
-    solver.run()
-    value = solver.root_value()
-    answer = value <= k
-    witness = None
-    cut_size = None
+    witness = cut_size = None
     if answer and opts.witness:
-        part = Bipartition.of(graph, solver.rebuild_side())
-        cut_size = _certify(graph, part, d, k)
-        if cut_size > value:
+        witness = Bipartition.of(graph, side)
+        cut_size = _certify(graph, witness, d, k)
+        if route == "dp" and cut_size > value:
             raise WitnessCertificationError(
                 f"witness cut {cut_size} exceeds table value {value}")
-        witness = part
-    stats.update({
-        "root_value": None if value is INFEASIBLE else value,
-        "table_entries": len(solver.table),
-        "decomposition_nodes": td.node_count,
-        "max_bag": max(len(b) for b in td.bags),
-        "max_adhesion": max(len(ctx.adhesion) for ctx in solver.contexts),
-        "minbeta_modes": solver.stats["modes"],
-        "families_evaluated": solver.stats["families_evaluated"],
-        "sides_considered": solver.stats["sides_considered"],
-        "overloaded_side_prunes": solver.stats["overloaded_side_prunes"],
-    })
-    if opts.family_kind == "randomized" and "colorcode" in solver.stats["modes"]:
-        # only colorcode nodes draw a family; other nodes list sides exactly
-        stats["family_seed"] = opts.family_seed
-        stats["family_rounds"] = opts.family_rounds
-    return SolveResult(answer, witness, cut_size, "dp", stats, td, solver)
+    return SolveResult(answer, witness, cut_size, route, stats,
+                       td if solver else None, solver)

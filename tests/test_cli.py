@@ -2,8 +2,7 @@ import json
 
 import pytest
 
-from dcut import (brute_force_min_dcut, format_graph, oracle_decide,
-                  parse_graph)
+from dcut import brute_force_min_dcut, format_graph, parse_graph
 from dcut.cli import RunConfig, main, run
 from dcut.dimacs import DimacsParseError
 from dcut.generators import (generate_instance, gnm_random, grid_graph,
@@ -112,7 +111,7 @@ class TestRun:
         assert wit["cut_size"] == 2
         assert sorted(wit["side_a"] + wit["side_b"]) == [1, 2, 3, 4]
         g = parse_graph(C4_TEXT)
-        assert oracle_decide(g, wit["cut_size"], 1)
+        assert brute_force_min_dcut(g, 1).min_cut_size <= wit["cut_size"]
 
     def test_generated_instance(self):
         doc, code = run(RunConfig(k=1, d=1, gen_spec="two-cliques-bridged:q=4",
@@ -151,27 +150,28 @@ class TestRun:
 
     @pytest.mark.parametrize("rounds", [0, -2])
     def test_family_rounds_below_one_rejected(self, rounds):
-        for minbeta in (None, "colorcode"):
-            with pytest.raises(ValueError, match="--family-rounds must be at least 1"):
-                run(RunConfig(k=2, d=1, gen_spec="grid:rows=2,cols=3",
-                              minbeta=minbeta, family_rounds=rounds))
+        with pytest.raises(ValueError, match="--family-rounds must be at least 1"):
+            run(RunConfig(k=2, d=1, gen_spec="grid:rows=2,cols=3",
+                          family_rounds=rounds))
         assert main(["--gen", "grid:rows=2,cols=3", "--k", "2", "--d", "1",
                      "--family-rounds", str(rounds)]) == 1
 
-    def test_family_rounds_need_colorcode(self, capsys):
-        # without --minbeta colorcode no family is drawn
-        for minbeta in (None, "enumerate"):
-            with pytest.raises(ValueError,
-                               match="--family-rounds needs --minbeta colorcode"):
-                run(RunConfig(k=3, d=1, gen_spec="gnm:n=10,m=15", seed=3,
-                              minbeta=minbeta, family_rounds=5))
+    def test_family_rounds_alone_draws(self, capsys):
         assert main(["--gen", "gnm:n=10,m=15", "--seed", "3", "--k", "3",
-                     "--d", "1", "--family-rounds", "5", "--json"]) == 1
-        assert "--minbeta colorcode" in capsys.readouterr().err
-        doc, code = run(RunConfig(k=3, d=1, gen_spec="gnm:n=10,m=15", seed=3,
-                                  minbeta="colorcode", family_rounds=5))
-        assert code == 0
-        assert doc["fpt"]["stats"]["minbeta_modes"] == {"colorcode": 4}
+                     "--d", "1", "--family-rounds", "5", "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)["fpt"]["stats"]
+        assert stats["minbeta_modes"] == {"colorcode": 4}
+        assert stats["family_rounds"] == 5
+
+    def test_family_rounds_need_fpt(self, capsys):
+        # the oracle draws no family, so the rounds would be ignored
+        with pytest.raises(ValueError,
+                           match="--family-rounds needs --algorithm fpt or both"):
+            run(RunConfig(k=2, d=1, gen_spec="grid:rows=2,cols=3",
+                          algorithm="brute", family_rounds=5))
+        assert main(["--gen", "grid:rows=2,cols=3", "--k", "2", "--d", "1",
+                     "--algorithm", "brute", "--family-rounds", "5"]) == 1
+        assert "--family-rounds needs" in capsys.readouterr().err
 
     def test_brute_force_respects_oracle_threshold(self):
         with pytest.raises(OracleSizeLimit, match="oracle limited to 20 vertices"):
@@ -287,9 +287,9 @@ class TestMain:
         assert doc["instance"]["seed"] == 5
 
     def test_minbeta_flag(self, capsys):
-        code = main(["--gen", "grid:rows=2,cols=3", "--k", "2", "--d", "1",
-                     "--minbeta", "colorcode", "--json"])
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["fpt"]["stats"]["minbeta_modes"] == \
-            {"colorcode": doc["fpt"]["stats"]["decomposition_nodes"]}
+        # gone: --family-rounds alone selects the randomized side search
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--gen", "grid:rows=2,cols=3", "--k", "2", "--d", "1",
+                  "--minbeta", "colorcode", "--json"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --minbeta" in capsys.readouterr().err

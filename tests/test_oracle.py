@@ -6,7 +6,7 @@ import pytest
 from conftest import (complete_graph, cycle_graph, gray_reference_min_dcut,
                       make_corpus, path_graph)
 from dcut import (Bipartition, Graph, brute_force_min_dcut, edge_cut,
-                  connected_components, is_d_cut, oracle_decide)
+                  connected_components, is_d_cut)
 from dcut.generators import gnm_random
 from dcut.oracle import OracleSizeLimit
 
@@ -101,21 +101,26 @@ class TestAgainstGrayReference:
         self.assert_matches(graphs, (1, 2))
 
 
+def oracle_min(graph, d):
+    return brute_force_min_dcut(graph, d).min_cut_size
+
+
 class TestOracleDecide:
     def test_disconnected_is_yes_even_at_k0(self):
-        assert oracle_decide(Graph(4, [(0, 1), (2, 3)]), 0, 1)
+        assert oracle_min(Graph(4, [(0, 1), (2, 3)]), 1) == 0
 
     def test_c4_k1_no(self):
-        assert not oracle_decide(cycle_graph(4), 1, 1)
+        assert oracle_min(cycle_graph(4), 1) == 2
 
     def test_k4_d2_k4_yes(self):
-        assert oracle_decide(complete_graph(4), 4, 2)
+        assert oracle_min(complete_graph(4), 2) == 4
 
     def test_monotone_in_k_and_d(self):
         for g in make_corpus(10, seed=555, n_lo=4, n_hi=9):
             prev_d = None
             for d in (1, 2, 3):
-                answers = [oracle_decide(g, k, d) for k in range(7)]
+                best = oracle_min(g, d)
+                answers = [best is not None and best <= k for k in range(7)]
                 for earlier, later in zip(answers, answers[1:]):
                     assert later or not earlier  # yes stays yes as k grows
                 if prev_d is not None:

@@ -14,8 +14,7 @@ from dcut import solver as solver_module
 from dcut.decomposition import (DecompositionError, RootedDecomposition,
                                 construct, derive_contexts)
 from dcut.generators import gnm_random, two_cliques_bridged
-from dcut.solver import (EnumerationBudgetExceeded, CostTable,
-                         budget_families, cheapest)
+from dcut.solver import CostTable, budget_families, cheapest
 
 
 def dp(graph, td, d, k, **kw):
@@ -713,8 +712,9 @@ class TestSolveEndToEnd:
                   (cycle_graph(4), 2, 1, "dp")]
         for graph, k, d, route in routes:
             assert solve(graph, k, d).route == route
-            with pytest.raises(ValueError, match="unknown mode 'magic'"):
-                solve(graph, k, d, SolveOptions(mode="magic"))
+            for mode in ("magic", "enumerate"):
+                with pytest.raises(ValueError, match=f"unknown mode '{mode}'"):
+                    solve(graph, k, d, SolveOptions(mode=mode))
             with pytest.raises(ValueError, match="unknown family kind 'psychic'"):
                 solve(graph, k, d, SolveOptions(family_kind="psychic"))
 
@@ -759,7 +759,7 @@ class TestModes:
             for d, k in [(1, 2), (1, 3), (2, 3)]:
                 td = construct(g, k)
                 reference = dict(AllSubsetsSolver(g, td, d, k).run().table.entries())
-                one = dp(g, td, d, k, mode="enumerate")
+                one = dp(g, td, d, k)
                 two = dp(g, td, d, k, mode="colorcode",
                          family_kind="exhaustive")
                 assert dict(one.table.entries()) == reference
@@ -785,11 +785,12 @@ class TestModes:
                                      {0, 1}, {0, 3}, {1, 2}, {2, 3})]
 
     def test_exhaustive_colorcode_answers_above_family_limit(self):
-        # a 22-vertex bag, beyond the 20-vertex exhaustive covering family
+        # a 22-vertex bag, beyond the 20-vertex exhaustive covering family;
+        # with no randomized family to draw from, it lists its sides exactly
         res = solve(complete_graph(22), 3, 1, SolveOptions(mode="colorcode"))
         assert not res.answer
         assert res.stats["max_bag"] == 22
-        assert res.stats["minbeta_modes"] == {"colorcode": 1}
+        assert res.stats["minbeta_modes"] == {"enumerate": 1}
 
     def test_starved_family_errs_toward_no(self):
         # one random subset plus the empty set misses most good sets: every
@@ -797,7 +798,7 @@ class TestModes:
         for g in make_corpus(8, seed=2024, n_lo=5, n_hi=9):
             for d, k in [(1, 2), (1, 4)]:
                 td = construct(g, k)
-                full = dp(g, td, d, k, mode="enumerate")
+                full = dp(g, td, d, k)
                 starved = dp(g, td, d, k, mode="colorcode",
                              family_kind="randomized", family_seed=1,
                              family_rounds=1, record_choices=False)
@@ -842,11 +843,16 @@ class TestModes:
             res = solve(g, 2, 1, SolveOptions(decomposition=td, **options))
             assert res.answer and res.cut_size == 2
 
-    def test_enumerate_budget_guard(self):
+    def test_auto_past_enumerate_budget(self):
+        # a node draws only from a randomized family; without one it lists
+        # its sides exactly, whatever its subset count
         g = complete_graph(5)
         td = construct(g, 2)
-        with pytest.raises(EnumerationBudgetExceeded):
-            dp(g, td, 1, 2, mode="enumerate", enumerate_budget=3)
+        listed = dp(g, td, 1, 2, enumerate_budget=3)
+        assert listed.stats["modes"] == {"enumerate": 1}
+        assert dict(listed.table.entries()) == dict(dp(g, td, 1, 2).table.entries())
+        drawn = dp(g, td, 1, 2, enumerate_budget=3, family_kind="randomized")
+        assert drawn.stats["modes"] == {"colorcode": 1}
 
     def test_auto_uses_enumerate_at_desk_scale(self):
         res = solve(cycle_graph(6), 2, 1)
