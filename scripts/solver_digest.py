@@ -56,10 +56,9 @@ import sys
 
 from dcut import (Graph, SolveOptions, brute_force_min_dcut, construct,
                   derive_contexts, serialize, solve, verify)
-from dcut.decomposition import (DecompositionError, RootedDecomposition,
-                                SizeLimitExceeded)
+from dcut.decomposition import DecompositionError, RootedDecomposition
 from dcut.generators import gnm_random, grid_graph, two_cliques_bridged
-from dcut.graph import DisconnectedGraph
+from dcut.graph import DisconnectedGraph, SizeLimitExceeded
 from dcut.solver import INFEASIBLE, cheapest
 
 SLICES = ("corpus", "colorcode", "large-n", "construct", "oracle", "verify")

@@ -8,36 +8,34 @@ brute-force oracle to check it against at desk scale.
 """
 
 from .graph import (Bipartition, DisconnectedGraph, Graph, InvalidBipartition,
-                    connected_components, edge_cut, global_min_cut,
-                    is_connected, is_d_cut, is_d_matching)
+                    SizeLimitExceeded, connected_components, edge_cut,
+                    global_min_cut, is_connected, is_d_cut)
 from .multisets import bounded_multisets
 from .decomposition import (DecompositionError, NodeContext,
                             RootedDecomposition, VerificationReport,
-                            construct, derive_contexts, parse, serialize,
-                            verify)
+                            construct, derive_contexts, verify)
 from .setfamily import (SubsetFamily, build_exhaustive, build_randomized,
                         heuristic_rounds)
 from .oracle import OracleResult, brute_force_min_dcut
 from .solver import (DPSolver, INFEASIBLE, SolveOptions, SolveResult,
                      WitnessCertificationError, solve)
-from .dimacs import DimacsParseError, format_graph, parse_graph
+from .textio import ParseError, format_graph, parse, parse_graph, serialize
 from .generators import (generate_instance, gnm_random, grid_graph,
                          two_cliques_bridged)
 
 __all__ = [
     "Bipartition", "DisconnectedGraph", "Graph", "InvalidBipartition",
-    "connected_components", "edge_cut", "global_min_cut",
-    "is_connected", "is_d_cut", "is_d_matching",
+    "SizeLimitExceeded", "connected_components", "edge_cut", "global_min_cut",
+    "is_connected", "is_d_cut",
     "bounded_multisets",
     "DecompositionError", "NodeContext", "RootedDecomposition",
-    "VerificationReport", "construct", "derive_contexts", "parse",
-    "serialize", "verify",
+    "VerificationReport", "construct", "derive_contexts", "verify",
     "SubsetFamily", "build_exhaustive", "build_randomized",
     "heuristic_rounds",
     "OracleResult", "brute_force_min_dcut",
     "DPSolver", "INFEASIBLE", "SolveOptions", "SolveResult",
     "WitnessCertificationError", "solve",
-    "DimacsParseError", "format_graph", "parse_graph",
+    "ParseError", "format_graph", "parse", "parse_graph", "serialize",
     "generate_instance", "gnm_random", "grid_graph", "two_cliques_bridged",
 ]
 

@@ -15,11 +15,11 @@ import sys
 import time
 from dataclasses import dataclass
 
-from . import decomposition as tdio
-from .dimacs import DimacsParseError, parse_graph
+from . import textio
+from .decomposition import DecompositionError
 from .generators import generate_instance
-from .graph import edge_cut
-from .oracle import OracleSizeLimit, brute_force_min_dcut, check_oracle_size
+from .graph import SizeLimitExceeded, edge_cut
+from .oracle import brute_force_min_dcut, check_oracle_size
 from .solver import SolveOptions, solve
 
 
@@ -51,6 +51,8 @@ class RunConfig:
         if self.family_rounds is not None and self.family_rounds < 1:
             raise ValueError(
                 f"--family-rounds must be at least 1, got {self.family_rounds}")
+        if self.family_seed != 0 and self.family_rounds is None:
+            raise ValueError("--family-seed needs --family-rounds")
         for flag, value in (("--family-rounds", self.family_rounds),
                             ("--td-in", self.td_in), ("--td-out", self.td_out)):
             if value is not None and self.algorithm == "brute":
@@ -72,7 +74,7 @@ def _parse_gen_spec(spec: str):
 def _load_graph(config: RunConfig):
     if config.input_path is not None:
         with open(config.input_path) as fh:
-            return parse_graph(fh.read()), {"source": config.input_path}
+            return textio.parse_graph(fh.read()), {"source": config.input_path}
     model, params = _parse_gen_spec(config.gen_spec)
     graph = generate_instance(model, params, config.seed)
     return graph, {"source": config.gen_spec, "seed": config.seed}
@@ -109,7 +111,7 @@ def run(config: RunConfig):
         td = None
         if config.td_in is not None:
             with open(config.td_in) as fh:
-                td = tdio.parse(fh.read())
+                td = textio.parse(fh.read())
         drawn = config.family_rounds is not None
         opts = SolveOptions(
             mode="colorcode" if drawn else "auto",
@@ -140,7 +142,7 @@ def run(config: RunConfig):
             doc["witness"] = None
         if config.td_out is not None and result.decomposition is not None:
             with open(config.td_out, "w") as fh:
-                fh.write(tdio.serialize(result.decomposition))
+                fh.write(textio.serialize(result.decomposition))
 
     brute_answer = None
     if config.algorithm in ("brute", "both"):
@@ -173,8 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dcut",
         description="Decide whether a graph has a d-cut with at most k "
                     "crossing edges (matching cut for d=1).")
-    parser.add_argument("input", nargs="?", help="DIMACS edge-format graph file")
-    parser.add_argument("--gen", metavar="SPEC",
+    parser.add_argument("input_path", metavar="input", nargs="?",
+                        help="DIMACS edge-format graph file")
+    parser.add_argument("--gen", dest="gen_spec", metavar="SPEC",
                         help="generate an instance instead of reading a file, "
                              "e.g. gnm:n=10,m=15 | grid:rows=2,cols=3 | "
                              "two-cliques-bridged:q=4")
@@ -198,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="reconstruct and certify a cut witness")
     parser.add_argument("--seed", type=int, default=0,
                         help="instance generator seed")
-    parser.add_argument("--json", action="store_true",
+    parser.add_argument("--json", dest="json_output", action="store_true",
                         help="print the full JSON document")
     parser.add_argument("--timings", action="store_true",
                         help="include wall-clock timings in the document")
@@ -206,19 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(
-        k=args.k, d=args.d, input_path=args.input, gen_spec=args.gen,
-        algorithm=args.algorithm,
-        family_seed=args.family_seed, family_rounds=args.family_rounds,
-        td_in=args.td_in, td_out=args.td_out, witness=args.witness,
-        seed=args.seed, json_output=args.json, timings=args.timings)
+    config = RunConfig(**vars(build_parser().parse_args(argv)))
     try:
         doc, exit_code = run(config)
-    except (ValueError, OSError, DimacsParseError, tdio.TdParseError,
-            tdio.DecompositionError, tdio.SizeLimitExceeded,
-            OracleSizeLimit) as exc:
+    except (ValueError, OSError, DecompositionError, SizeLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     route = doc.get("fpt", {}).get("route")

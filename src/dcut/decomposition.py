@@ -23,16 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import (DisconnectedGraph, Graph, _mask, _members, is_connected,
-                    lowest_component, mask_components)
+from .graph import (DisconnectedGraph, Graph, SizeLimitExceeded, _mask,
+                    _members, is_connected, lowest_component, mask_components)
 
 CONSTRUCT_LIMIT = 24  # most vertices construct and verify list small cuts for
 _FALLBACK_LIMIT = 16  # pieces this small also try every bag above the adhesion
 _WITNESS_CAP = 24     # most witness cuts a piece derives candidate bags from
-
-
-class SizeLimitExceeded(RuntimeError):
-    """A check or construction was requested beyond its size limit."""
 
 
 class DecompositionError(RuntimeError):
@@ -46,14 +42,6 @@ class AxiomViolation(ValueError):
         super().__init__(f"{kind}: {payload}")
         self.kind = kind
         self.payload = payload
-
-
-class TdParseError(ValueError):
-    """Malformed decomposition file; carries the offending line number."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 @dataclass(frozen=True)
@@ -496,93 +484,3 @@ def _construct(graph, k, max_vertices):
         raise DecompositionError(
             f"constructed decomposition failed verification: {report.summary()}")
     return td, contexts
-
-
-def serialize(td: RootedDecomposition) -> str:
-    """Canonical text form: header, bag lines, parent lines; 1-based ids."""
-    max_bag = max(len(b) for b in td.bags)
-    lines = [f"s td {td.node_count} {max_bag} {td.n_vertices}"]
-    for i, bag in enumerate(td.bags):
-        verts = " ".join(str(v + 1) for v in sorted(bag))
-        lines.append(f"b {i + 1} {verts}".rstrip())
-    for i, p in enumerate(td.parent):
-        if p is not None:
-            lines.append(f"p {i + 1} {p + 1}")
-    return "\n".join(lines) + "\n"
-
-
-def parse(text: str) -> RootedDecomposition:
-    """Parse the text form; rejects malformed input with line numbers."""
-    header = None
-    bags = {}
-    parents = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "s":
-            if header is not None:
-                raise TdParseError(lineno, "duplicate header line")
-            if len(parts) != 5 or parts[1] != "td":
-                raise TdParseError(lineno, "header must be 's td <nodes> <maxbag> <n>'")
-            header_line = lineno
-            try:
-                header = tuple(int(x) for x in parts[2:])
-            except ValueError:
-                raise TdParseError(lineno, "non-integer header field") from None
-        elif parts[0] == "b":
-            if header is None:
-                raise TdParseError(lineno, "bag line before header")
-            try:
-                fields = [int(x) for x in parts[1:]]
-            except ValueError:
-                raise TdParseError(lineno, "non-integer bag field") from None
-            if not fields:
-                raise TdParseError(lineno, "bag line missing node id")
-            node, verts = fields[0], fields[1:]
-            if not (1 <= node <= header[0]):
-                raise TdParseError(lineno, f"bag id {node} out of range")
-            if node in bags:
-                raise TdParseError(lineno, f"duplicate bag {node}")
-            for v in verts:
-                if not (1 <= v <= header[2]):
-                    raise TdParseError(lineno, f"bag references unknown vertex {v}")
-            if len(set(verts)) != len(verts):
-                raise TdParseError(lineno, "repeated vertex in bag")
-            bags[node] = frozenset(v - 1 for v in verts)
-        elif parts[0] == "p":
-            if header is None:
-                raise TdParseError(lineno, "parent line before header")
-            if len(parts) != 3:
-                raise TdParseError(lineno, "parent line must be 'p <child> <parent>'")
-            try:
-                child, parent = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise TdParseError(lineno, "non-integer parent field") from None
-            if not (1 <= child <= header[0] and 1 <= parent <= header[0]):
-                raise TdParseError(lineno, "parent line id out of range")
-            if child in parents:
-                raise TdParseError(lineno, f"duplicate parent line for {child}")
-            if child == parent:
-                raise TdParseError(lineno, "node cannot be its own parent")
-            parents[child] = parent
-        else:
-            raise TdParseError(lineno, f"unrecognized line type {parts[0]!r}")
-    if header is None:
-        raise TdParseError(0, "missing header line")
-    n_nodes, max_bag, n_vertices = header
-    missing = [i for i in range(1, n_nodes + 1) if i not in bags]
-    if missing:
-        raise TdParseError(0, f"missing bag line for node {missing[0]}")
-    largest = max((len(bag) for bag in bags.values()), default=0)
-    if max_bag != largest:
-        raise TdParseError(header_line,
-                           f"header max bag {max_bag} but the largest bag has {largest}")
-    parent_tuple = tuple(parents[i + 1] - 1 if i + 1 in parents else None
-                         for i in range(n_nodes))
-    try:
-        return RootedDecomposition(
-            n_vertices, tuple(bags[i + 1] for i in range(n_nodes)), parent_tuple)
-    except ValueError as exc:
-        raise TdParseError(0, str(exc)) from None

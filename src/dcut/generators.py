@@ -7,6 +7,8 @@ from itertools import combinations
 
 from .graph import Graph, is_connected
 
+MAX_TRIES = 10000  # samples gnm_random draws before giving up on connectivity
+
 
 def two_cliques_bridged(q: int) -> Graph:
     """Two q-cliques joined by a single bridge; its minimum matching cut is
@@ -34,8 +36,7 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return Graph(rows * cols, edges)
 
 
-def gnm_random(n: int, m: int, seed: int = 0, *, connected: bool = True,
-               max_tries: int = 10000) -> Graph:
+def gnm_random(n: int, m: int, seed: int = 0, *, connected: bool = True) -> Graph:
     """Uniform m-edge graph on n vertices from a seeded generator; resamples
     until connected unless told otherwise."""
     if n < 1:
@@ -46,11 +47,12 @@ def gnm_random(n: int, m: int, seed: int = 0, *, connected: bool = True,
     if connected and m < n - 1:
         raise ValueError(f"m={m} cannot connect {n} vertices")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         graph = Graph(n, rng.sample(pairs, m))
         if not connected or is_connected(graph):
             return graph
-    raise RuntimeError(f"no connected sample within {max_tries} tries")
+    raise ValueError(
+        f"no connected sample with n={n}, m={m} within {MAX_TRIES} tries")
 
 
 # Each model's required and optional parameters.

@@ -21,8 +21,8 @@ class DisconnectedGraph(ValueError):
     """Raised by operations that require a connected input."""
 
 
-class UnknownEdge(ValueError):
-    """An edge set refers to an edge not present in the graph."""
+class SizeLimitExceeded(RuntimeError):
+    """An exhaustive search was requested past its vertex or universe limit."""
 
 
 class Graph:
@@ -33,7 +33,7 @@ class Graph:
     data problems.
     """
 
-    __slots__ = ("n", "edges", "adj", "adj_masks", "_edge_set", "_hash")
+    __slots__ = ("n", "edges", "adj", "adj_masks", "_hash")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -58,7 +58,6 @@ class Graph:
         self.edges = tuple(sorted(seen))
         self.adj = tuple(frozenset(s) for s in adj)
         self.adj_masks = tuple(masks)
-        self._edge_set = seen
         self._hash = hash((n, self.edges))
 
     @property
@@ -163,18 +162,6 @@ def edge_cut(graph: Graph, part: Bipartition) -> list:
     _check_bipartition(graph, part)
     a = part.side_a
     return [e for e in graph.edges if (e[0] in a) != (e[1] in a)]
-
-
-def is_d_matching(graph: Graph, edges, d: int) -> bool:
-    """True iff every vertex is incident to at most ``d`` of the given edges."""
-    count = {}
-    for u, v in edges:
-        key = (u, v) if u < v else (v, u)
-        if key not in graph._edge_set:
-            raise UnknownEdge(f"edge {key} not in graph")
-        count[u] = count.get(u, 0) + 1
-        count[v] = count.get(v, 0) + 1
-    return all(c <= d for c in count.values())
 
 
 def is_d_cut(graph: Graph, part: Bipartition, d: int) -> bool:

@@ -12,19 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Bipartition, Graph, _mask, is_d_cut
+from .graph import Bipartition, Graph, SizeLimitExceeded, _mask, is_d_cut
 
 ORACLE_LIMIT = 20  # most vertices whose bipartitions the oracle scans
 
 
-class OracleSizeLimit(RuntimeError):
-    """Exhaustive scan requested beyond the size threshold."""
-
-
 def check_oracle_size(n: int, max_vertices: int = ORACLE_LIMIT) -> None:
-    """Raise OracleSizeLimit when n vertices are past the scan's limit."""
+    """Raise SizeLimitExceeded when n vertices are past the scan's limit."""
     if n > max_vertices:
-        raise OracleSizeLimit(
+        raise SizeLimitExceeded(
             f"oracle limited to {max_vertices} vertices, got n={n}")
 
 

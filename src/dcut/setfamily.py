@@ -19,11 +19,11 @@ import sys
 from dataclasses import dataclass
 from itertools import combinations, compress
 
+from .graph import SizeLimitExceeded
+
 EXHAUSTIVE_FAMILY_LIMIT = 20  # largest universe the exhaustive family lists
-
-
-class FamilySizeLimit(RuntimeError):
-    """Exhaustive construction or verification beyond its budget."""
+_ROUNDS_SCALE = 4.0  # heuristic_rounds per 4^min(a, b) per log of the universe
+_ROUNDS_CAP = 8      # largest min(a, b) heuristic_rounds grows with
 
 
 @dataclass(frozen=True)
@@ -36,12 +36,12 @@ class SubsetFamily:
         return len(self.members)
 
 
-def build_exhaustive(universe, *,
-                     limit: int = EXHAUSTIVE_FAMILY_LIMIT) -> SubsetFamily:
+def build_exhaustive(universe) -> SubsetFamily:
     """All subsets of the universe, in deterministic order."""
     order = tuple(sorted(universe))
-    if len(order) > limit:
-        raise FamilySizeLimit(f"universe of size {len(order)} exceeds {limit}")
+    if len(order) > EXHAUSTIVE_FAMILY_LIMIT:
+        raise SizeLimitExceeded(
+            f"universe of size {len(order)} exceeds {EXHAUSTIVE_FAMILY_LIMIT}")
     members = []
     for size in range(len(order) + 1):
         for combo in combinations(order, size):
@@ -113,10 +113,10 @@ def build_randomized(universe, a: int, b: int, seed: int, rounds: int) -> Subset
                         f"randomized(a={a},b={b},seed={seed},rounds={rounds})")
 
 
-def heuristic_rounds(universe_size: int, a: int, b: int, *,
-                     scale: float = 4.0, cap: int = 8) -> int:
+def heuristic_rounds(universe_size: int, a: int, b: int) -> int:
     """Round count for solver-scale randomized families where exhaustive
     verification is off the table; grows with 4^min(a, b) (capped) and
     logarithmically with the universe."""
-    effective = min(a, b, cap)
-    return max(1, math.ceil(scale * (4 ** effective) * math.log(max(universe_size, 2))))
+    effective = min(a, b, _ROUNDS_CAP)
+    return max(1, math.ceil(
+        _ROUNDS_SCALE * (4 ** effective) * math.log(max(universe_size, 2))))

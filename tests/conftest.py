@@ -6,9 +6,8 @@ from dcut import (DPSolver, Graph, SubsetFamily, build_randomized,
                   heuristic_rounds)
 from dcut.generators import gnm_random
 from dcut.decomposition import NodeContext
-from dcut.graph import Bipartition, is_d_cut
+from dcut.graph import Bipartition, SizeLimitExceeded, is_d_cut
 from dcut.oracle import OracleResult
-from dcut.setfamily import FamilySizeLimit
 from dcut.solver import cheapest
 
 
@@ -113,6 +112,22 @@ def gray_reference_min_dcut(graph, d):
     part = Bipartition.of(graph, {v for v in range(n - 1) if best_mask >> v & 1})
     assert is_d_cut(graph, part, d) and best >= 0
     return OracleResult(best, part)
+
+
+class UnknownEdge(ValueError):
+    """An edge set refers to an edge not present in the graph."""
+
+
+def is_d_matching(graph, edges, d: int) -> bool:
+    """True iff every vertex is incident to at most ``d`` of the given edges
+    of the graph: the reference that a d-cut's crossing edges satisfy."""
+    count = {}
+    for u, v in edges:
+        if v not in graph.adj[u]:
+            raise UnknownEdge(f"edge {(u, v)} not in graph")
+        count[u] = count.get(u, 0) + 1
+        count[v] = count.get(v, 0) + 1
+    return all(c <= d for c in count.values())
 
 
 def components(adj, vertices) -> list:
@@ -364,7 +379,7 @@ def verify_covering(family: SubsetFamily, a: int, b: int, *,
     count_a = sum(math.comb(n, i) for i in range(min(a, n) + 1))
     count_b = sum(math.comb(n, i) for i in range(min(b, n) + 1))
     if count_a * count_b > pair_budget:
-        raise FamilySizeLimit(
+        raise SizeLimitExceeded(
             f"{count_a * count_b} candidate pairs exceed budget {pair_budget}")
     index = {u: i for i, u in enumerate(order)}
     member_masks = [sum(1 << index[u] for u in s) for s in family.members]

@@ -2,14 +2,60 @@ import json
 
 import pytest
 
-from dcut import brute_force_min_dcut, format_graph, parse_graph
+from dcut import (brute_force_min_dcut, build_exhaustive, construct,
+                  format_graph, parse, parse_graph)
 from dcut.cli import RunConfig, main, run
-from dcut.dimacs import DimacsParseError
 from dcut.generators import (generate_instance, gnm_random, grid_graph,
                              two_cliques_bridged)
-from dcut.oracle import OracleSizeLimit
+from dcut.graph import SizeLimitExceeded
+from dcut.textio import ParseError
 
 C4_TEXT = "p edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n"
+
+# One malformed input per raise site of each parser: (text, line, message).
+DIMACS_DIAGNOSTICS = [
+    ("p edge 2 1\np edge 2 1\ne 1 2\n", 2, "duplicate problem line"),
+    ("p edge 2\n", 1, "problem line must be 'p edge <n> <m>'"),
+    ("c header next\np edge two 1\n", 2, "non-integer problem field"),
+    ("p edge 2 -1\n", 1, "negative counts in problem line"),
+    ("c x\ne 1 2\n", 2, "edge line before problem line"),
+    ("p edge 2 1\ne 1\n", 2, "edge line must be 'e <u> <v>'"),
+    ("p edge 2 1\ne 1 b\n", 2, "non-integer edge endpoint"),
+    ("p edge 2 1\n\ne 1 3\n", 3, "endpoint out of range 1..2"),
+    ("p edge 2 1\ne 1 1\n", 2, "self-loop at vertex 1"),
+    ("p edge 2 2\ne 1 2\ne 2 1\n", 3, "repeated edge 2 1"),
+    ("p edge 2 1\nx 1 2\n", 2, "unrecognized line type 'x'"),
+    ("c only\n\n", 0, "missing problem line"),
+    ("p edge 2 2\ne 1 2\n", 0, "problem line declares 2 edges, found 1"),
+]
+TD_DIAGNOSTICS = [
+    ("s td 1 2 2\ns td 1 2 2\n", 2, "duplicate header line"),
+    ("s td 1 2\n", 1, "header must be 's td <nodes> <maxbag> <n>'"),
+    ("s td 1 x 2\n", 1, "non-integer header field"),
+    ("c x\nb 1 1 2\n", 2, "bag line before header"),
+    ("s td 1 2 2\nb 1 1 y\n", 2, "non-integer bag field"),
+    ("s td 1 2 2\nb\n", 2, "bag line missing node id"),
+    ("s td 1 2 2\nb 2 1 2\n", 2, "bag id 2 out of range"),
+    ("s td 2 2 3\nb 1 1 2\nb 1 2 3\np 2 1\n", 3, "duplicate bag 1"),
+    ("s td 1 3 3\n\nb 1 1 2 4\n", 3, "bag references unknown vertex 4"),
+    ("s td 1 2 2\nb 1 1 1\n", 2, "repeated vertex in bag"),
+    ("p 2 1\n", 1, "parent line before header"),
+    ("s td 2 1 2\nb 1 1\nb 2 2\np 2\n", 4,
+     "parent line must be 'p <child> <parent>'"),
+    ("s td 2 1 2\nb 1 1\nb 2 2\np 2 z\n", 4, "non-integer parent field"),
+    ("s td 2 1 2\np 3 1\n", 2, "parent line id out of range"),
+    ("s td 2 1 2\np 2 1\np 2 1\n", 3, "duplicate parent line for 2"),
+    ("s td 2 1 2\np 2 2\n", 2, "node cannot be its own parent"),
+    ("s td 1 1 1\nq 1\n", 2, "unrecognized line type 'q'"),
+    ("c nothing\n", 0, "missing header line"),
+    ("s td 2 1 2\nb 1 1\n", 0, "missing bag line for node 2"),
+    ("c comment\ns td 1 99 3\nb 1 1 2 3\n", 2,
+     "header max bag 99 but the largest bag has 3"),
+    ("s td 2 2 3\nb 1 1 2\nb 2 2 3\n", 0, "expected exactly one root, found 2"),
+    ("s td 3 1 3\nb 1 1\nb 2 2\nb 3 3\np 2 3\np 3 2\n", 0,
+     "parent links contain a cycle"),
+    ("s td 0 0 0\n", 0, "bags and parent links must align and be non-empty"),
+]
 
 
 class TestDimacs:
@@ -22,24 +68,24 @@ class TestDimacs:
         assert g.m == 1
 
     def test_duplicate_edge_rejected(self):
-        with pytest.raises(DimacsParseError) as err:
+        with pytest.raises(ParseError) as err:
             parse_graph("p edge 2 2\ne 1 2\ne 2 1\n")
         assert err.value.line == 3
 
     def test_self_loop_rejected(self):
-        with pytest.raises(DimacsParseError, match="self-loop"):
+        with pytest.raises(ParseError, match="self-loop"):
             parse_graph("p edge 2 1\ne 1 1\n")
 
     def test_count_mismatch_rejected(self):
-        with pytest.raises(DimacsParseError, match="declares"):
+        with pytest.raises(ParseError, match="declares"):
             parse_graph("p edge 2 2\ne 1 2\n")
 
     def test_missing_header_rejected(self):
-        with pytest.raises(DimacsParseError, match="problem line"):
+        with pytest.raises(ParseError, match="problem line"):
             parse_graph("e 1 2\n")
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(DimacsParseError, match="range"):
+        with pytest.raises(ParseError, match="range"):
             parse_graph("p edge 2 1\ne 1 3\n")
 
     def test_format_round_trip(self):
@@ -77,6 +123,11 @@ class TestGenerators:
     def test_missing_or_unknown_parameter_named(self, model, params, message):
         with pytest.raises(ValueError, match=message):
             generate_instance(model, params, 0)
+
+    def test_gnm_unconnectable_sample_named(self):
+        with pytest.raises(ValueError, match=(
+                "^no connected sample with n=40, m=39 within 10000 tries$")):
+            gnm_random(40, 39, seed=0)
 
     def test_connected_stays_optional_for_gnm(self):
         g = generate_instance("gnm", {"n": "6", "m": "3", "connected": "0"}, 1)
@@ -173,8 +224,15 @@ class TestRun:
                      "--algorithm", "brute", "--family-rounds", "5"]) == 1
         assert "--family-rounds needs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algorithm", ["fpt", "brute"])
+    def test_family_seed_needs_family_rounds(self, algorithm):
+        # without a drawn family the seed would be reported but never read
+        with pytest.raises(ValueError, match="--family-seed needs --family-rounds"):
+            run(RunConfig(k=3, d=1, gen_spec="gnm:n=10,m=15", seed=3,
+                          algorithm=algorithm, family_seed=9))
+
     def test_brute_force_respects_oracle_threshold(self):
-        with pytest.raises(OracleSizeLimit, match="oracle limited to 20 vertices"):
+        with pytest.raises(SizeLimitExceeded, match="oracle limited to 20 vertices"):
             run(RunConfig(k=2, d=1, gen_spec="grid:rows=5,cols=5",
                           algorithm="brute"))
 
@@ -293,3 +351,59 @@ class TestMain:
                   "--minbeta", "colorcode", "--json"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --minbeta" in capsys.readouterr().err
+
+
+class TestDiagnostics:
+    @pytest.mark.parametrize("text,line,message", DIMACS_DIAGNOSTICS)
+    def test_dimacs(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_graph(text)
+        assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+    @pytest.mark.parametrize("text,line,message", TD_DIAGNOSTICS)
+    def test_td(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: construct(grid_graph(5, 5), 2),
+         "construction is limited to 24 vertices; n=25"),
+        (lambda: brute_force_min_dcut(grid_graph(3, 7), 1),
+         "oracle limited to 20 vertices, got n=21"),
+        (lambda: build_exhaustive(range(21)), "universe of size 21 exceeds 20"),
+    ])
+    def test_size_limits(self, call, message):
+        with pytest.raises(SizeLimitExceeded) as err:
+            call()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("graph_text,td_text,args,message", [
+        ("p edge 2 2\ne 1 2\ne 2 1\n", None, [], "line 3: repeated edge 2 1"),
+        ("c only\n", None, [], "line 0: missing problem line"),
+        (None, "s td 2 2 3\nb 1 1 2\nb 1 2 3\np 2 1\n", [],
+         "line 3: duplicate bag 1"),
+        (None, "s td 2 2 3\nb 1 1 2\nb 2 2 3\n", [],
+         "line 0: expected exactly one root, found 2"),
+        (None, None, ["--gen", "grid:rows=5,cols=5"],
+         "construction is limited to 24 vertices; n=25"),
+        (None, None, ["--gen", "grid:rows=3,cols=7", "--algorithm", "brute"],
+         "oracle limited to 20 vertices, got n=21"),
+        (None, None, ["--gen", "gnm:n=40,m=39"],
+         "no connected sample with n=40, m=39 within 10000 tries"),
+        (None, None, ["--gen", "grid:rows=2,cols=3", "--family-seed", "9"],
+         "--family-seed needs --family-rounds"),
+    ])
+    def test_cli_reports_one_error_line(self, tmp_path, capsys, graph_text,
+                                        td_text, args, message):
+        graph_path = tmp_path / "g.gr"
+        graph_path.write_text(graph_text or C4_TEXT)
+        if "--gen" not in args:
+            args = [str(graph_path)] + args
+        if td_text is not None:
+            td_path = tmp_path / "t.td"
+            td_path.write_text(td_text)
+            args += ["--td-in", str(td_path)]
+        assert main(args + ["--k", "2", "--d", "1"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")

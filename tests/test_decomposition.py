@@ -12,10 +12,10 @@ from dcut import (Graph, construct, derive_contexts, grid_graph, parse,
                   serialize, two_cliques_bridged, verify)
 from dcut import decomposition
 from dcut.decomposition import (AxiomViolation, DecompositionError,
-                                RootedDecomposition, SizeLimitExceeded,
-                                TdParseError)
+                                RootedDecomposition)
 from dcut.generators import gnm_random
-from dcut.graph import DisconnectedGraph, is_connected
+from dcut.graph import DisconnectedGraph, SizeLimitExceeded, is_connected
+from dcut.textio import ParseError
 
 
 DIGEST = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -451,28 +451,28 @@ class TestSerialization:
         assert td.bags[0] == frozenset({0, 1, 2})
 
     def test_rejects_unknown_vertex(self):
-        with pytest.raises(TdParseError, match="unknown vertex"):
+        with pytest.raises(ParseError, match="unknown vertex"):
             parse("s td 1 3 3\nb 1 1 2 4\n")
 
     def test_rejects_missing_header(self):
-        with pytest.raises(TdParseError, match="header"):
+        with pytest.raises(ParseError, match="header"):
             parse("b 1 1 2\n")
 
     def test_rejects_duplicate_bag(self):
-        with pytest.raises(TdParseError) as err:
+        with pytest.raises(ParseError) as err:
             parse("s td 2 2 3\nb 1 1 2\nb 1 2 3\np 2 1\n")
         assert err.value.line == 3
 
     def test_rejects_two_roots(self):
-        with pytest.raises(TdParseError):
+        with pytest.raises(ParseError):
             parse("s td 2 2 3\nb 1 1 2\nb 2 2 3\n")
 
     def test_rejects_header_max_bag_mismatch(self):
         # the header promises bags of 99 vertices over a 3-vertex bag
-        with pytest.raises(TdParseError, match="max bag 99") as err:
+        with pytest.raises(ParseError, match="max bag 99") as err:
             parse("c comment\ns td 1 99 3\nb 1 1 2 3\n")
         assert err.value.line == 2
-        with pytest.raises(TdParseError, match="max bag 2"):
+        with pytest.raises(ParseError, match="max bag 2"):
             parse("s td 2 2 3\nb 1 1 2\nb 2 1 2 3\np 2 1\n")
 
     def test_comments_and_blanks_ignored(self):

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (adjacency_masks, complete_graph, components, cycle_graph,
-                      make_corpus, path_graph, vertex_mask, vertex_set)
+from conftest import (UnknownEdge, adjacency_masks, complete_graph, components,
+                      cycle_graph, is_d_matching, make_corpus, path_graph,
+                      vertex_mask, vertex_set)
 from dcut import (Bipartition, DisconnectedGraph, Graph, InvalidBipartition,
                   connected_components, edge_cut, global_min_cut,
-                  is_connected, is_d_cut, is_d_matching)
-from dcut.graph import UnknownEdge, lowest_component, mask_components
+                  is_connected, is_d_cut)
+from dcut.graph import lowest_component, mask_components
 
 
 def bipartition(g, side):

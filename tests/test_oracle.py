@@ -8,7 +8,7 @@ from conftest import (complete_graph, cycle_graph, gray_reference_min_dcut,
 from dcut import (Bipartition, Graph, brute_force_min_dcut, edge_cut,
                   connected_components, is_d_cut)
 from dcut.generators import gnm_random
-from dcut.oracle import OracleSizeLimit
+from dcut.graph import SizeLimitExceeded
 
 
 def slow_reference_min(g, d):
@@ -46,7 +46,7 @@ class TestBruteForce:
                 assert len(edge_cut(g, res.best_cut)) == res.min_cut_size
 
     def test_size_limit(self):
-        with pytest.raises(OracleSizeLimit):
+        with pytest.raises(SizeLimitExceeded):
             brute_force_min_dcut(path_graph(8), 1, max_vertices=6)
 
     def test_matches_slow_reference(self):

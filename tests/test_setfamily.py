@@ -6,7 +6,8 @@ from conftest import (find_covering_family, randomized_members_reference,
                       verify_covering, vertex_mask)
 from dcut import build_exhaustive, build_randomized, heuristic_rounds
 from dcut import setfamily
-from dcut.setfamily import FamilySizeLimit, distinct_draws, draw_rounds
+from dcut.graph import SizeLimitExceeded
+from dcut.setfamily import distinct_draws, draw_rounds
 
 
 class TestExhaustive:
@@ -24,7 +25,7 @@ class TestExhaustive:
                 assert verify_covering(fam, a, b) is None
 
     def test_size_limit(self):
-        with pytest.raises(FamilySizeLimit):
+        with pytest.raises(SizeLimitExceeded):
             build_exhaustive(range(25))
 
 
@@ -123,7 +124,7 @@ class TestVerifyCovering:
 
     def test_budget_guard(self):
         fam = build_exhaustive(range(16))
-        with pytest.raises(FamilySizeLimit):
+        with pytest.raises(SizeLimitExceeded):
             verify_covering(fam, 8, 8, pair_budget=10)
 
     def test_monotone_in_bounds(self):

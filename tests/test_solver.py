@@ -4,11 +4,11 @@ import re
 import pytest
 
 from conftest import (AllSubsetsSolver, ComponentSplitSolver, complete_graph,
-                      cycle_graph, local_edges, make_corpus, path_graph,
-                      rebuild_reference, split_items, vertex_mask, vertex_set)
+                      cycle_graph, is_d_matching, local_edges, make_corpus,
+                      path_graph, rebuild_reference, split_items, vertex_mask,
+                      vertex_set)
 from dcut import (DPSolver, Graph, INFEASIBLE, SolveOptions, bounded_multisets,
-                  brute_force_min_dcut, edge_cut, is_d_cut, is_d_matching,
-                  solve)
+                  brute_force_min_dcut, edge_cut, is_d_cut, solve)
 from dcut import decomposition
 from dcut import solver as solver_module
 from dcut.decomposition import (DecompositionError, RootedDecomposition,
