@@ -43,6 +43,10 @@ Slices:
                vertex added to a bag, a parent link moved, one vertex too
                many, and one too many with an isolated vertex in the graph
 
+``solver_digest_count20.txt``, beside this script, holds the
+``--count 20`` output; CI diffs against it under two hash seeds, so a
+change to what the solver decides or records updates it in plain sight.
+
 Usage:
     python scripts/solver_digest.py --count 60
     python scripts/solver_digest.py --slice corpus --count 3 \\

@@ -5,8 +5,10 @@ pair A, B of subsets with |A| <= a and |B| <= b has some member S with
 A inside S and B disjoint from S.  Two constructions are provided: the
 exhaustive one (all subsets, trivially covering) for small universes,
 and a seeded randomized one.  The solver draws its randomized members
-as vertex masks (:func:`distinct_draws`); the exhaustive covering
-checker that pins a passing seed lives with the tests.  A randomized
+as vertex masks (:func:`distinct_draws`), and stops drawing once it
+holds every subset, since a randomized family that does is the
+exhaustive one; the exhaustive covering checker that pins a passing
+seed lives with the tests.  A randomized
 family that misses a pair can only push the solver's costs up, never
 down, so its failures are one-sided.
 """
@@ -53,7 +55,7 @@ def build_exhaustive(universe) -> SubsetFamily:
 # 32-bit generator output, and that output's top byte is every fourth
 # byte of a longer draw laid out little-endian.
 _TOP_BIT = bytes(byte >> 7 for byte in range(256))
-_BLOCK_ROUNDS = 1 << 14  # rounds per getrandbits call in distinct_draws
+_BLOCK_ROUNDS = 1 << 14  # most rounds per getrandbits call in distinct_draws
 _LANE_FLIP = 0 if sys.byteorder == "little" else 7  # lane i sits at byte i ^ this
 
 
@@ -74,13 +76,17 @@ def distinct_draws(positions, seed: int, rounds: int) -> set:
     """The distinct draws of :func:`draw_rounds` over ``len(positions)``
     elements as masks, flag i at bit ``positions[i]``: blocks of rounds
     continue one stream, read column-wise into the byte lanes of only
-    those 64-bit words that hold a position."""
+    those 64-bit words that hold a position.  The draw stops once it holds
+    all 2^size subsets, since later rounds can only repeat them; a block
+    is 2^size rounds, the fewest that can hold them all."""
     size = len(positions)
     spans = sorted({p >> 6 for p in positions}) or [0]  # words with a position
     lane_of = [8 * spans.index(p >> 6) + (p >> 3 & 7) for p in positions]
     rng, found = random.Random(seed), set()
-    for start in range(0, rounds, _BLOCK_ROUNDS):
-        block = min(_BLOCK_ROUNDS, rounds - start)
+    start = 0
+    while start < rounds and len(found) < 1 << size:
+        block = min(1 << size, _BLOCK_ROUNDS, rounds - start)
+        start += block
         stream = rng.getrandbits(32 * size * block).to_bytes(4 * size * block, "little")
         flags = stream[3::4].translate(_TOP_BIT)
         lanes = [0] * 8 * len(spans)

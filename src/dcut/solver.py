@@ -20,16 +20,21 @@ the bag subsets of at most k vertices connected in a helper graph
 size by size, or, with a randomized covering family, as the helper
 graph's components on its distinct members, vertex masks split one
 :func:`dcut.graph.lowest_component` (the constructor's component step)
-at a time, each distinct remainder once.
+at a time, each distinct remainder once.  A drawn family that holds
+every bag subset is the exhaustive one, and its node takes the listed
+sides instead of splitting it.  Each side comes with the number of bag
+edges it splits: the listing carries it as it grows a side, and a drawn
+side counts it once.
 
 The fill works on integer masks over vertex ids, and a side takes no
 other form: sides, table keys, menus and the witness rebuild hold masks,
 and only the rebuilt witness is handed out as a frozenset.  The menus
 record the fill's choices: the rebuild reads each as the menu's
-cheapest fitting row, the same call the fill made.  A side's split
-edges and children are counted with popcounts on masks built once per
+cheapest fitting row, the same call the fill made.  A side splitting
+more than k bag edges is pruned before it is split; otherwise its split
+edges and children are read with popcounts on masks built once per
 node, and a side splitting more than k of them is pruned before any
-trace or item exists.  The split edges enter the budget search as a
+item exists.  The split edges enter the budget search as a
 start vector, and each child's finite options are read once per trace.
 """
 
@@ -91,10 +96,12 @@ def budget_families(items, d, k, cost_cap, usage_order, start=None) -> list:
     costs and the chosen ``(key, budget)`` pairs, in item order.
     """
     counts, cost = start or ({}, 0)
-    counts = dict(counts)
     if cost > cost_cap or sum(counts.values()) > 2 * k \
             or any(m > d for m in counts.values()):
         return []
+    if not items:  # the start vector is the one family
+        return [(tuple(counts.get(v, 0) for v in usage_order), cost, ())]
+    counts = dict(counts)
     chosen = []
     found = []
     last = len(items)
@@ -133,6 +140,17 @@ def _lex_key(mask):
     holding the lowest vertex of their difference has the larger key, and
     the end marker puts a set before the sets it is a prefix of."""
     return bin(mask)[:1:-1] + "2"
+
+
+def _split_count(edges, side):
+    """The number of edges leaving the vertex mask ``side``, ``edges`` a
+    neighbour mask per vertex bit."""
+    count, rest = 0, side
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        count += (edges[low] & ~side).bit_count()
+    return count
 
 
 def cheapest(entries, pvec):
@@ -238,24 +256,28 @@ class DPSolver:
     def root_value(self):
         return self.table.get(self.td.root, 0, ())
 
+    def _edge_masks(self, node):
+        """Each bag vertex's neighbours along the node's bag edges, as a
+        vertex mask, keyed by the vertex's bit."""
+        masks = {1 << v: 0 for v in self.contexts[node].bag}
+        for u, v in self.contexts[node].bag_edges:
+            masks[1 << u] |= 1 << v
+            masks[1 << v] |= 1 << u
+        return masks
+
     def _splitter(self, node):
         """A function from a side, as a vertex mask, to the bag edges and
-        children it splits, counted on masks built once for the node:
-        ``(crossing, edges, traces)`` with ``crossing`` the ``(vertex bit,
-        mask of its cross neighbours)`` pairs of the side's vertices that
-        have some, ``edges`` the number of split bag edges (the popcounts of
-        those masks) and ``traces`` the ``(child, trace mask)`` pairs of the
-        children whose adhesion the side meets but does not hold."""
-        edge_nbrs = {1 << v: 0 for v in self.contexts[node].bag}
-        for u, v in self.contexts[node].bag_edges:
-            edge_nbrs[1 << u] |= 1 << v
-            edge_nbrs[1 << v] |= 1 << u
+        children it splits, read off masks built once for the node:
+        ``(crossing, traces)`` with ``crossing`` the ``(vertex bit, mask of
+        its cross neighbours)`` pairs of the side's vertices that have some
+        and ``traces`` the ``(child, trace mask)`` pairs of the children
+        whose adhesion the side meets but does not hold."""
+        edge_nbrs = self._edge_masks(node)
         kids = [(c, _mask(self.contexts[c].adhesion)) for c in self.children[node]]
 
         def split(side):
             outside = ~side
             crossing = []
-            edges = 0
             rest = side
             while rest:
                 low = rest & -rest
@@ -263,22 +285,23 @@ class DPSolver:
                 out = edge_nbrs[low] & outside
                 if out:
                     crossing.append((low, out))
-                    edges += out.bit_count()
             traces = [(c, trace) for c, adhesion in kids
                       if (trace := adhesion & side) and trace != adhesion]
-            return crossing, edges, traces
+            return crossing, traces
 
         return split
 
     def _bag_rows(self, node):
-        """A function from a side, as a vertex mask, to its menu rows for
-        splitting the bag along it, one per budget family, in the order
-        :func:`budget_families` lists them.
+        """A function from a side, as a vertex mask, and the number of bag
+        edges it splits to its menu rows for splitting the bag along it,
+        one per budget family, in the order :func:`budget_families` lists
+        them.
 
-        A side splitting more than k bag edges and children is pruned
-        before any item is built.  The split edges, each with the one
-        finite option of one cross neighbor at either end for cost one,
-        become the start vector of :func:`budget_families`; only the split
+        A side splitting more than k bag edges is pruned before it is
+        split, and one splitting more than k bag edges and children before
+        any item is built.  The split edges, each with the one finite
+        option of one cross neighbor at either end for cost one, become
+        the start vector of :func:`budget_families`; only the split
         children branch.  A child's finite ``(budget, value)`` options are
         read once per trace and kept for every side leaving that trace."""
         k, d, stats = self.k, self.d, self.stats
@@ -298,8 +321,11 @@ class DPSolver:
                 opts.append((b, val))
             return (c, plan.adhesion_order, opts) if opts else None
 
-        def rows(side):
-            crossing, edges, traces = split(side)
+        def rows(side, edges):
+            if edges > k:
+                stats["overloaded_side_prunes"] += 1
+                return []
+            crossing, traces = split(side)
             if edges + len(traces) > k:
                 stats["overloaded_side_prunes"] += 1
                 return []
@@ -324,39 +350,64 @@ class DPSolver:
         return rows
 
     def _side_candidates(self, node):
-        """Candidate sides for splitting the bag, as vertex masks, plus how
+        """Candidate sides for splitting the bag, as a dict from vertex mask
+        to the number of bag edges the side splits, in rank order, plus how
         they were found: ``"colorcode"`` when drawn from the randomized
         family, which happens in colorcode mode or, in auto mode, when the
         bag has more than ``enumerate_budget`` subsets of at most k
-        vertices; ``"enumerate"`` when listed exactly."""
+        vertices; ``"enumerate"`` when listed exactly.  A drawn family that
+        holds every bag subset is the exhaustive one, whose components of
+        1..k vertices short of the bag are the listed sides: the node takes
+        those, in the drawn sides' lexicographic order."""
         bag_order = sorted(self.contexts[node].bag)
         b = len(bag_order)
         subset_count = sum(math.comb(b, i) for i in range(min(self.k, b) + 1))
         nbrs = self._helper_masks(node)
+        edges = self._edge_masks(node)
         if self.family_kind == "randomized" and (
                 self.mode == "colorcode" or subset_count > self.enumerate_budget):
-            return self._drawn_sides(node, bag_order, nbrs), "colorcode"
-        # A disconnected side never beats its component that meets the
-        # adhesion, and that component comes first in this order.  Every
-        # connected set of s + 1 vertices holds a connected set of s, so
-        # each size is grown from the last by one helper neighbour; each
-        # set is kept with the union of its members' neighbours.
-        sides = []
-        level = {1 << v: nbrs[v] for v in bag_order}
-        by_bit = level.copy()
-        for size in range(1, min(self.k, b - 1) + 1):
+            rounds = self.family_rounds or heuristic_rounds(
+                b, self.k, self.k * self.k + self.k)
+            draws = distinct_draws(bag_order, self.family_seed * 100003 + node * 7919,
+                                   rounds)
+            sides = (self._listed_sides(bag_order, nbrs, edges) if len(draws) == 1 << b
+                     else self._drawn_sides(draws, _mask(bag_order), nbrs, edges))
+            return {side: sides[side]
+                    for side in sorted(sides, key=_lex_key, reverse=True)}, "colorcode"
+        return self._listed_sides(bag_order, nbrs, edges), "enumerate"
+
+    def _listed_sides(self, bag_order, nbrs, edges):
+        """The helper graph's connected bag subsets of 1..k vertices, short
+        of the whole bag, with their split bag edges, by size and then
+        lexicographically.
+
+        A disconnected side never beats its component that meets the
+        adhesion, and that component comes first in this order.  Every
+        connected set of s + 1 vertices holds a connected set of s, so
+        each size is grown from the last by one helper neighbour; each set
+        is kept with the union of its members' neighbours and its split
+        edges, which adding v changes by v's edges leaving the set less
+        those entering it."""
+        sides = {}
+        level = {1 << v: (nbrs[v], edges[1 << v].bit_count()) for v in bag_order}
+        by_bit = {1 << v: nbrs[v] for v in bag_order}
+        for size in range(1, min(self.k, len(bag_order) - 1) + 1):
             if size > 1:
                 grown = {}
-                for side, near in level.items():
+                for side, (near, cut) in level.items():
                     rest = near & ~side
                     while rest:
                         low = rest & -rest
                         rest ^= low
                         if side | low not in grown:
-                            grown[side | low] = near | by_bit[low]
+                            out = edges[low]
+                            grown[side | low] = (near | by_bit[low], cut
+                                                 + (out & ~side).bit_count()
+                                                 - (out & side).bit_count())
                 level = grown
-            sides += sorted(level, key=_lex_key, reverse=True)
-        return sides, "enumerate"
+            for side in sorted(level, key=_lex_key, reverse=True):
+                sides[side] = level[side][1]
+        return sides
 
     def _helper_masks(self, node):
         """Each bag vertex's neighbours, as a vertex mask, in the helper
@@ -372,30 +423,27 @@ class DPSolver:
                 nbrs[u] |= mask ^ 1 << u
         return nbrs
 
-    def _drawn_sides(self, node, bag_order, nbrs):
+    def _drawn_sides(self, draws, bag, nbrs, edges):
         """The helper graph's components of 1..k vertices, short of the
-        whole bag, on the distinct members of the node's randomized
-        covering family, as vertex masks in lexicographic order; a member's
-        remainder already split, its components kept, is not walked again."""
-        bag = _mask(bag_order)
-        rounds = self.family_rounds or heuristic_rounds(
-            len(bag_order), self.k, self.k * self.k + self.k)
-        seed = self.family_seed * 100003 + node * 7919
+        whole bag, on the drawn vertex masks, with their split bag edges; a
+        member's remainder already split, its components kept, is not
+        walked again."""
         kept, walked = set(), set()
-        for rest in distinct_draws(bag_order, seed, rounds):
+        for rest in draws:
             while rest and rest not in walked:
                 walked.add(rest)
                 comp = lowest_component(nbrs, rest)
                 if comp.bit_count() <= self.k and comp != bag:
                     kept.add(comp)
                 rest ^= comp
-        return sorted(kept, key=_lex_key, reverse=True)
+        return {side: _split_count(edges, side) for side in kept}
 
     def fill_node(self, node):
         adhesion = self.contexts[node].adhesion
         adhesion_order = sorted(adhesion)
         budgets = bounded_multisets(adhesion, self.d, self.k)
-        sides, mode = self._side_candidates(node)
+        cuts, mode = self._side_candidates(node)
+        sides = list(cuts)
         self.stats["modes"][mode] = self.stats["modes"].get(mode, 0) + 1
         self.stats["sides_considered"] += len(sides)
         plan = self.plans[node] = NodePlan(adhesion_order, budgets, sides, {}, mode)
@@ -407,7 +455,7 @@ class DPSolver:
         adhesion_mask = _mask(adhesion)
         bag_rows = self._bag_rows(node)
         for rank, side in enumerate(sides):
-            rows = bag_rows(side)
+            rows = bag_rows(side, cuts[side])
             if rows:
                 ranked[self.table.key(node, side & adhesion_mask)] += [
                     (cost, rank, usage, choice) for usage, cost, choice in rows]

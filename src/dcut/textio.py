@@ -1,7 +1,8 @@
 """The two line-based text formats: DIMACS graphs and decompositions.
 
-Each line is a record led by a one-letter type; blank lines and ``c``
-lines are comments.  Ids are 1-based in the text, 0-based inside.
+Each line is a record led by a one-letter type; blank lines and lines
+whose first field is ``c`` (``c`` alone or followed by whitespace) are
+comments.  Ids are 1-based in the text, 0-based inside.
 Malformed text raises :class:`ParseError` with the offending line number
 (0 when the fault is the file as a whole); nothing is repaired, so
 self-loops and repeated edges are hard errors.
@@ -28,9 +29,9 @@ class ParseError(ValueError):
 def _records(text: str):
     """(line number from 1, fields) of each line but blanks and comments."""
     for line, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("c"):
-            yield line, stripped.split()
+        fields = raw.split()
+        if fields and fields[0] != "c":
+            yield line, fields
 
 
 def _ints(line: int, fields, what: str) -> list:

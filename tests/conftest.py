@@ -315,6 +315,15 @@ def make_corpus(count, seed, n_lo=4, n_hi=12):
     return graphs
 
 
+def with_cuts(solver, node, sides):
+    """The frozenset sides as the solver's candidate dict, in the given
+    order: each side's vertex mask mapped to the number of the node's bag
+    edges it splits, by a scan of the bag edges."""
+    edges = solver.contexts[node].bag_edges
+    return {vertex_mask(side): sum((u in side) != (v in side) for u, v in edges)
+            for side in sides}
+
+
 class AllSubsetsSolver(DPSolver):
     """The solver with every bag subset of 1..min(k, b-1) vertices as a
     candidate side, connected in the helper graph or not: a reference
@@ -323,8 +332,9 @@ class AllSubsetsSolver(DPSolver):
     def _side_candidates(self, node):
         bag_order = sorted(self.contexts[node].bag)
         top = min(self.k, len(bag_order) - 1)
-        return [vertex_mask(combo) for size in range(1, top + 1)
-                for combo in combinations(bag_order, size)], "enumerate"
+        return with_cuts(self, node, [
+            frozenset(combo) for size in range(1, top + 1)
+            for combo in combinations(bag_order, size)]), "enumerate"
 
 
 def randomized_members_reference(universe, seed, rounds):
@@ -357,8 +367,7 @@ class ComponentSplitSolver(DPSolver):
         sides = {side for member in set(members)
                  for side in components(adj, member)
                  if len(side) <= self.k and side != bag}
-        return [vertex_mask(side)
-                for side in sorted(sides, key=sorted)], "colorcode"
+        return with_cuts(self, node, sorted(sides, key=sorted)), "colorcode"
 
 
 def _subsets_up_to(order, bound):

@@ -25,6 +25,8 @@ DIMACS_DIAGNOSTICS = [
     ("p edge 2 1\ne 1 1\n", 2, "self-loop at vertex 1"),
     ("p edge 2 2\ne 1 2\ne 2 1\n", 3, "repeated edge 2 1"),
     ("p edge 2 1\nx 1 2\n", 2, "unrecognized line type 'x'"),
+    ("p edge 2 1\ncat\ne 1 2\n", 2, "unrecognized line type 'cat'"),
+    ("p edge 2 1\ncx 1 2\ne 1 2\n", 2, "unrecognized line type 'cx'"),
     ("c only\n\n", 0, "missing problem line"),
     ("p edge 2 2\ne 1 2\n", 0, "problem line declares 2 edges, found 1"),
 ]
@@ -47,6 +49,8 @@ TD_DIAGNOSTICS = [
     ("s td 2 1 2\np 2 1\np 2 1\n", 3, "duplicate parent line for 2"),
     ("s td 2 1 2\np 2 2\n", 2, "node cannot be its own parent"),
     ("s td 1 1 1\nq 1\n", 2, "unrecognized line type 'q'"),
+    ("s td 1 1 1\ncat\nb 1 1\n", 2, "unrecognized line type 'cat'"),
+    ("s td 1 1 1\nb 1 1\ncx 1 2\n", 3, "unrecognized line type 'cx'"),
     ("c nothing\n", 0, "missing header line"),
     ("s td 2 1 2\nb 1 1\n", 0, "missing bag line for node 2"),
     ("c comment\ns td 1 99 3\nb 1 1 2 3\n", 2,
@@ -91,6 +95,13 @@ class TestDimacs:
     def test_format_round_trip(self):
         g = parse_graph(C4_TEXT)
         assert parse_graph(format_graph(g)) == g
+
+    def test_format_comments_round_trip(self):
+        # every comment line, blank, tabbed or led by a c word, is a c record
+        g = parse_graph(C4_TEXT)
+        text = format_graph(g, "cat\n\n\tindented\nc 1 2")
+        assert text.startswith("c cat\nc \nc \tindented\nc c 1 2\np edge")
+        assert parse_graph(text) == g
 
 
 class TestGenerators:

@@ -107,6 +107,42 @@ class TestDistinctDraws:
                              for flags in draws), positions)
         assert distinct_draws(positions, 21, rounds) == expected
 
+    @pytest.mark.parametrize("positions", [[0], [3, 5], [0, 2, 3], [1, 64, 130],
+                                           [0, 1, 2, 3, 4]])
+    def test_stops_at_a_complete_family(self, monkeypatch, positions):
+        # rounds far past 2^size: the draw holds every subset early on and
+        # stops within as many rounds again, short of rounds x size
+        # generator outputs, yet gives draw_rounds' set; at least one seed
+        # completes mid-block, so the draw ran on past the completing round
+        size = len(positions)
+        rounds = 400 << size
+        cases = []
+        for seed in range(6):
+            seen, first = set(), None
+            for i, flags in enumerate(draw_rounds(size, seed, rounds)):
+                seen.add(flags)
+                if first is None and len(seen) == 1 << size:
+                    first = i + 1
+            assert first is not None
+            cases.append((seed, first, remapped(
+                ({i for i, flag in enumerate(flags) if flag} for flags in seen),
+                positions)))
+        outputs = []
+
+        class Counting(random.Random):
+            def getrandbits(self, bits):
+                outputs.append(bits // 32)
+                return super().getrandbits(bits)
+
+        monkeypatch.setattr(setfamily.random, "Random", Counting)
+        past = 0
+        for seed, first, expected in cases:
+            outputs.clear()
+            assert distinct_draws(positions, seed, rounds) == expected
+            assert first * size <= sum(outputs) < min(2 * first, rounds) * size
+            past += sum(outputs) > first * size
+        assert past > 0
+
     def test_no_rounds_no_draws(self):
         assert distinct_draws([0, 1], 3, 0) == set()
 

@@ -14,6 +14,7 @@ from dcut import solver as solver_module
 from dcut.decomposition import (DecompositionError, RootedDecomposition,
                                 construct, derive_contexts)
 from dcut.generators import gnm_random, two_cliques_bridged
+from dcut.setfamily import distinct_draws
 from dcut.solver import CostTable, budget_families, cheapest
 
 
@@ -178,10 +179,11 @@ class TestTrivialCost:
 def mask_split(solver, node, side):
     """The solver's mask split counts for a frozenset side, in the form of
     the ``split_items`` reference: the split children with their traces as
-    frozensets, and the number of split bag edges."""
-    _, edges, traces = solver._splitter(node)(vertex_mask(side))
+    frozensets, and the number of split bag edges, the popcounts of the
+    side vertices' cross neighbour masks."""
+    crossing, traces = solver._splitter(node)(vertex_mask(side))
     return [(c, frozenset(v for v in side if trace >> v & 1))
-            for c, trace in traces], edges
+            for c, trace in traces], sum(out.bit_count() for _, out in crossing)
 
 
 class TestSplitItems:
@@ -214,41 +216,46 @@ class TestSplitItems:
         assert mask_split(solver, 0, frozenset({1})) == (kids, 1)
 
     def test_mask_counts_match_reference_on_corpus(self):
-        # every candidate side: the same split children and edge count,
-        # each side vertex's cross neighbours are its split edges, and a
-        # side is pruned exactly when it splits more than k items
-        checked = 0
-        for g in make_corpus(60, seed=20250808):
-            for k in range(7):
-                td = construct(g, k)
-                for d in (1, 2):
-                    solver = dp(g, td, d, k, record_choices=False)
-                    for node, plan in enumerate(solver.plans):
-                        split = solver._splitter(node)
-                        bag_rows = solver._bag_rows(node)
-                        for mask in plan.sides:
-                            side = vertex_set(mask)
-                            kids, edges = split_items(solver, node, side)
-                            crossing, count, traces = split(mask)
-                            assert traces == [(c, vertex_mask(t)) for c, t in kids]
-                            assert count == len(edges)
-                            assert sorted((low.bit_length() - 1, out)
-                                          for low, out in crossing) == sorted(
-                                (v, vertex_mask(w for e in edges if v in e
-                                                for w in e if w != v))
-                                for v in side if any(v in e for e in edges))
-                            before = solver.stats["overloaded_side_prunes"]
-                            bag_rows(mask)
-                            pruned = solver.stats["overloaded_side_prunes"] > before
-                            assert pruned == (len(kids) + len(edges) > k)
-                            checked += 1
-        assert checked > 40000
+        # every candidate side, listed or drawn: its carried count is its
+        # split edges, the same split children, each side vertex's cross
+        # neighbours are its split edges, and a side is pruned exactly
+        # when it splits more than k items
+        checked = dict.fromkeys(("enumerate", "colorcode"), 0)
+        for options in ({}, dict(mode="colorcode", family_kind="randomized",
+                                 family_seed=7)):
+            for g in make_corpus(60, seed=20250808):
+                for k in range(7):
+                    td = construct(g, k)
+                    for d in (1, 2):
+                        solver = dp(g, td, d, k, record_choices=False, **options)
+                        for node, plan in enumerate(solver.plans):
+                            cuts, mode = solver._side_candidates(node)
+                            assert list(cuts) == plan.sides
+                            split = solver._splitter(node)
+                            bag_rows = solver._bag_rows(node)
+                            for mask in plan.sides:
+                                side = vertex_set(mask)
+                                kids, edges = split_items(solver, node, side)
+                                crossing, traces = split(mask)
+                                assert cuts[mask] == len(edges)
+                                assert traces == [(c, vertex_mask(t)) for c, t in kids]
+                                assert sorted((low.bit_length() - 1, out)
+                                              for low, out in crossing) == sorted(
+                                    (v, vertex_mask(w for e in edges if v in e
+                                                    for w in e if w != v))
+                                    for v in side if any(v in e for e in edges))
+                                before = solver.stats["overloaded_side_prunes"]
+                                bag_rows(mask, cuts[mask])
+                                pruned = solver.stats["overloaded_side_prunes"] > before
+                                assert pruned == (len(kids) + len(edges) > k)
+                                checked[mode] += 1
+        assert checked["enumerate"] > 40000 and checked["colorcode"] > 40000, checked
 
 
 class TestBudgetFamilies:
     def test_no_split_items_yields_exactly_the_empty_family(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 2)
-        rows = solver._bag_rows(0)(vertex_mask({0, 1}))
+        rows = solver._bag_rows(0)(vertex_mask({0, 1}), 0)
         assert rows == [((), 0, ("bag", vertex_mask({0, 1}), {}))]
 
     def test_single_split_edge_matches_nested_enumeration(self):
@@ -806,9 +813,19 @@ class TestModes:
                     assert starved.table._data[key] >= value
 
     @pytest.mark.parametrize("rounds", [None, 1])
-    def test_mask_split_equals_component_split(self, rounds):
+    def test_mask_split_equals_component_split(self, monkeypatch, rounds):
         # the randomized family's sides, tables and all, against the
-        # per-bit family split by components
+        # per-bit family split by components; under the heuristic rounds
+        # some nodes draw every bag subset and take the listed sides while
+        # others walk their remainders, and one round never draws them all
+        complete = {True: 0, False: 0}
+
+        def counted(positions, seed, rounds):
+            draws = distinct_draws(positions, seed, rounds)
+            complete[len(draws) == 1 << len(positions)] += 1
+            return draws
+
+        monkeypatch.setattr(solver_module, "distinct_draws", counted)
         for g in make_corpus(30, seed=515):
             for k in range(2, 6):
                 td = construct(g, k)
@@ -823,6 +840,8 @@ class TestModes:
                         [p.sides for p in two.plans]
                     assert dict(one.table.entries()) == \
                         dict(two.table.entries())
+        assert complete[False] > 0, complete
+        assert (complete[True] > 0) == (rounds is None), complete
 
     @pytest.mark.parametrize("rounds", [None, 1])
     def test_mask_split_past_bit_64(self, rounds):
