@@ -36,8 +36,10 @@ Slices:
     construct  the corpus graphs, the large-n graphs and
                gnm_random(n, int(1.6 n), seed=SEED + n) for n = 16..24,
                at k = 0..6
-    oracle     the corpus graphs at d = 1, 2, 3 and
-               gnm_random(15, m, seed=SEED + m) for m = 27..30 at d = 1, 2
+    oracle     the corpus graphs at d = 1, 2, 3,
+               gnm_random(15, m, seed=SEED + m) for m = 27..30 and
+               gnm_random(20, m, seed=SEED + m) for m = 30, 40 at d = 1, 2,
+               and grid_graph(4, 5) at d = 1
     verify     each corpus graph's construct(g, k) at k = 0..6, then its
                mutations: a vertex dropped from a bag, a tree neighbour's
                vertex added to a bag, a parent link moved, one vertex too
@@ -261,7 +263,9 @@ def slice_records(name, count, seed, excluded):
         return [oracle_record(g, d) for g in corpus_graphs(count, seed)
                 for d in (1, 2, 3)] + [
             oracle_record(gnm_random(15, m, seed=seed + m), d)
-            for m in range(27, 31) for d in (1, 2)]
+            for m in range(27, 31) for d in (1, 2)] + [
+            oracle_record(gnm_random(20, m, seed=seed + m), d)
+            for m in (30, 40) for d in (1, 2)] + [oracle_record(grid_graph(4, 5), 1)]
     if name == "verify":
         return [verify_record(*case) for case in verify_cases(count, seed)]
     if name == "construct":

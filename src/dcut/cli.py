@@ -162,6 +162,11 @@ def run(config: RunConfig):
         doc["agreement"] = agreement
         if not agreement:
             exit_code = 2
+            doc["reproducer"] = {
+                "dimacs": textio.format_graph(graph), "k": config.k,
+                "d": config.d, "family_seed": config.family_seed,
+                "family_rounds": config.family_rounds,
+            }
 
     answer = fpt_answer if fpt_answer is not None else brute_answer
     doc["answer"] = "yes" if answer else "no"

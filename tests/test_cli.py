@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from dcut import (brute_force_min_dcut, build_exhaustive, construct,
-                  format_graph, parse, parse_graph)
+                  format_graph, parse, parse_graph, solve)
 from dcut.cli import RunConfig, main, run
 from dcut.generators import (generate_instance, gnm_random, grid_graph,
                              two_cliques_bridged)
@@ -162,8 +163,28 @@ class TestRun:
             doc, code = run(RunConfig(k=k, d=1, input_path=str(path),
                                       algorithm="both"))
             assert code == 0
-            assert doc["agreement"] is True
+            assert doc["agreement"] is True and "reproducer" not in doc
             assert doc["answer"] == expected == doc["brute"]["answer"]
+
+    def test_disagreement_carries_a_reproducer(self, tmp_path, monkeypatch):
+        graph = gnm_random(12, 20, seed=5)
+        path = tmp_path / "g.gr"
+        path.write_text(format_graph(graph, "a comment the reproducer drops"))
+        real = solve
+
+        def wrong(*args, **kwargs):
+            result = real(*args, **kwargs)
+            return replace(result, answer=not result.answer, witness=None)
+        monkeypatch.setattr("dcut.cli.solve", wrong)
+        doc, code = run(RunConfig(k=3, d=1, input_path=str(path), algorithm="both",
+                                  family_rounds=40, family_seed=9))
+        assert code == 2 and doc["agreement"] is False
+        rep = doc["reproducer"]
+        assert parse_graph(rep["dimacs"]) == graph
+        assert rep["dimacs"] == format_graph(graph)
+        assert (rep["k"], rep["d"], rep["family_seed"], rep["family_rounds"]) == \
+            (3, 1, 9, 40)
+        assert json.loads(json.dumps(doc)) == doc
 
     def test_witness_flag_emits_certified_cut(self, tmp_path):
         path = tmp_path / "c4.gr"

@@ -40,7 +40,7 @@ def test_solver_digest_repeats_itself():
     lines = outputs[0].stdout.splitlines()
     assert [line.split()[:2] for line in lines] == [["corpus", "42"],
                                                     ["colorcode", "42"],
-                                                    ["oracle", "17"],
+                                                    ["oracle", "22"],
                                                     ["verify", "91"]]
     assert all(len(line.split()[2]) == 64 for line in lines)
     assert outputs[1].stdout == outputs[0].stdout
