@@ -4,20 +4,20 @@ A family F over a universe U covers bounds (a, b) when every disjoint
 pair A, B of subsets with |A| <= a and |B| <= b has some member S with
 A inside S and B disjoint from S.  Two constructions are provided: the
 exhaustive one (all subsets, trivially covering) for small universes,
-and a seeded randomized one.  The solver draws its randomized members
-as vertex masks (:func:`distinct_draws`), and stops drawing once it
-holds every subset, since a randomized family that does is the
-exhaustive one; the exhaustive covering checker that pins a passing
-seed lives with the tests.  A randomized
-family that misses a pair can only push the solver's costs up, never
-down, so its failures are one-sided.
+and a seeded randomized one.  The solver reads its randomized members
+as round-bitset columns, one per element (:func:`round_columns`), block
+by block, and keeps each listed side that some round isolates; it stops
+drawing once every listed side is kept, never later than a family that
+holds every subset, which would isolate them all.  The exhaustive
+covering checker that pins a passing seed lives with the tests.  A
+randomized family that misses a pair can only push the solver's costs
+up, never down, so its failures are one-sided.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import sys
 from dataclasses import dataclass
 from itertools import combinations, compress
 
@@ -51,12 +51,12 @@ def build_exhaustive(universe) -> SubsetFamily:
     return SubsetFamily(order, tuple(members), "exhaustive")
 
 
-# A byte's top bit as a 0/1 flag: getrandbits(1) is the top bit of one
-# 32-bit generator output, and that output's top byte is every fourth
-# byte of a longer draw laid out little-endian.
+# A byte's top bit as a 0/1 flag, and as a binary digit: getrandbits(1) is
+# the top bit of one 32-bit generator output, and that output's top byte
+# is every fourth byte of a longer draw laid out little-endian.
 _TOP_BIT = bytes(byte >> 7 for byte in range(256))
-_BLOCK_ROUNDS = 1 << 14  # most rounds per getrandbits call in distinct_draws
-_LANE_FLIP = 0 if sys.byteorder == "little" else 7  # lane i sits at byte i ^ this
+_TOP_DIGIT = bytes(b"01"[byte >> 7] for byte in range(256))
+_BLOCK_ROUNDS = 1 << 14  # most rounds per getrandbits call in round_columns
 
 
 def draw_rounds(size: int, seed: int, rounds: int) -> list:
@@ -72,33 +72,20 @@ def draw_rounds(size: int, seed: int, rounds: int) -> list:
     return [flags[i:i + size] for i in range(0, total, size)]
 
 
-def distinct_draws(positions, seed: int, rounds: int) -> set:
-    """The distinct draws of :func:`draw_rounds` over ``len(positions)``
-    elements as masks, flag i at bit ``positions[i]``: blocks of rounds
-    continue one stream, read column-wise into the byte lanes of only
-    those 64-bit words that hold a position.  The draw stops once it holds
-    all 2^size subsets, since later rounds can only repeat them; a block
-    is 2^size rounds, the fewest that can hold them all."""
-    size = len(positions)
-    spans = sorted({p >> 6 for p in positions}) or [0]  # words with a position
-    lane_of = [8 * spans.index(p >> 6) + (p >> 3 & 7) for p in positions]
-    rng, found = random.Random(seed), set()
-    start = 0
-    while start < rounds and len(found) < 1 << size:
-        block = min(1 << size, _BLOCK_ROUNDS, rounds - start)
-        start += block
-        stream = rng.getrandbits(32 * size * block).to_bytes(4 * size * block, "little")
-        flags = stream[3::4].translate(_TOP_BIT)
-        lanes = [0] * 8 * len(spans)
-        for j, p in enumerate(positions):
-            lanes[lane_of[j]] |= int.from_bytes(flags[j::size], "little") << (p & 7)
-        rows = bytearray(8 * len(spans) * block)
-        for i, lane in enumerate(lanes):
-            rows[i ^ _LANE_FLIP::8 * len(spans)] = lane.to_bytes(block, "little")
-        values = memoryview(rows).cast("Q").tolist()
-        found.update(values if spans == [0] else zip(*[iter(values)] * len(spans)))
-    return found if spans == [0] else {
-        sum(word << 64 * w for w, word in zip(spans, group)) for group in found}
+def round_columns(size: int, seed: int, rounds: int):
+    """The rounds of :func:`draw_rounds` in blocks, one stream drawn a
+    block at a time: per block a ``(count, columns)`` pair, ``columns[j]``
+    the block's ``count`` rounds of element j as a bitset, round r at bit
+    r.  A block is 2^size rounds (at most ``_BLOCK_ROUNDS``): the fewest
+    that can hold every subset, and enough that each given subset turns up
+    in it with probability above 1 - 1/e."""
+    rng, start = random.Random(seed), 0
+    while start < rounds:
+        count = min(1 << size, _BLOCK_ROUNDS, rounds - start)
+        start += count
+        stream = rng.getrandbits(32 * size * count).to_bytes(4 * size * count, "little")
+        yield count, [int(stream[4 * j + 3::4 * size].translate(_TOP_DIGIT)[::-1], 2)
+                      for j in range(size)]
 
 
 def build_randomized(universe, a: int, b: int, seed: int, rounds: int) -> SubsetFamily:

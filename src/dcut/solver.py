@@ -17,14 +17,16 @@ for each child and bag edge the side breaks, and, under the empty side, a
 row for each way to descend entirely into one child.  Candidate sides are
 the bag subsets of at most k vertices connected in a helper graph
 (adhesions turned into cliques plus the bag edges), listed exactly, grown
-size by size, or, with a randomized covering family, as the helper
-graph's components on its distinct members, vertex masks split one
-:func:`dcut.graph.lowest_component` (the constructor's component step)
-at a time, each distinct remainder once.  A drawn family that holds
-every bag subset is the exhaustive one, and its node takes the listed
-sides instead of splitting it.  Each side comes with the number of bag
-edges it splits: the listing carries it as it grows a side, and a drawn
-side counts it once.
+size by size.  With a randomized covering family they are the helper
+graph's components of at most k vertices, short of the bag, on the
+family's members, and those are exactly the listed sides that some
+member isolates: holds the side and none of its helper neighbours.  The
+family is drawn in blocks of round-bitset columns, one per bag vertex; a
+listed side is kept once the AND of its vertices' columns and its
+neighbours' complemented columns is not zero, and drawing stops after
+the block that keeps the last one, never later than a family that holds
+every bag subset.  Each side comes with the number of bag edges it
+splits, which the listing carries as it grows a side.
 
 The fill works on integer masks over vertex ids, and a side takes no
 other form: sides, table keys, menus and the witness rebuild hold masks,
@@ -47,9 +49,9 @@ from .decomposition import (CONSTRUCT_LIMIT, DecompositionError,
                             RootedDecomposition, _construct, _verify,
                             derive_contexts)
 from .graph import (Bipartition, Graph, _mask, _members, connected_components,
-                    edge_cut, global_min_cut, is_d_cut, lowest_component)
+                    edge_cut, global_min_cut, is_d_cut)
 from .multisets import bounded_multisets
-from .setfamily import distinct_draws, heuristic_rounds
+from .setfamily import heuristic_rounds, round_columns
 
 INFEASIBLE = math.inf
 ENUMERATE_BUDGET = 10 ** 6  # auto draws a randomized family above this many bag subsets
@@ -76,6 +78,8 @@ def _check_arguments(k, d, mode, family_kind, family_seed, family_rounds, **size
         raise ValueError(f"unknown family kind {family_kind!r}")
     if family_rounds is not None and family_rounds < 1:
         raise ValueError(f"family_rounds must be at least 1, got {family_rounds}")
+    if family_seed < 0:  # random.Random seeds with the absolute value
+        raise ValueError(f"family_seed must be non-negative, got {family_seed}")
 
 
 def budget_families(items, d, k, cost_cap, usage_order, start=None) -> list:
@@ -140,17 +144,6 @@ def _lex_key(mask):
     holding the lowest vertex of their difference has the larger key, and
     the end marker puts a set before the sets it is a prefix of."""
     return bin(mask)[:1:-1] + "2"
-
-
-def _split_count(edges, side):
-    """The number of edges leaving the vertex mask ``side``, ``edges`` a
-    neighbour mask per vertex bit."""
-    count, rest = 0, side
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        count += (edges[low] & ~side).bit_count()
-    return count
 
 
 def cheapest(entries, pvec):
@@ -265,14 +258,13 @@ class DPSolver:
             masks[1 << v] |= 1 << u
         return masks
 
-    def _splitter(self, node):
+    def _splitter(self, node, edge_nbrs):
         """A function from a side, as a vertex mask, to the bag edges and
         children it splits, read off masks built once for the node:
         ``(crossing, traces)`` with ``crossing`` the ``(vertex bit, mask of
         its cross neighbours)`` pairs of the side's vertices that have some
         and ``traces`` the ``(child, trace mask)`` pairs of the children
         whose adhesion the side meets but does not hold."""
-        edge_nbrs = self._edge_masks(node)
         kids = [(c, _mask(self.contexts[c].adhesion)) for c in self.children[node]]
 
         def split(side):
@@ -291,7 +283,7 @@ class DPSolver:
 
         return split
 
-    def _bag_rows(self, node):
+    def _bag_rows(self, node, edges):
         """A function from a side, as a vertex mask, and the number of bag
         edges it splits to its menu rows for splitting the bag along it,
         one per budget family, in the order :func:`budget_families` lists
@@ -306,7 +298,7 @@ class DPSolver:
         read once per trace and kept for every side leaving that trace."""
         k, d, stats = self.k, self.d, self.stats
         usage_order = self.plans[node].adhesion_order
-        split = self._splitter(node)
+        split = self._splitter(node, edges)
         child_items = {}
 
         def child_item(c, trace):
@@ -349,37 +341,63 @@ class DPSolver:
 
         return rows
 
-    def _side_candidates(self, node):
+    def _side_candidates(self, node, edges):
         """Candidate sides for splitting the bag, as a dict from vertex mask
         to the number of bag edges the side splits, in rank order, plus how
         they were found: ``"colorcode"`` when drawn from the randomized
         family, which happens in colorcode mode or, in auto mode, when the
         bag has more than ``enumerate_budget`` subsets of at most k
-        vertices; ``"enumerate"`` when listed exactly.  A drawn family that
-        holds every bag subset is the exhaustive one, whose components of
-        1..k vertices short of the bag are the listed sides: the node takes
-        those, in the drawn sides' lexicographic order."""
+        vertices; ``"enumerate"`` when listed exactly.  ``edges`` holds the
+        node's bag-edge masks (:meth:`_edge_masks`).
+
+        A drawn round R's helper components of 1..k vertices, short of the
+        bag, are exactly the listed sides C that R isolates: C inside R,
+        and none of C's helper neighbours in R.  So the drawn sides are the
+        listed sides that some round isolates, in lexicographic order.
+        The rounds come in blocks of round-bitset columns, and a side is
+        isolated in a block when the AND of its vertices' columns and its
+        neighbours' complemented columns is not zero.  The draw stops
+        after the block in which the last listed side is isolated; a
+        complete family isolates them all, so it stops no later."""
         bag_order = sorted(self.contexts[node].bag)
         b = len(bag_order)
         subset_count = sum(math.comb(b, i) for i in range(min(self.k, b) + 1))
-        nbrs = self._helper_masks(node)
-        edges = self._edge_masks(node)
-        if self.family_kind == "randomized" and (
-                self.mode == "colorcode" or subset_count > self.enumerate_budget):
-            rounds = self.family_rounds or heuristic_rounds(
-                b, self.k, self.k * self.k + self.k)
-            draws = distinct_draws(bag_order, self.family_seed * 100003 + node * 7919,
-                                   rounds)
-            sides = (self._listed_sides(bag_order, nbrs, edges) if len(draws) == 1 << b
-                     else self._drawn_sides(draws, _mask(bag_order), nbrs, edges))
-            return {side: sides[side]
-                    for side in sorted(sides, key=_lex_key, reverse=True)}, "colorcode"
-        return self._listed_sides(bag_order, nbrs, edges), "enumerate"
+        listed = self._listed_sides(bag_order, self._helper_masks(node), edges)
+        if self.family_kind != "randomized" or (
+                self.mode != "colorcode" and subset_count <= self.enumerate_budget):
+            return {side: cut for side, (_, cut) in listed.items()}, "enumerate"
+        rounds = self.family_rounds or heuristic_rounds(
+            b, self.k, self.k * self.k + self.k)
+        bits = [1 << v for v in bag_order]
+        pending = [(side, near | side) for side, (near, _) in listed.items()]
+        kept = []
+        for count, columns in round_columns(
+                b, self.family_seed * 100003 + node * 7919, rounds if pending else 0):
+            full = (1 << count) - 1
+            inside = dict(zip(bits, columns))
+            outside = {bit: full ^ column for bit, column in inside.items()}
+            waiting = []
+            for side, closed in pending:
+                hit, rest = full, closed
+                while rest and hit:
+                    low = rest & -rest
+                    rest ^= low
+                    hit &= inside[low] if side & low else outside[low]
+                if hit:
+                    kept.append(side)
+                else:
+                    waiting.append((side, closed))
+            pending = waiting
+            if not pending:
+                break
+        return {side: listed[side][1]
+                for side in sorted(kept, key=_lex_key, reverse=True)}, "colorcode"
 
     def _listed_sides(self, bag_order, nbrs, edges):
         """The helper graph's connected bag subsets of 1..k vertices, short
-        of the whole bag, with their split bag edges, by size and then
-        lexicographically.
+        of the whole bag, by size and then lexicographically, each mapped
+        to the union of its members' helper neighbours and the number of
+        bag edges it splits.
 
         A disconnected side never beats its component that meets the
         adhesion, and that component comes first in this order.  Every
@@ -406,7 +424,7 @@ class DPSolver:
                                                  - (out & side).bit_count())
                 level = grown
             for side in sorted(level, key=_lex_key, reverse=True):
-                sides[side] = level[side][1]
+                sides[side] = level[side]
         return sides
 
     def _helper_masks(self, node):
@@ -423,26 +441,12 @@ class DPSolver:
                 nbrs[u] |= mask ^ 1 << u
         return nbrs
 
-    def _drawn_sides(self, draws, bag, nbrs, edges):
-        """The helper graph's components of 1..k vertices, short of the
-        whole bag, on the drawn vertex masks, with their split bag edges; a
-        member's remainder already split, its components kept, is not
-        walked again."""
-        kept, walked = set(), set()
-        for rest in draws:
-            while rest and rest not in walked:
-                walked.add(rest)
-                comp = lowest_component(nbrs, rest)
-                if comp.bit_count() <= self.k and comp != bag:
-                    kept.add(comp)
-                rest ^= comp
-        return {side: _split_count(edges, side) for side in kept}
-
     def fill_node(self, node):
         adhesion = self.contexts[node].adhesion
         adhesion_order = sorted(adhesion)
         budgets = bounded_multisets(adhesion, self.d, self.k)
-        cuts, mode = self._side_candidates(node)
+        edges = self._edge_masks(node)
+        cuts, mode = self._side_candidates(node, edges)
         sides = list(cuts)
         self.stats["modes"][mode] = self.stats["modes"].get(mode, 0) + 1
         self.stats["sides_considered"] += len(sides)
@@ -453,7 +457,7 @@ class DPSolver:
         # child budget win the remaining ties.
         ranked = {key: [] for key in self.table.keys(node)}
         adhesion_mask = _mask(adhesion)
-        bag_rows = self._bag_rows(node)
+        bag_rows = self._bag_rows(node, edges)
         for rank, side in enumerate(sides):
             rows = bag_rows(side, cuts[side])
             if rows:

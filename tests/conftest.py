@@ -329,7 +329,7 @@ class AllSubsetsSolver(DPSolver):
     candidate side, connected in the helper graph or not: a reference
     that shares no side search with the solver under test."""
 
-    def _side_candidates(self, node):
+    def _side_candidates(self, node, edges):
         bag_order = sorted(self.contexts[node].bag)
         top = min(self.k, len(bag_order) - 1)
         return with_cuts(self, node, [
@@ -351,12 +351,12 @@ def randomized_members_reference(universe, seed, rounds):
 class ComponentSplitSolver(DPSolver):
     """The solver with randomized-family sides found by the reference
     family, its distinct members as frozensets, and ``components`` on each:
-    a reference that shares neither the bulk draw nor the mask split with
-    the solver under test."""
+    a reference that shares neither the bulk draw nor the column filter
+    with the solver under test."""
 
-    def _side_candidates(self, node):
+    def _side_candidates(self, node, edges):
         if self.mode != "colorcode" or self.family_kind != "randomized":
-            return super()._side_candidates(node)
+            return super()._side_candidates(node, edges)
         bag = self.contexts[node].bag
         rounds = self.family_rounds or heuristic_rounds(
             len(bag), self.k, self.k * self.k + self.k)

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -294,6 +295,15 @@ class TestMain:
         doc = json.loads(capsys.readouterr().out)
         assert doc["answer"] == "yes" and doc["agreement"] is True
 
+    def test_colour_coded_document_pinned(self, capsys):
+        # the colour-coded document CI pins, with its exit code: a change
+        # to the drawn stream changes it
+        code = main(["--gen", "gnm:n=14,m=24", "--seed", "4", "--k", "3",
+                     "--d", "1", "--algorithm", "both", "--witness", "--json",
+                     "--family-rounds", "5", "--family-seed", "3"])
+        pinned = Path(__file__).parent.parent / "scripts" / "cli_colorcode_doc.txt"
+        assert capsys.readouterr().out + f"exit {code}\n" == pinned.read_text()
+
     def test_summary_line(self, tmp_path, capsys):
         path = tmp_path / "c4.gr"
         path.write_text(C4_TEXT)
@@ -425,6 +435,9 @@ class TestDiagnostics:
          "no connected sample with n=40, m=39 within 10000 tries"),
         (None, None, ["--gen", "grid:rows=2,cols=3", "--family-seed", "9"],
          "--family-seed needs --family-rounds"),
+        (None, None, ["--gen", "grid:rows=2,cols=3", "--family-seed", "-3",
+                      "--family-rounds", "5"],
+         "family_seed must be non-negative, got -3"),
     ])
     def test_cli_reports_one_error_line(self, tmp_path, capsys, graph_text,
                                         td_text, args, message):

@@ -7,7 +7,7 @@ from conftest import (find_covering_family, randomized_members_reference,
 from dcut import build_exhaustive, build_randomized, heuristic_rounds
 from dcut import setfamily
 from dcut.graph import SizeLimitExceeded
-from dcut.setfamily import distinct_draws, draw_rounds
+from dcut.setfamily import draw_rounds, round_columns
 
 
 class TestExhaustive:
@@ -68,13 +68,28 @@ class TestRandomized:
 def remapped(members, positions):
     """Members over element indices as masks with element i at bit
     ``positions[i]``."""
-    return {vertex_mask(positions[i] for i in member) for member in members}
+    return [vertex_mask(positions[i] for i in member) for member in members]
+
+
+def column_rounds(size, seed, rounds, positions=None):
+    """The rounds of :func:`round_columns`, read back row by row as masks
+    with element j at bit ``positions[j]`` (j itself by default), checking
+    each block's round count on the way."""
+    positions = positions or range(size)
+    found, left = [], rounds
+    for count, columns in round_columns(size, seed, rounds):
+        assert count == min(1 << size, setfamily._BLOCK_ROUNDS, left)
+        assert len(columns) == size and all(c >> count == 0 for c in columns)
+        left -= count
+        found += [vertex_mask(p for p, c in zip(positions, columns) if c >> r & 1)
+                  for r in range(count)]
+    assert left == 0
+    return found
 
 
 def draw_positions():
-    """Bit positions for the draws: contiguous and gapped (past bit 64)
-    at sizes around one byte and one word, lanes that straddle word
-    boundaries, and words with no position between those with some."""
+    """Vertex positions to read the columns' rounds back onto: contiguous
+    and gapped (past bit 64) at sizes around one byte and one word."""
     rng = random.Random(8)
     for size in (0, 1, 7, 8, 9, 63, 64, 65):
         yield list(range(size))
@@ -84,67 +99,47 @@ def draw_positions():
 
 
 class TestDistinctDraws:
+    """:func:`round_columns`: its columns are :func:`draw_rounds`' flags
+    transposed, block by block."""
+
     @pytest.mark.parametrize("positions", list(draw_positions()))
     def test_equals_per_bit_reference(self, positions):
+        # each round, as the mask of the positions whose column holds it,
+        # is the per-bit reference's member in order
         rng = random.Random(len(positions))
         for rounds in (1, 2, 300):
             seed = rng.randrange(2 ** 64)
             members = randomized_members_reference(range(len(positions)),
                                                    seed, rounds)
-            assert distinct_draws(positions, seed, rounds) == \
+            assert column_rounds(len(positions), seed, rounds, positions) == \
                 remapped(members[:-1], positions), (seed, rounds)
 
     @pytest.mark.parametrize("positions,block", [
         ([0, 2, 3, 9, 12], setfamily._BLOCK_ROUNDS),
         ([1, 5, 64, 66, 100, 130], 7)])
     def test_blocks_equal_one_draw(self, monkeypatch, positions, block):
-        # rounds over three blocks and a part, against draw_rounds' single
-        # getrandbits call
+        # rounds over three blocks and a part, or over many blocks of
+        # 2^size, against draw_rounds' single getrandbits call
         monkeypatch.setattr(setfamily, "_BLOCK_ROUNDS", block)
         rounds = 3 * block + 5
         draws = draw_rounds(len(positions), 21, rounds)
         expected = remapped(({i for i, flag in enumerate(flags) if flag}
                              for flags in draws), positions)
-        assert distinct_draws(positions, 21, rounds) == expected
+        assert column_rounds(len(positions), 21, rounds, positions) == expected
 
-    @pytest.mark.parametrize("positions", [[0], [3, 5], [0, 2, 3], [1, 64, 130],
-                                           [0, 1, 2, 3, 4]])
-    def test_stops_at_a_complete_family(self, monkeypatch, positions):
-        # rounds far past 2^size: the draw holds every subset early on and
-        # stops within as many rounds again, short of rounds x size
-        # generator outputs, yet gives draw_rounds' set; at least one seed
-        # completes mid-block, so the draw ran on past the completing round
-        size = len(positions)
-        rounds = 400 << size
-        cases = []
-        for seed in range(6):
-            seen, first = set(), None
-            for i, flags in enumerate(draw_rounds(size, seed, rounds)):
-                seen.add(flags)
-                if first is None and len(seen) == 1 << size:
-                    first = i + 1
-            assert first is not None
-            cases.append((seed, first, remapped(
-                ({i for i, flag in enumerate(flags) if flag} for flags in seen),
-                positions)))
-        outputs = []
-
-        class Counting(random.Random):
-            def getrandbits(self, bits):
-                outputs.append(bits // 32)
-                return super().getrandbits(bits)
-
-        monkeypatch.setattr(setfamily.random, "Random", Counting)
-        past = 0
-        for seed, first, expected in cases:
-            outputs.clear()
-            assert distinct_draws(positions, seed, rounds) == expected
-            assert first * size <= sum(outputs) < min(2 * first, rounds) * size
-            past += sum(outputs) > first * size
-        assert past > 0
+    def test_columns_past_bit_64(self, monkeypatch):
+        # blocks of 100 rounds over 9 elements, then 50: column bits past
+        # 64 against draw_rounds' flags
+        monkeypatch.setattr(setfamily, "_BLOCK_ROUNDS", 100)
+        draws = draw_rounds(9, 5, 250)
+        blocks = list(round_columns(9, 5, 250))
+        assert [count for count, _ in blocks] == [100, 100, 50]
+        for i, (count, columns) in enumerate(blocks):
+            for j, column in enumerate(columns):
+                assert column == sum(draws[100 * i + r][j] << r for r in range(count))
 
     def test_no_rounds_no_draws(self):
-        assert distinct_draws([0, 1], 3, 0) == set()
+        assert list(round_columns(2, 3, 0)) == []
 
 
 class TestVerifyCovering:

@@ -1,20 +1,21 @@
 import itertools
+import random
 import re
 
 import pytest
 
 from conftest import (AllSubsetsSolver, ComponentSplitSolver, complete_graph,
-                      cycle_graph, is_d_matching, local_edges, make_corpus,
-                      path_graph, rebuild_reference, split_items, vertex_mask,
-                      vertex_set)
+                      components, cycle_graph, is_d_matching, local_edges,
+                      make_corpus, path_graph, rebuild_reference, split_items,
+                      vertex_mask, vertex_set)
 from dcut import (DPSolver, Graph, INFEASIBLE, SolveOptions, bounded_multisets,
                   brute_force_min_dcut, edge_cut, is_d_cut, solve)
-from dcut import decomposition
+from dcut import decomposition, setfamily
 from dcut import solver as solver_module
 from dcut.decomposition import (DecompositionError, RootedDecomposition,
                                 construct, derive_contexts)
 from dcut.generators import gnm_random, two_cliques_bridged
-from dcut.setfamily import distinct_draws
+from dcut.setfamily import draw_rounds, heuristic_rounds, round_columns
 from dcut.solver import CostTable, budget_families, cheapest
 
 
@@ -181,7 +182,8 @@ def mask_split(solver, node, side):
     the ``split_items`` reference: the split children with their traces as
     frozensets, and the number of split bag edges, the popcounts of the
     side vertices' cross neighbour masks."""
-    crossing, traces = solver._splitter(node)(vertex_mask(side))
+    crossing, traces = solver._splitter(node, solver._edge_masks(node))(
+        vertex_mask(side))
     return [(c, frozenset(v for v in side if trace >> v & 1))
             for c, trace in traces], sum(out.bit_count() for _, out in crossing)
 
@@ -229,10 +231,11 @@ class TestSplitItems:
                     for d in (1, 2):
                         solver = dp(g, td, d, k, record_choices=False, **options)
                         for node, plan in enumerate(solver.plans):
-                            cuts, mode = solver._side_candidates(node)
+                            edges = solver._edge_masks(node)
+                            cuts, mode = solver._side_candidates(node, edges)
                             assert list(cuts) == plan.sides
-                            split = solver._splitter(node)
-                            bag_rows = solver._bag_rows(node)
+                            split = solver._splitter(node, edges)
+                            bag_rows = solver._bag_rows(node, edges)
                             for mask in plan.sides:
                                 side = vertex_set(mask)
                                 kids, edges = split_items(solver, node, side)
@@ -255,7 +258,7 @@ class TestSplitItems:
 class TestBudgetFamilies:
     def test_no_split_items_yields_exactly_the_empty_family(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 2)
-        rows = solver._bag_rows(0)(vertex_mask({0, 1}), 0)
+        rows = solver._bag_rows(0, solver._edge_masks(0))(vertex_mask({0, 1}), 0)
         assert rows == [((), 0, ("bag", vertex_mask({0, 1}), {}))]
 
     def test_single_split_edge_matches_nested_enumeration(self):
@@ -658,6 +661,20 @@ class TestSolveEndToEnd:
         assert solve(g, 3, 1, SolveOptions(**dict(options, family_rounds=1))) \
             .route == "dp"
 
+    def test_negative_family_seed_rejected(self):
+        # random.Random(-s) draws random.Random(s)'s stream, so -s would
+        # repeat s's family at node 0, which is every node of a one-bag
+        # decomposition
+        g = gnm_random(10, 14, seed=3)
+        options = dict(mode="colorcode", family_kind="randomized",
+                       family_rounds=40)
+        message = "family_seed must be non-negative, got -3"
+        with pytest.raises(ValueError, match=message):
+            solve(g, 4, 1, SolveOptions(family_seed=-3, **options))
+        with pytest.raises(ValueError, match=message):
+            DPSolver(g, construct(g, 4), 1, 4, family_seed=-3, **options)
+        assert solve(g, 4, 1, SolveOptions(family_seed=0, **options)).route == "dp"
+
     @staticmethod
     def assert_type_error(name, value, k=3, d=1, **options):
         # the message names the argument and its value, through both doors
@@ -816,16 +833,20 @@ class TestModes:
     def test_mask_split_equals_component_split(self, monkeypatch, rounds):
         # the randomized family's sides, tables and all, against the
         # per-bit family split by components; under the heuristic rounds
-        # some nodes draw every bag subset and take the listed sides while
-        # others walk their remainders, and one round never draws them all
-        complete = {True: 0, False: 0}
+        # some nodes isolate every listed side and stop drawing early while
+        # others draw every round, and one round never stops early
+        full_length = {True: 0, False: 0}
 
-        def counted(positions, seed, rounds):
-            draws = distinct_draws(positions, seed, rounds)
-            complete[len(draws) == 1 << len(positions)] += 1
-            return draws
+        def counted(size, seed, rounds):
+            drawn = 0
+            try:
+                for count, columns in round_columns(size, seed, rounds):
+                    drawn += count
+                    yield count, columns
+            finally:
+                full_length[drawn == rounds] += 1
 
-        monkeypatch.setattr(solver_module, "distinct_draws", counted)
+        monkeypatch.setattr(solver_module, "round_columns", counted)
         for g in make_corpus(30, seed=515):
             for k in range(2, 6):
                 td = construct(g, k)
@@ -840,8 +861,75 @@ class TestModes:
                         [p.sides for p in two.plans]
                     assert dict(one.table.entries()) == \
                         dict(two.table.entries())
-        assert complete[False] > 0, complete
-        assert (complete[True] > 0) == (rounds is None), complete
+        assert full_length[True] > 0, full_length
+        assert (full_length[False] > 0) == (rounds is None), full_length
+
+    def test_draw_stops_once_every_listed_side_is_isolated(self, monkeypatch):
+        # generator outputs counted per node seed through a random.Random
+        # subclass: each drawing node stops at the end of the block (of
+        # min(2^b, rounds left) rounds) in which the per-bit reference
+        # first isolates its last listed side as a helper component, or
+        # draws every round when some side is never isolated; a family
+        # that holds every bag subset stops it no later, and under the
+        # heuristic rounds some nodes stop in an earlier block than that
+        outputs = {}
+
+        class Counting(random.Random):
+            def __init__(self, seed):
+                self.key = seed
+                outputs[seed] = 0
+                super().__init__(seed)
+
+            def getrandbits(self, bits):
+                outputs[self.key] += bits // 32
+                return super().getrandbits(bits)
+
+        cases = {"early": 0, "full": 0, "before complete": 0}
+        for g in make_corpus(12, seed=77, n_lo=5, n_hi=11):
+            for k, rounds in [(3, None), (4, None), (3, 6)]:
+                td = construct(g, k)
+                outputs.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(setfamily.random, "Random", Counting)
+                    drawn = dp(g, td, 1, k, mode="colorcode",
+                               family_kind="randomized", family_seed=5,
+                               family_rounds=rounds, record_choices=False)
+                listed = dp(g, td, 1, k, record_choices=False)
+                for node, ctx in enumerate(drawn.contexts):
+                    bag = sorted(ctx.bag)
+                    sides = {frozenset(vertex_set(side))
+                             for side in listed.plans[node].sides}
+                    b, seed = len(bag), 5 * 100003 + node * 7919
+                    total = rounds or heuristic_rounds(b, k, k * k + k)
+                    adj = {v: vertex_set(mask) for v, mask
+                           in drawn._helper_masks(node).items()}
+                    left, seen, last, complete = set(sides), set(), None, None
+                    for r, flags in enumerate(draw_rounds(b, seed, total)):
+                        if left:
+                            member = [v for v, flag in zip(bag, flags) if flag]
+                            left -= {frozenset(c) for c in components(adj, member)}
+                            if not left:
+                                last = r
+                        seen.add(flags)
+                        if len(seen) == 1 << b:
+                            complete = r
+                            break
+                    block = min(1 << b, setfamily._BLOCK_ROUNDS)
+                    ends = [min(start + block, total)
+                            for start in range(0, total, block)]
+                    if not sides:
+                        stop = 0
+                    elif last is None:
+                        stop = total
+                    else:
+                        stop = next(end for end in ends if end > last)
+                    assert outputs.get(seed, 0) == stop * b, (node, stop)
+                    if complete is not None:
+                        done = next(end for end in ends if end > complete)
+                        assert stop <= done
+                        cases["before complete"] += stop < done
+                    cases["full" if stop == total else "early"] += 1
+        assert all(cases.values()), cases
 
     @pytest.mark.parametrize("rounds", [None, 1])
     def test_mask_split_past_bit_64(self, rounds):
