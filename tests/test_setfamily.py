@@ -138,6 +138,49 @@ class TestDistinctDraws:
             for j, column in enumerate(columns):
                 assert column == sum(draws[100 * i + r][j] << r for r in range(count))
 
+    @pytest.mark.parametrize("positions", [[0], [3, 5], [0, 2, 3], [1, 64, 130],
+                                           [0, 1, 2, 3, 4]])
+    def test_stops_at_a_complete_family(self, monkeypatch, positions):
+        # rounds far past 2^size: a reader that stops at the end of the
+        # block in which the rounds first hold every subset has drawn
+        # within as many rounds again, short of rounds x size generator
+        # outputs, yet holds draw_rounds' set; at least one seed completes
+        # mid-block, so the draw ran on past the completing round
+        size = len(positions)
+        rounds = 400 << size
+        cases = []
+        for seed in range(6):
+            seen, first = set(), None
+            for i, flags in enumerate(draw_rounds(size, seed, rounds)):
+                seen.add(flags)
+                if first is None and len(seen) == 1 << size:
+                    first = i + 1
+            assert first is not None
+            cases.append((seed, first, set(remapped(
+                ({i for i, flag in enumerate(flags) if flag} for flags in seen),
+                positions))))
+        outputs = []
+
+        class Counting(random.Random):
+            def getrandbits(self, bits):
+                outputs.append(bits // 32)
+                return super().getrandbits(bits)
+
+        monkeypatch.setattr(setfamily.random, "Random", Counting)
+        past = 0
+        for seed, first, expected in cases:
+            outputs.clear()
+            found = set()
+            for count, columns in round_columns(size, seed, rounds):
+                found.update(vertex_mask(p for p, c in zip(positions, columns)
+                                         if c >> r & 1) for r in range(count))
+                if len(found) == 1 << size:
+                    break
+            assert found == expected
+            assert first * size <= sum(outputs) < min(2 * first, rounds) * size
+            past += sum(outputs) > first * size
+        assert past > 0
+
     def test_no_rounds_no_draws(self):
         assert list(round_columns(2, 3, 0)) == []
 
