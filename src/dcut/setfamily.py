@@ -6,9 +6,9 @@ A inside S and B disjoint from S.  Two constructions are provided: the
 exhaustive one (all subsets, trivially covering) for small universes,
 and a seeded randomized one.  The solver reads its randomized members
 as round-bitset columns, one per element (:func:`round_columns`), block
-by block, and keeps each listed side that some round isolates; it stops
-drawing once every listed side is kept, never later than a family that
-holds every subset, which would isolate them all.  The exhaustive
+by block, and grows its sides along the rounds' small components; it
+stops drawing once every candidate side is kept, never later than a
+family that holds every subset, which would isolate them all.  The exhaustive
 covering checker that pins a passing seed lives with the tests.  A
 randomized family that misses a pair can only push the solver's costs
 up, never down, so its failures are one-sided.

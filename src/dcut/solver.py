@@ -19,14 +19,18 @@ the bag subsets of at most k vertices connected in a helper graph
 (adhesions turned into cliques plus the bag edges), listed exactly, grown
 size by size.  With a randomized covering family they are the helper
 graph's components of at most k vertices, short of the bag, on the
-family's members, and those are exactly the listed sides that some
-member isolates: holds the side and none of its helper neighbours.  The
-family is drawn in blocks of round-bitset columns, one per bag vertex; a
-listed side is kept once the AND of its vertices' columns and its
-neighbours' complemented columns is not zero, and drawing stops after
-the block that keeps the last one, never later than a family that holds
-every bag subset.  Each side comes with the number of bag edges it
-splits, which the listing carries as it grows a side.
+family's members, read in blocks of round-bitset columns, one per bag
+vertex.  A round reaches each small component along a chain of sets,
+from its lowest vertex adding the lowest drawn helper neighbour each
+step, and it fits every set on the chain: draws it, with no vertex given
+k or more drawn neighbours.  So sides are grown only along the steps of
+fitting rounds, a block costs chains of at most k vertices through its
+rounds rather than the C(b, <= k) connected sets, and drawing stops
+after the block that leaves every connected set of at most k vertices
+reached and kept: the block that first isolates the last listed side,
+never later than a family holding every bag subset.  Each side comes
+with the number of bag edges it splits, which is carried as a side
+grows.
 
 The fill works on integer masks over vertex ids, and a side takes no
 other form: sides, table keys, menus and the witness rebuild hold masks,
@@ -348,50 +352,124 @@ class DPSolver:
         family, which happens in colorcode mode or, in auto mode, when the
         bag has more than ``enumerate_budget`` subsets of at most k
         vertices; ``"enumerate"`` when listed exactly.  ``edges`` holds the
-        node's bag-edge masks (:meth:`_edge_masks`).
-
-        A drawn round R's helper components of 1..k vertices, short of the
-        bag, are exactly the listed sides C that R isolates: C inside R,
-        and none of C's helper neighbours in R.  So the drawn sides are the
-        listed sides that some round isolates, in lexicographic order.
-        The rounds come in blocks of round-bitset columns, and a side is
-        isolated in a block when the AND of its vertices' columns and its
-        neighbours' complemented columns is not zero.  The draw stops
-        after the block in which the last listed side is isolated; a
-        complete family isolates them all, so it stops no later."""
+        node's bag-edge masks (:meth:`_edge_masks`)."""
         bag_order = sorted(self.contexts[node].bag)
         b = len(bag_order)
         subset_count = sum(math.comb(b, i) for i in range(min(self.k, b) + 1))
-        listed = self._listed_sides(bag_order, self._helper_masks(node), edges)
-        if self.family_kind != "randomized" or (
-                self.mode != "colorcode" and subset_count <= self.enumerate_budget):
-            return {side: cut for side, (_, cut) in listed.items()}, "enumerate"
-        rounds = self.family_rounds or heuristic_rounds(
-            b, self.k, self.k * self.k + self.k)
+        nbrs = self._helper_masks(node)
+        if self.family_kind == "randomized" and (
+                self.mode == "colorcode" or subset_count > self.enumerate_budget):
+            rounds = self.family_rounds or heuristic_rounds(
+                b, self.k, self.k * self.k + self.k)
+            return self._drawn_sides(bag_order, nbrs, edges,
+                                     self.family_seed * 100003 + node * 7919,
+                                     rounds), "colorcode"
+        return self._listed_sides(bag_order, nbrs, edges), "enumerate"
+
+    def _drawn_sides(self, bag_order, nbrs, edges, seed, rounds):
+        """The helper graph's components of 1..k vertices, short of the
+        whole bag, on the drawn rounds, in lexicographic order, each with
+        the number of bag edges it splits.  The rounds are
+        :func:`dcut.setfamily.round_columns`' blocks, drawn only as far as
+        needed.
+
+        A round R reaches each such component C along a chain of sets: from
+        C's lowest vertex, each step adds the lowest helper neighbour that
+        R draws.  Each vertex of C has at most |C| - 1 drawn neighbours, so
+        R fits every set on the chain: it draws the set and gives none of
+        its vertices k or more drawn neighbours (a bit-sliced count per
+        vertex and block).  A reached set takes the rounds that fit it,
+        steps to its lowest drawn neighbour in each where that lies above
+        its lowest vertex, and is kept as a side once one of them draws
+        none of its neighbours.  So a block costs chains of at most k
+        vertices through its rounds, cut at any vertex with k or more drawn
+        neighbours: on a dense bag few rounds fit any set, and its
+        C(b, <= k) connected sets are never listed.
+
+        A reached set is visited in each block until it is kept and each
+        of its extensions by a neighbour above its lowest vertex is
+        reached.  The draw stops after the block that leaves none to visit:
+        every connected set of at most k vertices is then reached and kept,
+        so this is the block in which the last listed side is first
+        isolated."""
+        limit = min(self.k, len(bag_order) - 1)
         bits = [1 << v for v in bag_order]
-        pending = [(side, near | side) for side, (near, _) in listed.items()]
-        kept = []
-        for count, columns in round_columns(
-                b, self.family_seed * 100003 + node * 7919, rounds if pending else 0):
+        helper = {1 << v: nbrs[v] for v in bag_order}
+        # a reached set: [its members' helper neighbours, split count,
+        # extensions above its lowest vertex not reached yet, kept]
+        reached = {bit: [helper[bit], edges[bit].bit_count(),
+                         helper[bit] & ~(2 * bit - 1) if limit > 1 else 0, False]
+                   for bit in bits} if limit > 0 else {}
+        pending = len(reached)
+        open_sets = [[], list(reached)] + [[] for _ in range(1, limit)]
+        for count, columns in round_columns(len(bag_order), seed,
+                                            rounds if reached else 0):
             full = (1 << count) - 1
-            inside = dict(zip(bits, columns))
-            outside = {bit: full ^ column for bit, column in inside.items()}
-            waiting = []
-            for side, closed in pending:
-                hit, rest = full, closed
-                while rest and hit:
-                    low = rest & -rest
-                    rest ^= low
-                    hit &= inside[low] if side & low else outside[low]
-                if hit:
-                    kept.append(side)
-                else:
-                    waiting.append((side, closed))
-            pending = waiting
-            if not pending:
-                break
-        return {side: listed[side][1]
-                for side in sorted(kept, key=_lex_key, reverse=True)}, "colorcode"
+            drawn = dict(zip(bits, columns))
+            fits = {}  # rounds drawing the vertex and at most limit - 1 neighbours
+            for bit in bits:
+                around = helper[bit]
+                if around.bit_count() < limit:
+                    fits[bit] = drawn[bit]
+                    continue
+                more = [0] * limit  # more[j]: rounds with more than j drawn neighbours
+                while around:
+                    low = around & -around
+                    around ^= low
+                    column = drawn[low]
+                    for j in range(limit - 1, 0, -1):
+                        more[j] |= more[j - 1] & column
+                    more[0] |= column
+                fits[bit] = drawn[bit] & ~more[-1]
+            for size in range(1, limit + 1):
+                still = []
+                for side in open_sets[size]:
+                    entry = reached[side]
+                    near, cut, untried, kept = entry
+                    rounds, rest = full, side  # every round that fits the set
+                    while rest and rounds:
+                        low = rest & -rest
+                        rest ^= low
+                        rounds &= fits[low]
+                    rest = near & ~side
+                    if kept:  # only the unreached extensions are left to find
+                        rest &= (1 << untried.bit_length()) - 1
+                    while rest and rounds:
+                        low = rest & -rest
+                        rest ^= low
+                        step = rounds & drawn[low]  # rounds whose lowest drawn neighbour is low
+                        rounds ^= step
+                        if not untried & low:
+                            continue
+                        grown = side | low
+                        if grown not in reached and step & fits[low]:
+                            out, wider = edges[low], near | helper[low]
+                            reached[grown] = [wider, cut + (out & ~side).bit_count()
+                                              - (out & side).bit_count(),
+                                              wider & ~grown & ~(2 * (side & -side) - 1)
+                                              if size + 1 < limit else 0, False]
+                            pending += 1
+                            open_sets[size + 1].append(grown)
+                        if grown in reached:
+                            untried ^= low
+                    if rounds and not kept:  # rounds with no drawn neighbour
+                        entry[3] = kept = True
+                        pending -= 1
+                    entry[2] = untried
+                    if untried or not kept:
+                        still.append(side)
+                open_sets[size] = still
+            if not pending:  # drop extensions reached from another set
+                for size, sides in enumerate(open_sets):
+                    open_sets[size] = [
+                        side for side in sides
+                        if any(side | 1 << w not in reached
+                               for w in _members(reached[side][2]))]
+                if not any(open_sets):
+                    break
+        kept = [side for side, entry in reached.items() if entry[3]]
+        return {side: reached[side][1]
+                for side in sorted(kept, key=_lex_key, reverse=True)}
 
     def _listed_sides(self, bag_order, nbrs, edges):
         """The helper graph's connected bag subsets of 1..k vertices, short
@@ -424,7 +502,7 @@ class DPSolver:
                                                  - (out & side).bit_count())
                 level = grown
             for side in sorted(level, key=_lex_key, reverse=True):
-                sides[side] = level[side]
+                sides[side] = level[side][1]
         return sides
 
     def _helper_masks(self, node):

@@ -296,8 +296,8 @@ class TestMain:
         assert doc["answer"] == "yes" and doc["agreement"] is True
 
     def test_colour_coded_document_pinned(self, capsys):
-        # the colour-coded document CI pins, with its exit code: a change
-        # to the drawn stream changes it
+        # the colour-coded document that CI builds under two hash seeds,
+        # with its exit code, pinned: a change to the drawn stream changes it
         code = main(["--gen", "gnm:n=14,m=24", "--seed", "4", "--k", "3",
                      "--d", "1", "--algorithm", "both", "--witness", "--json",
                      "--family-rounds", "5", "--family-seed", "3"])

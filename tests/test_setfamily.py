@@ -1,13 +1,15 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import (find_covering_family, randomized_members_reference,
                       verify_covering, vertex_mask)
-from dcut import build_exhaustive, build_randomized, heuristic_rounds
+from dcut import DPSolver, build_exhaustive, build_randomized, heuristic_rounds
 from dcut import setfamily
 from dcut.graph import SizeLimitExceeded
 from dcut.setfamily import draw_rounds, round_columns
+from dcut.solver import _lex_key
 
 
 class TestExhaustive:
@@ -141,24 +143,34 @@ class TestDistinctDraws:
     @pytest.mark.parametrize("positions", [[0], [3, 5], [0, 2, 3], [1, 64, 130],
                                            [0, 1, 2, 3, 4]])
     def test_stops_at_a_complete_family(self, monkeypatch, positions):
-        # rounds far past 2^size: a reader that stops at the end of the
-        # block in which the rounds first hold every subset has drawn
-        # within as many rounds again, short of rounds x size generator
-        # outputs, yet holds draw_rounds' set; at least one seed completes
-        # mid-block, so the draw ran on past the completing round
+        # a drawing node on a clique bag over the positions, whose sides
+        # are its proper subsets, reads the columns up to the end of the
+        # block (2^size rounds) in which the rounds first hold every
+        # proper subset, so never past the block in which they hold every
+        # subset, and keeps each subset with its split edges; generator
+        # outputs are counted through a random.Random subclass
         size = len(positions)
         rounds = 400 << size
-        cases = []
+        clique = vertex_mask(positions)
+        nbrs = {p: clique ^ 1 << p for p in positions}
+        edges = {1 << p: clique ^ 1 << p for p in positions}
+        proper = range(1, (1 << size) - 1)
+        expected = {vertex_mask(p for i, p in enumerate(positions) if mask >> i & 1):
+                    mask.bit_count() * (size - mask.bit_count()) for mask in proper}
+        ends = []
         for seed in range(6):
-            seen, first = set(), None
+            seen, sides_end, family_end = set(), None if proper else 0, None
             for i, flags in enumerate(draw_rounds(size, seed, rounds)):
                 seen.add(flags)
-                if first is None and len(seen) == 1 << size:
-                    first = i + 1
-            assert first is not None
-            cases.append((seed, first, set(remapped(
-                ({i for i, flag in enumerate(flags) if flag} for flags in seen),
-                positions))))
+                if sides_end is None and len(
+                        seen - {bytes(size), bytes([1] * size)}) == len(proper):
+                    sides_end = i + 1
+                if len(seen) == 1 << size:
+                    family_end = i + 1
+                    break
+            block = 1 << size
+            ends.append((seed, -(-sides_end // block) * block,
+                         -(-family_end // block) * block))
         outputs = []
 
         class Counting(random.Random):
@@ -167,19 +179,13 @@ class TestDistinctDraws:
                 return super().getrandbits(bits)
 
         monkeypatch.setattr(setfamily.random, "Random", Counting)
-        past = 0
-        for seed, first, expected in cases:
+        node = SimpleNamespace(k=size - 1)
+        for seed, sides_end, family_end in ends:
             outputs.clear()
-            found = set()
-            for count, columns in round_columns(size, seed, rounds):
-                found.update(vertex_mask(p for p, c in zip(positions, columns)
-                                         if c >> r & 1) for r in range(count))
-                if len(found) == 1 << size:
-                    break
-            assert found == expected
-            assert first * size <= sum(outputs) < min(2 * first, rounds) * size
-            past += sum(outputs) > first * size
-        assert past > 0
+            sides = DPSolver._drawn_sides(node, positions, nbrs, edges, seed, rounds)
+            assert sides == expected
+            assert list(sides) == sorted(expected, key=_lex_key, reverse=True)
+            assert sum(outputs) == sides_end * size <= family_end * size
 
     def test_no_rounds_no_draws(self):
         assert list(round_columns(2, 3, 0)) == []

@@ -931,6 +931,24 @@ class TestModes:
                     cases["full" if stop == total else "early"] += 1
         assert all(cases.values()), cases
 
+    @pytest.mark.parametrize("n,k", [(9, 4), (12, 4), (12, 5)])
+    def test_dense_bags_equal_component_split(self, n, k):
+        # one dense bag, where most drawn rounds form one component larger
+        # than k and fit no set: sides and tables against the per-bit
+        # family split by components, under the heuristic rounds and
+        # under few rounds
+        for g in [complete_graph(n), gnm_random(n, n * (n - 1) // 2 - n, seed=n + k)]:
+            td = construct(g, k)
+            assert td.node_count == 1
+            for rounds in (None, 40):
+                options = dict(mode="colorcode", family_kind="randomized",
+                               family_seed=2, family_rounds=rounds,
+                               record_choices=False)
+                one = DPSolver(g, td, 1, k, **options).run()
+                two = ComponentSplitSolver(g, td, 1, k, **options).run()
+                assert one.plans[0].sides == two.plans[0].sides
+                assert dict(one.table.entries()) == dict(two.table.entries())
+
     @pytest.mark.parametrize("rounds", [None, 1])
     def test_mask_split_past_bit_64(self, rounds):
         # a 70-cycle under bags {0, i, i+1}: the draws' masks reach bit 69
