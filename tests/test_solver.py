@@ -832,9 +832,11 @@ class TestModes:
     @pytest.mark.parametrize("rounds", [None, 1])
     def test_mask_split_equals_component_split(self, monkeypatch, rounds):
         # the randomized family's sides, tables and all, against the
-        # per-bit family split by components; under the heuristic rounds
-        # some nodes isolate every listed side and stop drawing early while
-        # others draw every round, and one round never stops early
+        # per-bit family split by components, on corpus graphs and on two
+        # dense one-bag graphs, where most rounds fit no set; under the
+        # heuristic rounds some nodes isolate every listed side and stop
+        # drawing early while others draw every round, and one round never
+        # stops early
         full_length = {True: 0, False: 0}
 
         def counted(size, seed, rounds):
@@ -847,7 +849,8 @@ class TestModes:
                 full_length[drawn == rounds] += 1
 
         monkeypatch.setattr(solver_module, "round_columns", counted)
-        for g in make_corpus(30, seed=515):
+        dense = [complete_graph(12), gnm_random(12, 54, seed=9)]
+        for g in make_corpus(30, seed=515) + dense:
             for k in range(2, 6):
                 td = construct(g, k)
                 for d in (1, 2):
@@ -930,24 +933,6 @@ class TestModes:
                         cases["before complete"] += stop < done
                     cases["full" if stop == total else "early"] += 1
         assert all(cases.values()), cases
-
-    @pytest.mark.parametrize("n,k", [(9, 4), (12, 4), (12, 5)])
-    def test_dense_bags_equal_component_split(self, n, k):
-        # one dense bag, where most drawn rounds form one component larger
-        # than k and fit no set: sides and tables against the per-bit
-        # family split by components, under the heuristic rounds and
-        # under few rounds
-        for g in [complete_graph(n), gnm_random(n, n * (n - 1) // 2 - n, seed=n + k)]:
-            td = construct(g, k)
-            assert td.node_count == 1
-            for rounds in (None, 40):
-                options = dict(mode="colorcode", family_kind="randomized",
-                               family_seed=2, family_rounds=rounds,
-                               record_choices=False)
-                one = DPSolver(g, td, 1, k, **options).run()
-                two = ComponentSplitSolver(g, td, 1, k, **options).run()
-                assert one.plans[0].sides == two.plans[0].sides
-                assert dict(one.table.entries()) == dict(two.table.entries())
 
     @pytest.mark.parametrize("rounds", [None, 1])
     def test_mask_split_past_bit_64(self, rounds):
