@@ -8,10 +8,10 @@ and a seeded randomized one.  The solver reads its randomized members
 as round-bitset columns, one per element (:func:`round_columns`), block
 by block, and grows its sides along the rounds' small components; it
 stops drawing once every candidate side is kept, never later than a
-family that holds every subset, which would isolate them all.  The exhaustive
-covering checker that pins a passing seed lives with the tests.  A
-randomized family that misses a pair can only push the solver's costs
-up, never down, so its failures are one-sided.
+family that holds every subset, which would isolate them all.  The
+exhaustive covering checker that pins a passing seed lives with the
+tests.  A randomized family that misses a pair can only push the
+solver's costs up, never down, so its failures are one-sided.
 """
 
 from __future__ import annotations

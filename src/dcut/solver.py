@@ -426,19 +426,20 @@ class DPSolver:
                 for side in open_sets[size]:
                     entry = reached[side]
                     near, cut, untried, kept = entry
-                    rounds, rest = full, side  # every round that fits the set
-                    while rest and rounds:
+                    live, rest = full, side  # every round that fits the set
+                    while rest and live:
                         low = rest & -rest
                         rest ^= low
-                        rounds &= fits[low]
+                        live &= fits[low]
                     rest = near & ~side
                     if kept:  # only the unreached extensions are left to find
                         rest &= (1 << untried.bit_length()) - 1
-                    while rest and rounds:
+                    while rest and live:
                         low = rest & -rest
                         rest ^= low
-                        step = rounds & drawn[low]  # rounds whose lowest drawn neighbour is low
-                        rounds ^= step
+                        # the rounds whose lowest drawn neighbour is low
+                        step = live & drawn[low]
+                        live ^= step
                         if not untried & low:
                             continue
                         grown = side | low
@@ -452,7 +453,7 @@ class DPSolver:
                             open_sets[size + 1].append(grown)
                         if grown in reached:
                             untried ^= low
-                    if rounds and not kept:  # rounds with no drawn neighbour
+                    if live and not kept:  # rounds with no drawn neighbour
                         entry[3] = kept = True
                         pending -= 1
                     entry[2] = untried
@@ -473,9 +474,8 @@ class DPSolver:
 
     def _listed_sides(self, bag_order, nbrs, edges):
         """The helper graph's connected bag subsets of 1..k vertices, short
-        of the whole bag, by size and then lexicographically, each mapped
-        to the union of its members' helper neighbours and the number of
-        bag edges it splits.
+        of the whole bag, with their split bag edges, by size and then
+        lexicographically.
 
         A disconnected side never beats its component that meets the
         adhesion, and that component comes first in this order.  Every
