@@ -375,36 +375,38 @@ class DPSolver:
 
         A round R reaches each such component C along a chain of sets: from
         C's lowest vertex, each step adds the lowest helper neighbour that
-        R draws.  Each vertex of C has at most |C| - 1 drawn neighbours, so
-        R fits every set on the chain: it draws the set and gives none of
-        its vertices k or more drawn neighbours (a bit-sliced count per
-        vertex and block).  A reached set takes the rounds that fit it,
-        steps to its lowest drawn neighbour in each where that lies above
-        its lowest vertex, and is kept as a side once one of them draws
-        none of its neighbours.  So a block costs chains of at most k
-        vertices through its rounds, cut at any vertex with k or more drawn
-        neighbours: on a dense bag few rounds fit any set, and its
-        C(b, <= k) connected sets are never listed.
+        R draws.  The order in which a chain adds a set's vertices depends
+        on the set alone, so each set has one parent, and the sets form a
+        tree.  Each vertex of C has at most |C| - 1 drawn neighbours, so R
+        fits every set on the chain: it draws the set and gives none of its
+        vertices k or more drawn neighbours (a bit-sliced count per vertex
+        and block).  Each block grows the tree from the singletons, handing
+        each set the rounds in which a chain reaches it and stepping, in
+        each, to the lowest drawn neighbour; a set is kept as a side once
+        one of its rounds draws none of its neighbours.  So a block costs
+        the chains of its fitting rounds, and a dense bag's C(b, <= k)
+        connected sets are never listed.
 
-        A reached set is visited in each block until it is kept and each
-        of its extensions by a neighbour above its lowest vertex is
-        reached.  The draw stops after the block that leaves none to visit:
-        every connected set of at most k vertices is then reached and kept,
-        so this is the block in which the last listed side is first
-        isolated."""
+        A set is finished once it is kept and so is every set below it,
+        and a block no longer enters it.  The draw stops after the block
+        that finishes every singleton: every connected set of at most k
+        vertices is then kept, so this is the block in which the last
+        listed side is first isolated."""
         limit = min(self.k, len(bag_order) - 1)
         bits = [1 << v for v in bag_order]
         helper = {1 << v: nbrs[v] for v in bag_order}
-        # a reached set: [its members' helper neighbours, split count,
-        # extensions above its lowest vertex not reached yet, kept]
-        reached = {bit: [helper[bit], edges[bit].bit_count(),
-                         helper[bit] & ~(2 * bit - 1) if limit > 1 else 0, False]
-                   for bit in bits} if limit > 0 else {}
-        pending = len(reached)
-        open_sets = [[], list(reached)] + [[] for _ in range(1, limit)]
+        # a reached set: [its members' helper neighbours, split count, kept,
+        # its children not finished plus one while it is not kept, the
+        # vertices that may follow it on a chain, its parent]
+        reached = {}
+        for bit in bits if limit > 0 else ():
+            after = ~(2 * bit - 1)
+            reached[bit] = [helper[bit], edges[bit].bit_count(), False,
+                            1 + ((helper[bit] & after).bit_count() if limit > 1 else 0),
+                            after, 0]
+        unfinished = len(reached)  # singletons
         for count, columns in round_columns(len(bag_order), seed,
                                             rounds if reached else 0):
-            full = (1 << count) - 1
             drawn = dict(zip(bits, columns))
             fits = {}  # rounds drawing the vertex and at most limit - 1 neighbours
             for bit in bits:
@@ -421,54 +423,50 @@ class DPSolver:
                         more[j] |= more[j - 1] & column
                     more[0] |= column
                 fits[bit] = drawn[bit] & ~more[-1]
+            level = {bit: fits[bit] for bit in bits if reached[bit][3]}
             for size in range(1, limit + 1):
-                still = []
-                for side in open_sets[size]:
+                below = {}  # the next size's sets and the rounds that reach them
+                for side, live in level.items():
                     entry = reached[side]
-                    near, cut, untried, kept = entry
-                    live, rest = full, side  # every round that fits the set
-                    while rest and live:
-                        low = rest & -rest
-                        rest ^= low
-                        live &= fits[low]
+                    near, cut, kept, _, after, _ = entry
                     rest = near & ~side
-                    if kept:  # only the unreached extensions are left to find
-                        rest &= (1 << untried.bit_length()) - 1
                     while rest and live:
                         low = rest & -rest
                         rest ^= low
                         # the rounds whose lowest drawn neighbour is low
                         step = live & drawn[low]
                         live ^= step
-                        if not untried & low:
+                        if not low & after or size == limit:
+                            continue
+                        step &= fits[low]
+                        if not step:
                             continue
                         grown = side | low
-                        if grown not in reached and step & fits[low]:
+                        child = reached.get(grown)
+                        if child is None:
                             out, wider = edges[low], near | helper[low]
-                            reached[grown] = [wider, cut + (out & ~side).bit_count()
-                                              - (out & side).bit_count(),
-                                              wider & ~grown & ~(2 * (side & -side) - 1)
-                                              if size + 1 < limit else 0, False]
-                            pending += 1
-                            open_sets[size + 1].append(grown)
-                        if grown in reached:
-                            untried ^= low
+                            # a neighbour below low would have come before it
+                            follow = after & ~(near & (2 * low - 1))
+                            child = reached[grown] = [
+                                wider, cut + (out & ~side).bit_count()
+                                - (out & side).bit_count(), False,
+                                1 + ((wider & ~grown & follow).bit_count()
+                                     if size + 1 < limit else 0), follow, side]
+                        if child[3]:
+                            below[grown] = step
                     if live and not kept:  # rounds with no drawn neighbour
-                        entry[3] = kept = True
-                        pending -= 1
-                    entry[2] = untried
-                    if untried or not kept:
-                        still.append(side)
-                open_sets[size] = still
-            if not pending:  # drop extensions reached from another set
-                for size, sides in enumerate(open_sets):
-                    open_sets[size] = [
-                        side for side in sides
-                        if any(side | 1 << w not in reached
-                               for w in _members(reached[side][2]))]
-                if not any(open_sets):
-                    break
-        kept = [side for side, entry in reached.items() if entry[3]]
+                        entry[2] = True
+                        entry[3] -= 1
+                        while not entry[3]:  # finished, and so perhaps its parent
+                            if not entry[5]:
+                                unfinished -= 1
+                                break
+                            entry = reached[entry[5]]
+                            entry[3] -= 1
+                level = below
+            if not unfinished:
+                break
+        kept = [side for side, entry in reached.items() if entry[2]]
         return {side: reached[side][1]
                 for side in sorted(kept, key=_lex_key, reverse=True)}
 
