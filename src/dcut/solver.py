@@ -23,14 +23,15 @@ family's members, read in blocks of round-bitset columns, one per bag
 vertex.  A round reaches each small component along a chain of sets,
 from its lowest vertex adding the lowest drawn helper neighbour each
 step, and it fits every set on the chain: draws it, with no vertex given
-k or more drawn neighbours.  So sides are grown only along the steps of
-fitting rounds, a block costs chains of at most k vertices through its
-rounds rather than the C(b, <= k) connected sets, and drawing stops
-after the block that leaves every connected set of at most k vertices
-reached and kept: the block that first isolates the last listed side,
-never later than a family holding every bag subset.  Each side comes
-with the number of bag edges it splits, which is carried as a side
-grows.
+k or more drawn neighbours.  A chain adds a set's vertices in an order
+that depends on the set alone, so the sets form a tree, which each block
+grows from the singletons along the steps of its fitting rounds,
+skipping the subtrees whose sets are all kept.  A block costs the chains
+of its rounds rather than the C(b, <= k) connected sets, and drawing
+stops after the block that keeps the last connected set of at most k
+vertices: the block that first isolates the last listed side, never
+later than a family holding every bag subset.  Each side comes with the
+number of bag edges it splits, which is carried as a side grows.
 
 The fill works on integer masks over vertex ids, and a side takes no
 other form: sides, table keys, menus and the witness rebuild hold masks,
@@ -382,10 +383,11 @@ class DPSolver:
         vertices k or more drawn neighbours (a bit-sliced count per vertex
         and block).  Each block grows the tree from the singletons, handing
         each set the rounds in which a chain reaches it and stepping, in
-        each, to the lowest drawn neighbour; a set is kept as a side once
-        one of its rounds draws none of its neighbours.  So a block costs
-        the chains of its fitting rounds, and a dense bag's C(b, <= k)
-        connected sets are never listed.
+        each, to the lowest drawn neighbour, a child when it may follow the
+        set on a chain; a set is kept as a side once one of its rounds
+        draws none of its neighbours.  So a block costs the chains of its
+        fitting rounds, and a dense bag's C(b, <= k) connected sets are
+        never listed.
 
         A set is finished once it is kept and so is every set below it,
         and a block no longer enters it.  The draw stops after the block
@@ -405,8 +407,8 @@ class DPSolver:
                             1 + ((helper[bit] & after).bit_count() if limit > 1 else 0),
                             after, 0]
         unfinished = len(reached)  # singletons
-        for count, columns in round_columns(len(bag_order), seed,
-                                            rounds if reached else 0):
+        for _, columns in round_columns(len(bag_order), seed,
+                                        rounds if reached else 0):
             drawn = dict(zip(bits, columns))
             fits = {}  # rounds drawing the vertex and at most limit - 1 neighbours
             for bit in bits:
