@@ -106,9 +106,10 @@ def choice_record(choice):
     return choice
 
 
-def solver_record(solver):
-    """The plan sides, menus, table, each finite entry's choice and the
-    counters of a filled solver, with every side and key in the form above."""
+def solver_record(solver, excluded, menus=True):
+    """The plan sides, menus (if ``menus`` is true), table, each finite
+    entry's choice and the counters not in ``excluded`` of a filled solver,
+    with every side and key in the form above."""
     adhesions = [ctx.adhesion for ctx in solver.contexts]
 
     def row(entry):
@@ -126,11 +127,11 @@ def solver_record(solver):
     return [[[vertex_set(side) for side in plan.sides] for plan in solver.plans],
             [{side_key(adhesions[node], key): [row(entry) for entry in menu]
               for key, menu in plan.menus.items()}
-             for node, plan in enumerate(solver.plans)],
+             for node, plan in enumerate(solver.plans)] if menus else None,
             {keyed(key): value for key, value in solver.table.entries()},
             {keyed(key): choice_record(choice(key))
              for key, value in solver.table.entries() if value is not INFEASIBLE},
-            solver.stats]
+            {key: value for key, value in solver.stats.items() if key not in excluded}]
 
 
 def corpus_graphs(count, seed):
@@ -160,15 +161,16 @@ def decisions(name, count, seed):
             for d in (1, 2) for k in range(7)]
 
 
-def record(result, excluded):
-    """Everything one decision decides and records, canonicalised."""
+def record(result, excluded, menus=True):
+    """Everything one decision decides and records, canonicalised; the
+    menus only if ``menus`` is true."""
     witness = result.witness
     stats = {key: value for key, value in result.stats.items()
              if key not in excluded}
     out = [result.answer, witness and witness.side_a, result.cut_size,
            result.route, stats]
     if result.solver is not None:
-        out += solver_record(result.solver)
+        out += solver_record(result.solver, excluded, menus)
     return canonical(out)
 
 
@@ -256,7 +258,7 @@ def verify_record(graph, td, k):
                       contexts))
 
 
-def slice_records(name, count, seed, excluded):
+def slice_records(name, count, seed, excluded, menus=True):
     """One record per decision, per (graph, k) of the construct slice, or
     per (graph, d) of the oracle slice."""
     if name == "oracle":
@@ -272,13 +274,13 @@ def slice_records(name, count, seed, excluded):
         graphs = corpus_graphs(count, seed) + large_graphs() + [
             gnm_random(n, int(1.6 * n), seed=seed + n) for n in range(16, 25)]
         return [construct_record(g, k) for g in graphs for k in range(7)]
-    return [record(solve(graph, k, d, options), excluded)
+    return [record(solve(graph, k, d, options), excluded, menus)
             for graph, k, d, options in decisions(name, count, seed)]
 
 
-def slice_digest(name, count, seed, excluded):
+def slice_digest(name, count, seed, excluded, menus=True):
     digest = hashlib.sha256()
-    records = slice_records(name, count, seed, excluded)
+    records = slice_records(name, count, seed, excluded, menus)
     for rec in records:
         digest.update(repr(rec).encode())
         digest.update(b"\n")
@@ -294,11 +296,17 @@ def main(argv=None):
                              "oracle and verify slice")
     parser.add_argument("--seed", type=int, default=20250808)
     parser.add_argument("--exclude-stat", action="append", default=[],
-                        metavar="KEY", help="leave this solve() stats key out")
+                        metavar="KEY",
+                        help="leave this key out of the solve() stats and "
+                             "the solver's counters")
+    parser.add_argument("--exclude-menus", action="store_true",
+                        help="leave the solver's menus out; the choices "
+                             "read from them stay in")
     args = parser.parse_args(argv)
     for name in args.slice or SLICES:
         runs, hexdigest = slice_digest(name, args.count, args.seed,
-                                       set(args.exclude_stat))
+                                       set(args.exclude_stat),
+                                       not args.exclude_menus)
         print(f"{name} {runs} {hexdigest}")
     return 0
 

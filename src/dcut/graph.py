@@ -184,15 +184,16 @@ def is_d_cut(graph: Graph, part: Bipartition, d: int) -> bool:
     return True
 
 
-def _max_flow(graph: Graph, source: int, sink: int):
-    """Unit-capacity max flow (Edmonds-Karp); returns (value, residual)."""
+def _max_flow(graph: Graph, source: int, sink: int, limit=None):
+    """Unit-capacity max flow (Edmonds-Karp), stopped once it reaches
+    ``limit`` when one is given; returns (value, residual)."""
     n = graph.n
     cap = [dict() for _ in range(n)]
     for u, v in graph.edges:
         cap[u][v] = 1
         cap[v][u] = 1
     flow = 0
-    while True:
+    while limit is None or flow < limit:
         parent = [-1] * n
         parent[source] = source
         queue = deque([source])
@@ -205,7 +206,7 @@ def _max_flow(graph: Graph, source: int, sink: int):
                     parent[w] = u
                     queue.append(w)
         if parent[sink] == -1:
-            return flow, cap
+            break
         v = sink
         while v != source:
             u = parent[v]
@@ -213,13 +214,15 @@ def _max_flow(graph: Graph, source: int, sink: int):
             cap[v][u] = cap[v].get(u, 0) + 1
             v = u
         flow += 1
+    return flow, cap
 
 
 def global_min_cut(graph: Graph):
     """Smallest edge cut over all non-trivial bipartitions.
 
     Runs a unit-capacity max flow from vertex 0 to every other vertex;
-    simple and provably correct, which is all the desk scale needs.
+    simple and provably correct, which is all the desk scale needs.  Each
+    flow stops at the best value so far: reaching it cannot beat it.
     Returns ``(size, bipartition)``; size is ``None`` for graphs with
     fewer than two vertices (no non-trivial bipartition exists).
     """
@@ -229,7 +232,7 @@ def global_min_cut(graph: Graph):
         return None, None
     best = None
     for sink in range(1, graph.n):
-        value, residual = _max_flow(graph, 0, sink)
+        value, residual = _max_flow(graph, 0, sink, best)
         if best is None or value < best:
             best = value
             best_residual = residual

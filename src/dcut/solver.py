@@ -33,6 +33,12 @@ vertices: the block that first isolates the last listed side, never
 later than a family holding every bag subset.  Each side comes with the
 number of bag edges it splits, which is carried as a side grows.
 
+A row using no adhesion vertex's budget fits every budget, so once a
+side offers one at cost c, the menu's later sides are split only for
+rows cheaper than c.  A menu thus leaves out the later sides' rows that
+such a row beats, which no lookup could return; at a root, whose
+adhesion is empty, every row is of this kind.
+
 The fill works on integer masks over vertex ids, and a side takes no
 other form: sides, table keys, menus and the witness rebuild hold masks,
 and only the rebuilt witness is handed out as a frozenset.  The menus
@@ -289,18 +295,21 @@ class DPSolver:
         return split
 
     def _bag_rows(self, node, edges):
-        """A function from a side, as a vertex mask, and the number of bag
-        edges it splits to its menu rows for splitting the bag along it,
-        one per budget family, in the order :func:`budget_families` lists
-        them.
+        """A function from a side, as a vertex mask, the number of bag
+        edges it splits and a cost cap of at most k to its menu rows for
+        splitting the bag along it that cost at most the cap, one per
+        budget family, in the order :func:`budget_families` lists them.
 
         A side splitting more than k bag edges is pruned before it is
         split, and one splitting more than k bag edges and children before
-        any item is built.  The split edges, each with the one finite
-        option of one cross neighbor at either end for cost one, become
-        the start vector of :func:`budget_families`; only the split
-        children branch.  A child's finite ``(budget, value)`` options are
-        read once per trace and kept for every side leaving that trace."""
+        any item is built.  After these prunes, which the counters record,
+        a side splitting more bag edges and children than the cap yields no
+        row, as every split child costs at least one.  The split edges,
+        each with the one finite option of one cross neighbor at either end
+        for cost one, become the start vector of :func:`budget_families`;
+        only the split children branch.  A child's finite ``(budget,
+        value)`` options are read once per trace and kept for every side
+        leaving that trace."""
         k, d, stats = self.k, self.d, self.stats
         usage_order = self.plans[node].adhesion_order
         split = self._splitter(node, edges)
@@ -318,13 +327,15 @@ class DPSolver:
                 opts.append((b, val))
             return (c, plan.adhesion_order, opts) if opts else None
 
-        def rows(side, edges):
+        def rows(side, edges, cap):
             if edges > k:
                 stats["overloaded_side_prunes"] += 1
                 return []
             crossing, traces = split(side)
             if edges + len(traces) > k:
                 stats["overloaded_side_prunes"] += 1
+                return []
+            if edges + len(traces) > cap:
                 return []
             counts = {}
             for low, out in crossing:
@@ -338,7 +349,7 @@ class DPSolver:
                 if child_items[pair] is None:
                     return []
                 items.append(child_items[pair])
-            families = budget_families(items, d, k, k, usage_order,
+            families = budget_families(items, d, k, cap, usage_order,
                                        (counts, edges))
             stats["families_evaluated"] += len(families)
             return [(usage, cost, ("bag", side, dict(picks)))
@@ -520,6 +531,10 @@ class DPSolver:
         return nbrs
 
     def fill_node(self, node):
+        """Fill the node's table entries from one cost-sorted menu per key.
+        Each side's rows are built under the cap of k and of one less than
+        the least cost of a zero-usage row that an earlier side of its key
+        offers, so the menu holds no row that such a row beats."""
         adhesion = self.contexts[node].adhesion
         adhesion_order = sorted(adhesion)
         budgets = bounded_multisets(adhesion, self.d, self.k)
@@ -532,15 +547,24 @@ class DPSolver:
         # Rows rank by cost (at most k: families are capped at k, children
         # offer finite table values), then side (a child after every side),
         # then usage; the sort is stable, so the first family, child and
-        # child budget win the remaining ties.
+        # child budget win the remaining ties.  ``caps`` holds, per trace on
+        # the adhesion, one less than its menu's least zero-usage cost so far.
+        k = self.k
         ranked = {key: [] for key in self.table.keys(node)}
+        caps = {}
         adhesion_mask = _mask(adhesion)
         bag_rows = self._bag_rows(node, edges)
         for rank, side in enumerate(sides):
-            rows = bag_rows(side, cuts[side])
+            trace = side & adhesion_mask
+            rows = bag_rows(side, cuts[side], caps.get(trace, k))
             if rows:
-                ranked[self.table.key(node, side & adhesion_mask)] += [
+                ranked[self.table.key(node, trace)] += [
                     (cost, rank, usage, choice) for usage, cost, choice in rows]
+                # each row is within the cap, so a zero-usage one lowers it;
+                # a trace and its adhesion complement share one menu
+                zero = [cost for usage, cost, _ in rows if not any(usage)]
+                if zero:
+                    caps[trace] = caps[trace ^ adhesion_mask] = min(zero) - 1
         for c in self.children[node]:
             child_plan = self.plans[c]
             for cb in child_plan.budgets:

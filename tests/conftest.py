@@ -6,7 +6,7 @@ from dcut import (DPSolver, Graph, SubsetFamily, build_randomized,
                   heuristic_rounds)
 from dcut.generators import gnm_random
 from dcut.decomposition import NodeContext
-from dcut.graph import Bipartition, SizeLimitExceeded, is_d_cut
+from dcut.graph import Bipartition, SizeLimitExceeded, _max_flow, is_d_cut
 from dcut.oracle import OracleResult
 from dcut.solver import cheapest
 
@@ -273,6 +273,36 @@ def split_items(solver, node, side):
     edges = [e for e in solver.contexts[node].bag_edges
              if (e[0] in side) != (e[1] in side)]
     return kids, edges
+
+
+def min_cut_reference(graph):
+    """Reference for ``graph.global_min_cut`` on a connected graph of at
+    least two vertices: every flow from vertex 0 run to its end, and side A
+    what vertex 0 reaches in the residual of the first least one, by a
+    search over the residual's dicts."""
+    best = None
+    for sink in range(1, graph.n):
+        value, residual = _max_flow(graph, 0, sink)
+        if best is None or value < best:
+            best, best_residual = value, residual
+    side = {0}
+    stack = [0]
+    while stack:
+        for w, c in best_residual[stack.pop()].items():
+            if c > 0 and w not in side:
+                side.add(w)
+                stack.append(w)
+    return best, frozenset(side)
+
+
+class UnboundedFillSolver(DPSolver):
+    """The solver with every side's rows built up to cost k, whatever
+    zero-usage rows earlier sides of the same key hold: a reference for the
+    fill's bound, whose menus hold every row."""
+
+    def _bag_rows(self, node, edges):
+        rows = super()._bag_rows(node, edges)
+        return lambda side, cut, cap: rows(side, cut, self.k)
 
 
 def rebuild_reference(solver):

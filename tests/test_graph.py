@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (UnknownEdge, adjacency_masks, complete_graph, components,
-                      cycle_graph, is_d_matching, make_corpus, path_graph,
-                      vertex_mask, vertex_set)
+                      cycle_graph, is_d_matching, make_corpus, min_cut_reference,
+                      path_graph, vertex_mask, vertex_set)
 from dcut import (Bipartition, DisconnectedGraph, Graph, InvalidBipartition,
                   connected_components, edge_cut, global_min_cut,
                   is_connected, is_d_cut)
-from dcut.graph import lowest_component, mask_components
+from dcut.generators import grid_graph, two_cliques_bridged
+from dcut.graph import _max_flow, lowest_component, mask_components
 
 
 def bipartition(g, side):
@@ -295,6 +296,22 @@ class TestGlobalMinCut:
         size, part = global_min_cut(cycle_graph(6))
         assert size == 2
         assert len(edge_cut(cycle_graph(6), part)) == 2
+
+    def test_flow_stops_at_its_limit(self):
+        g = complete_graph(5)
+        assert _max_flow(g, 0, 1)[0] == 4
+        assert _max_flow(g, 0, 1, 2)[0] == 2
+        assert _max_flow(g, 0, 1, 6)[0] == 4
+
+    def test_capped_flows_match_uncapped_reference(self):
+        # each flow stops at the best value so far, which cannot change the
+        # value or the first minimiser, whose residual gives side A
+        graphs = (make_corpus(60, seed=20250808)
+                  + [grid_graph(r, c) for r, c in ((2, 7), (3, 6), (4, 5))]
+                  + [two_cliques_bridged(q) for q in (4, 9, 10)])
+        for g in graphs:
+            size, part = global_min_cut(g)
+            assert (size, part.side_a) == min_cut_reference(g)
 
     def test_agrees_with_brute_force(self):
         from dcut.generators import gnm_random

@@ -44,3 +44,20 @@ def test_solver_digest_repeats_itself():
                                                     ["verify", "91"]]
     assert all(len(line.split()[2]) == 64 for line in lines)
     assert outputs[1].stdout == outputs[0].stdout
+
+
+def test_solver_digest_menus_excluded():
+    # leaving the menus out changes the dp slices' digests, and only theirs
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    command = [sys.executable, os.path.join(ROOT, "scripts", "solver_digest.py"),
+               "--slice", "corpus", "--slice", "oracle", "--count", "2"]
+    outputs = [subprocess.run(command + extra, env=env, capture_output=True,
+                              text=True, timeout=60)
+               for extra in ([], ["--exclude-menus"])]
+    for proc in outputs:
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+    full, bare = (proc.stdout.splitlines() for proc in outputs)
+    assert [line.split()[:2] for line in bare] == [["corpus", "28"], ["oracle", "19"]]
+    assert bare[0] != full[0] and bare[1] == full[1]

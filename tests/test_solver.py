@@ -4,10 +4,11 @@ import re
 
 import pytest
 
-from conftest import (AllSubsetsSolver, ComponentSplitSolver, complete_graph,
-                      components, cycle_graph, is_d_matching, local_edges,
-                      make_corpus, path_graph, rebuild_reference, split_items,
-                      vertex_mask, vertex_set)
+from conftest import (AllSubsetsSolver, ComponentSplitSolver,
+                      UnboundedFillSolver, complete_graph, components,
+                      cycle_graph, is_d_matching, local_edges, make_corpus,
+                      path_graph, rebuild_reference, split_items, vertex_mask,
+                      vertex_set)
 from dcut import (DPSolver, Graph, INFEASIBLE, SolveOptions, bounded_multisets,
                   brute_force_min_dcut, edge_cut, is_d_cut, solve)
 from dcut import decomposition, setfamily
@@ -36,6 +37,17 @@ def choice_rows(plan, kind, which=None):
     return tuple((usage, cost, choice[2]) for menu in plan.menus.values()
                  for usage, cost, choice in menu
                  if choice[0] == kind and which in (None, choice[1]))
+
+
+def side_rows(solver, node, side):
+    """Every row the row builder gives the candidate side (a vertex mask)
+    under the cap k, as ``(usage, cost, child budgets)``: the side's rows
+    whether or not an earlier side's zero-usage row keeps them off the
+    menu."""
+    edges = solver._edge_masks(node)
+    cuts, _ = solver._side_candidates(node, edges)
+    return tuple((usage, cost, choice[2]) for usage, cost, choice
+                 in solver._bag_rows(node, edges)(side, cuts[side], solver.k))
 
 
 def families(items, d, k, cost_cap=INFEASIBLE, usage_order=()):
@@ -104,7 +116,7 @@ class TestEdgeCosts:
         td = RootedDecomposition(2, (frozenset({0, 1}),), (None,))
         solver = dp(g, td, 1, 2)
         for side in (vertex_mask({0}), vertex_mask({1})):
-            assert choice_rows(solver.plans[0], "bag", side) == (((), 1, {}),)
+            assert side_rows(solver, 0, side) == (((), 1, {}),)
         # the edge's option grants each endpoint one cross neighbor
         fams = families([((0, 1), (0, 1), [((1, 1), 1)])], 1, 2, 2, (0, 1))
         assert fams == [((1, 1), 1, (((0, 1), (1, 1)),))]
@@ -127,7 +139,7 @@ class TestEdgeCosts:
             solver = dp(g, td, 1, 3)
             for node, plan in enumerate(solver.plans):
                 for side in plan.sides:
-                    entries = choice_rows(plan, "bag", side)
+                    entries = side_rows(solver, node, side)
                     kids, edges = split_items(solver, node, vertex_set(side))
                     for usage, cost, fam in entries:
                         assert 1 <= cost <= 3
@@ -163,10 +175,10 @@ class TestTrivialCost:
     def test_empty_or_full_side_costs_zero(self, ear_fixture):
         # sides {2} and {0,1} leave the child adhesion {0,1} empty or full:
         # they pay only the split bag edges (0,2) and (1,2), no child budget
-        plan = dp(*ear_fixture, 2, 3).plans[0]
+        solver = dp(*ear_fixture, 2, 3)
         for side in (vertex_mask({2}), vertex_mask({0, 1})):
-            assert choice_rows(plan, "bag", side) == (((), 2, {}),)
-        assert choice_rows(plan, "bag", vertex_mask({0})) == (((), 3, {1: (0, 1)}),)
+            assert side_rows(solver, 0, side) == (((), 2, {}),)
+        assert side_rows(solver, 0, vertex_mask({0})) == (((), 3, {1: (0, 1)}),)
 
     def test_proper_split_is_infeasible(self, ear_fixture):
         # splitting the child adhesion cuts 0-3 or 3-1: without a budget
@@ -248,7 +260,7 @@ class TestSplitItems:
                                                     for w in e if w != v))
                                     for v in side if any(v in e for e in edges))
                                 before = solver.stats["overloaded_side_prunes"]
-                                bag_rows(mask, cuts[mask])
+                                bag_rows(mask, cuts[mask], k)
                                 pruned = solver.stats["overloaded_side_prunes"] > before
                                 assert pruned == (len(kids) + len(edges) > k)
                                 checked[mode] += 1
@@ -258,7 +270,7 @@ class TestSplitItems:
 class TestBudgetFamilies:
     def test_no_split_items_yields_exactly_the_empty_family(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 2)
-        rows = solver._bag_rows(0, solver._edge_masks(0))(vertex_mask({0, 1}), 0)
+        rows = solver._bag_rows(0, solver._edge_masks(0))(vertex_mask({0, 1}), 0, 2)
         assert rows == [((), 0, ("bag", vertex_mask({0, 1}), {}))]
 
     def test_single_split_edge_matches_nested_enumeration(self):
@@ -975,6 +987,80 @@ class TestModes:
             DPSolver(*c4_fixture, 1, 2, family_kind="psychic")
 
 
+class TestZeroUsageBound:
+    """A zero-usage row fits every budget, so the fill builds no row of a
+    later side of its key that costs as much: checked against the
+    unbounded fill in ``conftest``."""
+
+    @staticmethod
+    def dropped_rows_are_beaten(menu, reference):
+        """Whether the menu is an ordered subsequence of the reference
+        menu, and every reference row it leaves out comes after a
+        zero-usage row, which ``cheapest`` returns first."""
+        kept = iter(menu)
+        row = next(kept, None)
+        beaten = False
+        for ref in reference:
+            if row is not None and ref == row:
+                row = next(kept, None)
+            elif not beaten:
+                return False
+            beaten = beaten or not any(ref[0])
+        return row is None
+
+    @pytest.mark.parametrize("options", [
+        {}, dict(mode="colorcode", family_kind="randomized", family_seed=7)],
+        ids=["auto", "colorcode"])
+    def test_matches_unbounded_fill_on_corpus(self, options):
+        # every choice, value, witness, side and counter but the families
+        # evaluated is the reference's; menus lose only beaten rows
+        saved = 0
+        for g in make_corpus(60, seed=20250808):
+            for k in range(7):
+                td = construct(g, k)
+                for d in (1, 2):
+                    solver = dp(g, td, d, k, **options)
+                    reference = UnboundedFillSolver(g, td, d, k, **options).run()
+                    entries = dict(solver.table.entries())
+                    assert entries == dict(reference.table.entries())
+                    for (node, key, budget), value in entries.items():
+                        if value is not INFEASIBLE:
+                            assert cheapest(solver.plans[node].menus[key], budget) \
+                                == cheapest(reference.plans[node].menus[key], budget)
+                    assert solver.root_value() == reference.root_value()
+                    if solver.root_value() <= k:
+                        assert solver.rebuild_side() == reference.rebuild_side()
+                    for plan, ref_plan in zip(solver.plans, reference.plans):
+                        assert plan.sides == ref_plan.sides
+                        assert plan.menus.keys() == ref_plan.menus.keys()
+                        for key, menu in plan.menus.items():
+                            assert self.dropped_rows_are_beaten(
+                                menu, ref_plan.menus[key])
+                    found = solver.stats.pop("families_evaluated")
+                    full = reference.stats.pop("families_evaluated")
+                    assert found <= full
+                    saved += full - found
+                    assert solver.stats == reference.stats
+        assert saved > 0
+
+    def test_later_sides_beaten_by_a_free_row_are_skipped(self):
+        # the path 0-1-2 in one bag: on the empty adhesion every row has
+        # zero usage, and side {0}, first, costs one, so every later side,
+        # costing at least one, is skipped before its families are built
+        g = path_graph(3)
+        td = RootedDecomposition(3, (frozenset({0, 1, 2}),), (None,))
+        solver = dp(g, td, 2, 2)
+        reference = UnboundedFillSolver(g, td, 2, 2).run()
+        assert solver.plans[0].menus[0] == (((), 1, ("bag", vertex_mask({0}), {})),)
+        assert [(cost, vertex_set(choice[1]))
+                for _, cost, choice in reference.plans[0].menus[0]] == [
+            (1, {0}), (1, {2}), (1, {0, 1}), (1, {1, 2}), (2, {1})]
+        assert solver.stats["families_evaluated"] == 1
+        assert reference.stats["families_evaluated"] == 5
+        assert solver.root_value() == reference.root_value() == 1
+        assert solver.rebuild_side() == reference.rebuild_side() == {0}
+
+
 class TestRealizability:
     """Finite side costs are achieved by a real partition of the local graph."""
 
@@ -994,7 +1080,7 @@ class TestRealizability:
             rest = sorted(ctx.cone - ctx.bag)
             for side in plan.sides:
                 for budget in plan.budgets:
-                    value = cost_under(choice_rows(plan, "bag", side), budget)
+                    value = cost_under(side_rows(solver, node, side), budget)
                     if value is INFEASIBLE:
                         continue
                     achieved = None
