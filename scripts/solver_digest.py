@@ -252,8 +252,8 @@ def verify_record(graph, td, k):
     report = verify(graph, td, k)
     contexts = None
     if report["axioms"].status == "pass":
-        contexts = [(c.node, c.bag, c.adhesion, c.cone, c.interior, c.bag_edges)
-                    for c in derive_contexts(graph, td)]
+        contexts = [(c.node, c.bag, c.adhesion, c.cone, c.cone - c.adhesion,
+                     c.bag_edges) for c in derive_contexts(graph, td)]
     return canonical(([(c.name, c.status, c.detail) for c in report.checks],
                       contexts))
 

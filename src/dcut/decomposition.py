@@ -11,11 +11,10 @@ connected components with their exact neighborhoods as adhesions.
 Whatever it returns must pass :func:`verify` in full; the solver relies
 on nothing else about the construction.
 
-The constructor and the checks hold every vertex set as a vertex mask,
-as the solver does, and read the graph's neighbour masks: the axioms on
-per-vertex node masks, compactness and bag edges on vertex masks, with
-one component search, :func:`dcut.graph.lowest_component`.  Only the
-decomposition, contexts and reports they hand out hold frozensets.
+The constructor, the checks and the node contexts hold every vertex set
+as a vertex mask, as the solver does, and read the graph's neighbour
+masks, with one component search, :func:`dcut.graph.lowest_component`.
+Only the decomposition and the reports they hand out hold frozensets.
 """
 
 from __future__ import annotations
@@ -102,18 +101,22 @@ class RootedDecomposition:
 
 @dataclass(frozen=True)
 class NodeContext:
-    """Per-node derived quantities: adhesion (bag shared with the parent),
-    cone (union of descendant bags), interior (cone minus adhesion) and the
-    bag edges (edges inside the bag, minus those internal to the adhesion).
-    The node's local graph is the cone with the edges not internal to the
-    adhesion; the bag edges are the part of it the node itself pays for."""
+    """Per-node derived quantities as vertex masks: the bag, its adhesion
+    (the part shared with the parent) and cone (union of descendant bags;
+    less the adhesion, the node's interior), and the bag edges (edges
+    inside the bag, minus those internal to the adhesion).  The node's
+    local graph is the cone with the edges not internal to the adhesion;
+    the bag edges are the part of it the node itself pays for."""
 
     node: int
-    bag: frozenset
-    adhesion: frozenset
-    cone: frozenset
-    interior: frozenset
+    bag_mask: int
+    adhesion_mask: int
+    cone_mask: int
     bag_edges: tuple
+
+    bag = property(lambda self: frozenset(_members(self.bag_mask)))
+    adhesion = property(lambda self: frozenset(_members(self.adhesion_mask)))
+    cone = property(lambda self: frozenset(_members(self.cone_mask)))
 
 
 def _axiom_violation(graph: Graph, td: RootedDecomposition):
@@ -142,26 +145,19 @@ def derive_contexts(graph: Graph, td: RootedDecomposition) -> list:
     detail = _axiom_violation(graph, td)
     if detail is not None:
         raise AxiomViolation(*detail)
-    cones = [None] * td.node_count
-    kids = td.children()
-    for t in td.postorder():
-        cone = set(td.bags[t])
-        for c in kids[t]:
-            cone |= cones[c]
-        cones[t] = frozenset(cone)
+    bags = [_mask(bag) for bag in td.bags]
+    cones = bags[:]
+    for t in td.postorder()[:-1]:  # children first; the root comes last
+        cones[td.parent[t]] |= cones[t]
     contexts = []
-    for t in range(td.node_count):
+    for t, bag in enumerate(bags):
         p = td.parent[t]
-        adhesion = frozenset() if p is None else td.bags[t] & td.bags[p]
-        bag = td.bags[t]
-        bag_mask, adhesion_mask = _mask(bag), _mask(adhesion)
+        adhesion = 0 if p is None else bag & bags[p]
         bag_edges = tuple(  # u's bag neighbours above u, unless both in the adhesion
-            (u, v) for u in sorted(bag) for v in _members(
+            (u, v) for u in _members(bag) for v in _members(
                 graph.adj_masks[u] & -(2 << u)
-                & (bag_mask & ~adhesion_mask if u in adhesion else bag_mask)))
-        contexts.append(NodeContext(
-            node=t, bag=bag, adhesion=adhesion, cone=cones[t],
-            interior=cones[t] - adhesion, bag_edges=bag_edges))
+                & (bag & ~adhesion if adhesion >> u & 1 else bag)))
+        contexts.append(NodeContext(t, bag, adhesion, cones[t], bag_edges))
     return contexts
 
 
@@ -273,12 +269,13 @@ def _compactness_failure(graph, td, ctxs):
     adj, kids = graph.adj_masks, td.children()
     found, failures = {}, {}
     for t in td.postorder()[:-1]:  # the root comes last and has no adhesion
-        interior, adhesion = _mask(ctxs[t].interior), _mask(ctxs[t].adhesion)
+        adhesion = ctxs[t].adhesion_mask
+        interior = ctxs[t].cone_mask & ~adhesion
         part = max((found[c] for c in kids[t]), key=int.bit_count, default=0)
         rest = interior & ~part
         near = _mask(v for v in _members(rest) if adj[v] & part) if part else None
         found[t] = part | lowest_component(adj, rest, near)
-        boundary = _mask(a for a in ctxs[t].adhesion if adj[a] & interior)
+        boundary = _mask(a for a in _members(adhesion) if adj[a] & interior)
         if not interior:
             failures[t] = ("empty-interior", t)
         elif found[t] != interior:
@@ -303,8 +300,8 @@ def _verify(graph, td, k, unbreakable_limit, scan=None):
     if detail is None:
         bad = _compactness_failure(graph, td, ctxs)
         checks.append(CheckResult("compactness", "fail" if bad else "pass", bad))
-        oversize = [(ctx.node, len(ctx.adhesion)) for ctx in ctxs
-                    if len(ctx.adhesion) > k]
+        oversize = [(ctx.node, ctx.adhesion_mask.bit_count()) for ctx in ctxs
+                    if ctx.adhesion_mask.bit_count() > k]
         checks.append(CheckResult(
             "adhesion-size", "fail" if oversize else "pass",
             oversize[0] if oversize else None))
@@ -322,12 +319,11 @@ def _verify(graph, td, k, unbreakable_limit, scan=None):
                                   f"n={graph.n} exceeds limit {unbreakable_limit}"))
     else:
         cuts = scan() if scan else _small_cuts(graph.adj_masks, (1 << graph.n) - 1, k)
-        bag_masks = [_mask(bag) for bag in td.bags]
         bag_sizes = [len(bag) for bag in td.bags]
         bad = None
         for mask, cut in cuts:
-            for t, bm in enumerate(bag_masks):
-                if _breaks(mask, bm, bag_sizes[t], k):
+            for t, ctx in enumerate(ctxs):
+                if _breaks(mask, ctx.bag_mask, bag_sizes[t], k):
                     bad = ("breakable-bag", (t, frozenset(_members(mask)), cut))
                     break
             if bad:
@@ -464,8 +460,11 @@ def _construct(graph, k, max_vertices):
     builder = _Builder(graph, k)
     whole = (1 << graph.n) - 1
     root = builder.build(whole, 0)
-    if root is None:
-        raise DecompositionError("bag search exhausted without a valid decomposition")
+    if root is None:  # the root's own failure is recorded, so one exists
+        piece, adhesion = min(builder._failed, key=lambda f: (f[0].bit_count(), f))
+        raise DecompositionError(
+            f"bag search exhausted without a valid decomposition at k={k}; smallest "
+            f"failed piece {_members(piece)} with adhesion {_members(adhesion)}")
     bags = []
     parents = []
     stack = [(root, None)]

@@ -40,9 +40,9 @@ such a row beats, which no lookup could return; at a root, whose
 adhesion is empty, every row is of this kind.
 
 The fill works on integer masks over vertex ids, and a side takes no
-other form: sides, table keys, menus and the witness rebuild hold masks,
-and only the rebuilt witness is handed out as a frozenset.  The menus
-record the fill's choices: the rebuild reads each as the menu's
+other form: node contexts, sides, table keys, menus and the witness
+rebuild hold masks, and only the rebuilt witness is a frozenset.  The
+menus record the fill's choices: the rebuild reads each as the menu's
 cheapest fitting row, the same call the fill made.  A side splitting
 more than k bag edges is pruned before it is split; otherwise its split
 edges and children are read with popcounts on masks built once per
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from .decomposition import (CONSTRUCT_LIMIT, DecompositionError,
                             RootedDecomposition, _construct, _verify,
                             derive_contexts)
-from .graph import (Bipartition, Graph, _mask, _members, connected_components,
+from .graph import (Bipartition, Graph, _members, connected_components,
                     edge_cut, global_min_cut, is_d_cut)
 from .multisets import bounded_multisets
 from .setfamily import heuristic_rounds, round_columns
@@ -174,7 +174,7 @@ class CostTable:
     the two), written exactly once per key."""
 
     def __init__(self, adhesions):
-        self._adhesions = [_mask(adhesion) for adhesion in adhesions]
+        self._adhesions = list(adhesions)  # vertex masks, one per node
         self._data = {}
 
     def key(self, node, side):
@@ -244,7 +244,7 @@ class DPSolver:
         self.family_rounds = family_rounds
         self.enumerate_budget = enumerate_budget
         self.record_choices = record_choices
-        self.table = CostTable(ctx.adhesion for ctx in self.contexts)
+        self.table = CostTable(ctx.adhesion_mask for ctx in self.contexts)
         self.plans = [None] * td.node_count
         self.stats = {"modes": {}, "families_evaluated": 0, "sides_considered": 0,
                       "overloaded_side_prunes": 0}
@@ -263,11 +263,11 @@ class DPSolver:
     def _edge_masks(self, node):
         """Each bag vertex's neighbours along the node's bag edges, as a
         vertex mask, keyed by the vertex's bit."""
-        masks = {1 << v: 0 for v in self.contexts[node].bag}
-        for u, v in self.contexts[node].bag_edges:
-            masks[1 << u] |= 1 << v
-            masks[1 << v] |= 1 << u
-        return masks
+        ctx = self.contexts[node]
+        bag, adhesion = ctx.bag_mask, ctx.adhesion_mask
+        return {1 << v: self.graph.adj_masks[v]
+                & (bag & ~adhesion if adhesion >> v & 1 else bag)
+                for v in _members(bag)}
 
     def _splitter(self, node, edge_nbrs):
         """A function from a side, as a vertex mask, to the bag edges and
@@ -276,7 +276,7 @@ class DPSolver:
         its cross neighbours)`` pairs of the side's vertices that have some
         and ``traces`` the ``(child, trace mask)`` pairs of the children
         whose adhesion the side meets but does not hold."""
-        kids = [(c, _mask(self.contexts[c].adhesion)) for c in self.children[node]]
+        kids = [(c, self.contexts[c].adhesion_mask) for c in self.children[node]]
 
         def split(side):
             outside = ~side
@@ -365,7 +365,7 @@ class DPSolver:
         bag has more than ``enumerate_budget`` subsets of at most k
         vertices; ``"enumerate"`` when listed exactly.  ``edges`` holds the
         node's bag-edge masks (:meth:`_edge_masks`)."""
-        bag_order = sorted(self.contexts[node].bag)
+        bag_order = _members(self.contexts[node].bag_mask)
         b = len(bag_order)
         subset_count = sum(math.comb(b, i) for i in range(min(self.k, b) + 1))
         nbrs = self._helper_masks(node)
@@ -520,14 +520,14 @@ class DPSolver:
         """Each bag vertex's neighbours, as a vertex mask, in the helper
         graph: adhesions of the node and of each child become cliques, and
         the bag edges come along.  Components of induced subgraphs then
-        localize candidate sides."""
-        ctx = self.contexts[node]
-        nbrs = dict.fromkeys(ctx.bag, 0)
-        kids = [self.contexts[c].adhesion for c in self.children[node]]
-        for group in [ctx.adhesion, *kids, *ctx.bag_edges]:
-            mask = _mask(group)
-            for u in group:
-                nbrs[u] |= mask ^ 1 << u
+        localize candidate sides.  An edge inside an adhesion adds nothing
+        to its clique, so the bag edges are the graph's edges in the bag."""
+        bag = self.contexts[node].bag_mask
+        nbrs = {v: self.graph.adj_masks[v] & bag for v in _members(bag)}
+        for c in (node, *self.children[node]):
+            group = self.contexts[c].adhesion_mask
+            for u in _members(group):
+                nbrs[u] |= group ^ 1 << u
         return nbrs
 
     def fill_node(self, node):
@@ -535,9 +535,9 @@ class DPSolver:
         Each side's rows are built under the cap of k and of one less than
         the least cost of a zero-usage row that an earlier side of its key
         offers, so the menu holds no row that such a row beats."""
-        adhesion = self.contexts[node].adhesion
-        adhesion_order = sorted(adhesion)
-        budgets = bounded_multisets(adhesion, self.d, self.k)
+        adhesion_mask = self.contexts[node].adhesion_mask
+        adhesion_order = _members(adhesion_mask)
+        budgets = bounded_multisets(adhesion_order, self.d, self.k)
         edges = self._edge_masks(node)
         cuts, mode = self._side_candidates(node, edges)
         sides = list(cuts)
@@ -552,7 +552,6 @@ class DPSolver:
         k = self.k
         ranked = {key: [] for key in self.table.keys(node)}
         caps = {}
-        adhesion_mask = _mask(adhesion)
         bag_rows = self._bag_rows(node, edges)
         for rank, side in enumerate(sides):
             trace = side & adhesion_mask
@@ -606,17 +605,17 @@ class DPSolver:
             side, picks = (0, {data[0]: data[1]}) if kind == "child" else data
             parts.append(side)
             for c in self.children[node]:
-                child_adhesion = _mask(self.contexts[c].adhesion)
+                child_adhesion = self.contexts[c].adhesion_mask
                 trace = side & child_adhesion
                 if c in picks:
                     visits.append((c, picks[c], trace, len(parts) - 1))
                 elif child_adhesion and trace == child_adhesion:
-                    parts[-1] |= _mask(self.contexts[c].cone)
+                    parts[-1] |= self.contexts[c].cone_mask
         for i in reversed(range(len(visits))):
             node, _, wanted, caller = visits[i]
-            adhesion = _mask(self.contexts[node].adhesion)
+            adhesion = self.contexts[node].adhesion_mask
             if parts[i] & adhesion != wanted:
-                parts[i] = _mask(self.contexts[node].cone) & ~parts[i]
+                parts[i] = self.contexts[node].cone_mask & ~parts[i]
             assert parts[i] & adhesion == wanted
             if caller is not None:
                 parts[caller] |= parts[i]
@@ -706,7 +705,7 @@ def solve(graph: Graph, k: int, d: int, options: SolveOptions = None) -> SolveRe
             "table_entries": len(solver.table),
             "decomposition_nodes": td.node_count,
             "max_bag": max(len(b) for b in td.bags),
-            "max_adhesion": max(len(ctx.adhesion) for ctx in solver.contexts),
+            "max_adhesion": max(c.adhesion_mask.bit_count() for c in solver.contexts),
             "minbeta_modes": solver.stats["modes"],
             "families_evaluated": solver.stats["families_evaluated"],
             "sides_considered": solver.stats["sides_considered"],

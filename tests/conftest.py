@@ -174,7 +174,8 @@ def axiom_violation_reference(graph, td):
 
 def contexts_reference(graph, td):
     """Reference for ``decomposition.derive_contexts`` on a decomposition
-    that meets the axioms: each node's bag edges by a scan of every edge."""
+    that meets the axioms: cones and adhesions as frozensets, each node's
+    bag edges by a scan of every edge, then stored as the context's masks."""
     cones = [None] * td.node_count
     kids = td.children()
     for t in td.postorder():
@@ -192,8 +193,8 @@ def contexts_reference(graph, td):
                           if e[0] in bag and e[1] in bag
                           and not (e[0] in adhesion and e[1] in adhesion))
         contexts.append(NodeContext(
-            node=t, bag=bag, adhesion=adhesion, cone=cone,
-            interior=cone - adhesion, bag_edges=bag_edges))
+            node=t, bag_mask=vertex_mask(bag), adhesion_mask=vertex_mask(adhesion),
+            cone_mask=vertex_mask(cone), bag_edges=bag_edges))
     return contexts
 
 
@@ -205,7 +206,7 @@ def compactness_reference(graph, td, ctxs):
     for ctx in ctxs:
         if td.parent[ctx.node] is None:
             continue
-        interior = ctx.interior
+        interior = ctx.cone - ctx.adhesion
         if not interior:
             bad = ("empty-interior", ctx.node)
             break

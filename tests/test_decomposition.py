@@ -1,6 +1,8 @@
 import importlib.util
+import math
 import os
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -24,6 +26,13 @@ DIGEST = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
 
 def single_bag(graph):
     return RootedDecomposition(graph.n, (frozenset(graph.vertices),), (None,))
+
+
+def views(contexts):
+    """Each context's node, bag, adhesion, cone, interior (cone minus
+    adhesion) and bag edges, with the vertex sets as frozensets."""
+    return [(c.node, c.bag, c.adhesion, c.cone, c.cone - c.adhesion, c.bag_edges)
+            for c in contexts]
 
 
 def load_digest():
@@ -66,7 +75,7 @@ class TestDeriveContexts:
         ctx = ctxs[0]
         assert ctx.adhesion == frozenset()
         assert ctx.cone == frozenset({0, 1, 2})
-        assert ctx.interior == frozenset({0, 1, 2})
+        assert ctx.cone - ctx.adhesion == frozenset({0, 1, 2})
         assert set(local_edges(g, ctx)) == set(g.edges)
 
     def test_two_node_chain(self):
@@ -74,7 +83,7 @@ class TestDeriveContexts:
         td = RootedDecomposition(3, (frozenset({0, 1}), frozenset({1, 2})), (None, 0))
         root, child = derive_contexts(g, td)
         assert child.adhesion == frozenset({1})
-        assert child.interior == frozenset({2})
+        assert child.cone - child.adhesion == frozenset({2})
         assert child.cone == frozenset({1, 2})
         assert root.cone == frozenset({0, 1, 2})
         # local graph of the child drops edges internal to its adhesion
@@ -84,7 +93,7 @@ class TestDeriveContexts:
         g = path_graph(2)
         td = RootedDecomposition(2, (frozenset({0, 1}), frozenset({0})), (None, 0))
         _, leaf = derive_contexts(g, td)
-        assert leaf.interior == frozenset()
+        assert leaf.cone - leaf.adhesion == frozenset()
         assert leaf.adhesion == frozenset({0})
 
     def test_adhesion_internal_edges_excluded_from_local_graph(self):
@@ -275,7 +284,8 @@ class TestChecksAgainstSetReferences:
         assert [(c.name, c.status, c.detail) for c in report.checks] == \
             verify_reference(graph, td, k), (graph.n, graph.edges, td, k)
         if report["axioms"].status == "pass":
-            assert derive_contexts(graph, td) == contexts_reference(graph, td)
+            assert views(derive_contexts(graph, td)) == \
+                views(contexts_reference(graph, td))
         kinds.update(c.detail[0] for c in report.failures()
                      if c.name in ("axioms", "compactness"))
 
@@ -315,6 +325,32 @@ class TestChecksAgainstSetReferences:
                     for g2, twice in digest.mutations(g1, mutant, rng):
                         self.check(g2, twice, 2, kinds)
         assert {"interior-disconnected", "adhesion-mismatch"} <= set(kinds)
+
+
+def test_verify_and_contexts_scale_linearly_on_path_decompositions():
+    # bags {0, i, i+1} on the cycle C_n: a path of n - 2 nodes whose cones
+    # grow to the whole graph, so whole-subtree vertex sets cost O(n^2)
+    sizes = []
+    times = []
+    for n in (500, 1000, 2000, 4000):
+        g = cycle_graph(n)
+        td = RootedDecomposition(n, tuple(frozenset({0, i, i + 1})
+                                          for i in range(1, n - 1)),
+                                 (None, *range(n - 3)))
+        best = math.inf
+        for _ in range(5):
+            start = time.perf_counter()
+            assert verify(g, td, 2).passed
+            derive_contexts(g, td)
+            best = min(best, time.perf_counter() - start)
+        sizes.append(math.log(n))
+        times.append(math.log(best))
+    count = len(sizes)
+    mean_x = sum(sizes) / count
+    mean_y = sum(times) / count
+    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(sizes, times)) \
+        / sum((x - mean_x) ** 2 for x in sizes)
+    assert slope < 1.6, f"log-log slope {slope:.2f}"
 
 
 class TestConstruct:
@@ -383,9 +419,14 @@ class TestConstruct:
 
     def test_pinned_bag_search_failure(self):
         # a yes-instance (minimum matching cut 1) on which the bag search
-        # finds no decomposition; a constructor that always returns is open
-        with pytest.raises(DecompositionError, match="bag search exhausted"):
+        # finds no decomposition; a constructor that always returns is open.
+        # The message names k and the failed piece of fewest vertices.
+        with pytest.raises(DecompositionError) as info:
             construct(gnm_random(20, 25, seed=9), 2)
+        assert str(info.value) == (
+            "bag search exhausted without a valid decomposition at k=2; "
+            "smallest failed piece [0, 1, 2, 4, 5, 6, 8, 9, 10, 11, 12, 13, "
+            "14, 15, 16, 17, 19] with adhesion [2]")
 
     def test_rejects_breakable_builder_output(self, monkeypatch):
         # the bridge splits a single whole-graph bag 3|3 at k=1; the final
@@ -429,7 +470,7 @@ class TestConstruct:
             for ctx in ctxs:
                 if td.parent[ctx.node] is None:
                     continue
-                interior = ctx.interior
+                interior = ctx.cone - ctx.adhesion
                 neighborhood = frozenset(
                     w for v in interior for w in g.adj[v]) - interior
                 assert neighborhood == ctx.adhesion

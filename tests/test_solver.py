@@ -457,13 +457,13 @@ class TestFillValues:
                         solver.table.get(1, whole ^ side, budget)
 
     def test_table_rejects_double_write(self):
-        table = CostTable([frozenset()])
+        table = CostTable([0])
         table.set(0, 0, (), 0)
         with pytest.raises(RuntimeError, match="twice"):
             table.set(0, 0, (), 1)
 
     def test_table_rejects_side_outside_adhesion(self):
-        table = CostTable([frozenset({1, 2})])
+        table = CostTable([vertex_mask({1, 2})])
         # {1} and {2} share the key that leaves out the least vertex 1
         assert table.key(0, vertex_mask({1})) == vertex_mask({2})
         assert table.key(0, vertex_mask({2})) == vertex_mask({2})
