@@ -263,11 +263,11 @@ class DPSolver:
     def _edge_masks(self, node):
         """Each bag vertex's neighbours along the node's bag edges, as a
         vertex mask, keyed by the vertex's bit."""
-        ctx = self.contexts[node]
-        bag, adhesion = ctx.bag_mask, ctx.adhesion_mask
-        return {1 << v: self.graph.adj_masks[v]
-                & (bag & ~adhesion if adhesion >> v & 1 else bag)
-                for v in _members(bag)}
+        masks = {1 << v: 0 for v in _members(self.contexts[node].bag_mask)}
+        for u, v in self.contexts[node].bag_edges:
+            masks[1 << u] |= 1 << v
+            masks[1 << v] |= 1 << u
+        return masks
 
     def _splitter(self, node, edge_nbrs):
         """A function from a side, as a vertex mask, to the bag edges and
@@ -520,12 +520,12 @@ class DPSolver:
         """Each bag vertex's neighbours, as a vertex mask, in the helper
         graph: adhesions of the node and of each child become cliques, and
         the bag edges come along.  Components of induced subgraphs then
-        localize candidate sides.  An edge inside an adhesion adds nothing
-        to its clique, so the bag edges are the graph's edges in the bag."""
-        bag = self.contexts[node].bag_mask
-        nbrs = {v: self.graph.adj_masks[v] & bag for v in _members(bag)}
-        for c in (node, *self.children[node]):
-            group = self.contexts[c].adhesion_mask
+        localize candidate sides."""
+        ctx = self.contexts[node]
+        nbrs = dict.fromkeys(_members(ctx.bag_mask), 0)
+        kids = [self.contexts[c].adhesion_mask for c in self.children[node]]
+        edges = [1 << u | 1 << v for u, v in ctx.bag_edges]
+        for group in [ctx.adhesion_mask, *kids, *edges]:
             for u in _members(group):
                 nbrs[u] |= group ^ 1 << u
         return nbrs

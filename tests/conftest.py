@@ -32,6 +32,16 @@ def local_edges(graph, ctx):
             and not (e[0] in adhesion and e[1] in adhesion)]
 
 
+def loglog_slope(sizes, times):
+    """Least-squares slope of log(time) against log(size)."""
+    xs = [math.log(x) for x in sizes]
+    ys = [math.log(y) for y in times]
+    mean_x = sum(xs) / len(xs)
+    mean_y = sum(ys) / len(ys)
+    return sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) \
+        / sum((x - mean_x) ** 2 for x in xs)
+
+
 def adjacency_masks(graph):
     """Each vertex's neighbours as a bitmask, in the form the cut search
     of ``dcut.decomposition`` takes."""

@@ -16,8 +16,8 @@ import time
 import pytest
 
 from conftest import (AllSubsetsSolver, complete_graph, cycle_graph,
-                      find_covering_family, make_corpus, path_graph,
-                      verify_covering, vertex_mask)
+                      find_covering_family, loglog_slope, make_corpus,
+                      path_graph, verify_covering, vertex_mask)
 from dcut import (DPSolver, Graph, INFEASIBLE, SolveOptions,
                   brute_force_min_dcut, build_exhaustive, construct, edge_cut,
                   is_d_cut, solve, verify)
@@ -387,13 +387,9 @@ def test_criterion_8_dp_scaling_proxy():
             for _ in range(reps):
                 DPSolver(*solver_args).run()
             best = min(best, (time.perf_counter() - start) / reps)
-        sizes.append(math.log(g.n))
-        times.append(math.log(best))
-    n = len(sizes)
-    mean_x = sum(sizes) / n
-    mean_y = sum(times) / n
-    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(sizes, times)) \
-        / sum((x - mean_x) ** 2 for x in sizes)
+        sizes.append(g.n)
+        times.append(best)
+    slope = loglog_slope(sizes, times)
     assert slope < 4, f"log-log slope {slope:.2f}"
     report("criterion-8", f"DP phase log-log slope {slope:.2f} < 4 "
                           "on bridged-clique instances")

@@ -8,8 +8,8 @@ from collections import Counter
 import pytest
 
 from conftest import (adjacency_masks, complete_graph, contexts_reference,
-                      cycle_graph, gray_small_cuts, local_edges, make_corpus,
-                      path_graph, verify_reference)
+                      cycle_graph, gray_small_cuts, local_edges, loglog_slope,
+                      make_corpus, path_graph, verify_reference)
 from dcut import (Graph, construct, derive_contexts, grid_graph, parse,
                   serialize, two_cliques_bridged, verify)
 from dcut import decomposition
@@ -330,26 +330,23 @@ class TestChecksAgainstSetReferences:
 def test_verify_and_contexts_scale_linearly_on_path_decompositions():
     # bags {0, i, i+1} on the cycle C_n: a path of n - 2 nodes whose cones
     # grow to the whole graph, so whole-subtree vertex sets cost O(n^2)
-    sizes = []
+    sizes = (500, 1000, 2000, 4000)
     times = []
-    for n in (500, 1000, 2000, 4000):
+    for n in sizes:
         g = cycle_graph(n)
         td = RootedDecomposition(n, tuple(frozenset({0, i, i + 1})
                                           for i in range(1, n - 1)),
                                  (None, *range(n - 3)))
         best = math.inf
         for _ in range(5):
+            reps = 4000 // n  # samples of like length, well above timer noise
             start = time.perf_counter()
-            assert verify(g, td, 2).passed
-            derive_contexts(g, td)
-            best = min(best, time.perf_counter() - start)
-        sizes.append(math.log(n))
-        times.append(math.log(best))
-    count = len(sizes)
-    mean_x = sum(sizes) / count
-    mean_y = sum(times) / count
-    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(sizes, times)) \
-        / sum((x - mean_x) ** 2 for x in sizes)
+            for _ in range(reps):
+                assert verify(g, td, 2).passed
+                derive_contexts(g, td)
+            best = min(best, (time.perf_counter() - start) / reps)
+        times.append(best)
+    slope = loglog_slope(sizes, times)
     assert slope < 1.6, f"log-log slope {slope:.2f}"
 
 
