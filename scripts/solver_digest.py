@@ -48,10 +48,16 @@ Slices:
 ``solver_digest_count20.txt``, beside this script, holds the
 ``--count 20`` output; CI diffs against it under two hash seeds, so a
 change to what the solver decides or records updates it in plain sight.
+``solver_digest_count20_decided.txt`` holds the corpus, colorcode and
+large-n lines of ``--count 20`` without the plan sides and the two
+counters of sides read (the usage line below); CI diffs against it too,
+so a change to how many sides the fill reads leaves it alone, and a
+change to what the solver decides does not.
 
 Usage:
     python scripts/solver_digest.py --count 60
-    python scripts/solver_digest.py --slice corpus --count 3 \\
+    python scripts/solver_digest.py --count 20 --slice corpus \\
+        --slice colorcode --slice large-n --exclude-plan-sides \\
         --exclude-stat sides_considered --exclude-stat overloaded_side_prunes
 """
 
@@ -106,10 +112,10 @@ def choice_record(choice):
     return choice
 
 
-def solver_record(solver, excluded, menus=True):
-    """The plan sides, menus (if ``menus`` is true), table, each finite
-    entry's choice and the counters not in ``excluded`` of a filled solver,
-    with every side and key in the form above."""
+def solver_record(solver, excluded, menus=True, sides=True):
+    """The plan sides (if ``sides`` is true), menus (if ``menus`` is true),
+    table, each finite entry's choice and the counters not in ``excluded``
+    of a filled solver, with every side and key in the form above."""
     adhesions = [ctx.adhesion for ctx in solver.contexts]
 
     def row(entry):
@@ -124,7 +130,8 @@ def solver_record(solver, excluded, menus=True):
         node, side, budget = key
         return cheapest(solver.plans[node].menus[side], budget)[2]
 
-    return [[[vertex_set(side) for side in plan.sides] for plan in solver.plans],
+    return [[[vertex_set(side) for side in plan.sides] for plan in solver.plans]
+            if sides else None,
             [{side_key(adhesions[node], key): [row(entry) for entry in menu]
               for key, menu in plan.menus.items()}
              for node, plan in enumerate(solver.plans)] if menus else None,
@@ -161,16 +168,16 @@ def decisions(name, count, seed):
             for d in (1, 2) for k in range(7)]
 
 
-def record(result, excluded, menus=True):
+def record(result, excluded, menus=True, sides=True):
     """Everything one decision decides and records, canonicalised; the
-    menus only if ``menus`` is true."""
+    menus only if ``menus`` is true, the plan sides only if ``sides`` is."""
     witness = result.witness
     stats = {key: value for key, value in result.stats.items()
              if key not in excluded}
     out = [result.answer, witness and witness.side_a, result.cut_size,
            result.route, stats]
     if result.solver is not None:
-        out += solver_record(result.solver, excluded, menus)
+        out += solver_record(result.solver, excluded, menus, sides)
     return canonical(out)
 
 
@@ -258,7 +265,7 @@ def verify_record(graph, td, k):
                       contexts))
 
 
-def slice_records(name, count, seed, excluded, menus=True):
+def slice_records(name, count, seed, excluded, menus=True, sides=True):
     """One record per decision, per (graph, k) of the construct slice, or
     per (graph, d) of the oracle slice."""
     if name == "oracle":
@@ -274,13 +281,13 @@ def slice_records(name, count, seed, excluded, menus=True):
         graphs = corpus_graphs(count, seed) + large_graphs() + [
             gnm_random(n, int(1.6 * n), seed=seed + n) for n in range(16, 25)]
         return [construct_record(g, k) for g in graphs for k in range(7)]
-    return [record(solve(graph, k, d, options), excluded, menus)
+    return [record(solve(graph, k, d, options), excluded, menus, sides)
             for graph, k, d, options in decisions(name, count, seed)]
 
 
-def slice_digest(name, count, seed, excluded, menus=True):
+def slice_digest(name, count, seed, excluded, menus=True, sides=True):
     digest = hashlib.sha256()
-    records = slice_records(name, count, seed, excluded, menus)
+    records = slice_records(name, count, seed, excluded, menus, sides)
     for rec in records:
         digest.update(repr(rec).encode())
         digest.update(b"\n")
@@ -302,11 +309,14 @@ def main(argv=None):
     parser.add_argument("--exclude-menus", action="store_true",
                         help="leave the solver's menus out; the choices "
                              "read from them stay in")
+    parser.add_argument("--exclude-plan-sides", action="store_true",
+                        help="leave out the sides each node's fill read")
     args = parser.parse_args(argv)
     for name in args.slice or SLICES:
         runs, hexdigest = slice_digest(name, args.count, args.seed,
                                        set(args.exclude_stat),
-                                       not args.exclude_menus)
+                                       not args.exclude_menus,
+                                       not args.exclude_plan_sides)
         print(f"{name} {runs} {hexdigest}")
     return 0
 

@@ -308,8 +308,13 @@ def min_cut_reference(graph):
 
 class UnboundedFillSolver(DPSolver):
     """The solver with every side's rows built up to cost k, whatever
-    zero-usage rows earlier sides of the same key hold: a reference for the
-    fill's bound, whose menus hold every row."""
+    zero-usage rows earlier sides of the same key hold, and every candidate
+    side read at the root too: a reference for the fill's bound and the
+    root's stop, whose menus hold every row."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.root_floor = -math.inf  # no cap falls below it
 
     def _bag_rows(self, node, edges):
         rows = super()._bag_rows(node, edges)
@@ -357,12 +362,12 @@ def make_corpus(count, seed, n_lo=4, n_hi=12):
 
 
 def with_cuts(solver, node, sides):
-    """The frozenset sides as the solver's candidate dict, in the given
-    order: each side's vertex mask mapped to the number of the node's bag
-    edges it splits, by a scan of the bag edges."""
+    """The frozenset sides as the solver's candidate pairs, in the given
+    order: each side's vertex mask with the number of the node's bag edges
+    it splits, by a scan of the bag edges."""
     edges = solver.contexts[node].bag_edges
-    return {vertex_mask(side): sum((u in side) != (v in side) for u, v in edges)
-            for side in sides}
+    return [(vertex_mask(side), sum((u in side) != (v in side) for u, v in edges))
+            for side in sides]
 
 
 class AllSubsetsSolver(DPSolver):

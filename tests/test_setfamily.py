@@ -182,7 +182,8 @@ class TestDistinctDraws:
         node = SimpleNamespace(k=size - 1)
         for seed, sides_end, family_end in ends:
             outputs.clear()
-            sides = DPSolver._drawn_sides(node, positions, nbrs, edges, seed, rounds)
+            sides = dict(DPSolver._drawn_sides(node, positions, nbrs, edges,
+                                               seed, rounds))
             assert sides == expected
             assert list(sides) == sorted(expected, key=_lex_key, reverse=True)
             assert sum(outputs) == sides_end * size <= family_end * size

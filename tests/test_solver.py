@@ -39,15 +39,20 @@ def choice_rows(plan, kind, which=None):
                  if choice[0] == kind and which in (None, choice[1]))
 
 
+def listed_cuts(solver, node):
+    """Every candidate side of the node, read or not by the fill, as a dict
+    from vertex mask to split count in rank order."""
+    return dict(solver._side_candidates(node, solver._edge_masks(node))[0])
+
+
 def side_rows(solver, node, side):
     """Every row the row builder gives the candidate side (a vertex mask)
     under the cap k, as ``(usage, cost, child budgets)``: the side's rows
     whether or not an earlier side's zero-usage row keeps them off the
-    menu."""
+    menu, or the root's stop keeps them unread."""
     edges = solver._edge_masks(node)
-    cuts, _ = solver._side_candidates(node, edges)
-    return tuple((usage, cost, choice[2]) for usage, cost, choice
-                 in solver._bag_rows(node, edges)(side, cuts[side], solver.k))
+    return tuple((usage, cost, choice[2]) for usage, cost, choice in solver._bag_rows(
+        node, edges)(side, listed_cuts(solver, node)[side], solver.k))
 
 
 def families(items, d, k, cost_cap=INFEASIBLE, usage_order=()):
@@ -138,7 +143,7 @@ class TestEdgeCosts:
             td = construct(g, 3)
             solver = dp(g, td, 1, 3)
             for node, plan in enumerate(solver.plans):
-                for side in plan.sides:
+                for side in listed_cuts(solver, node):
                     entries = side_rows(solver, node, side)
                     kids, edges = split_items(solver, node, vertex_set(side))
                     for usage, cost, fam in entries:
@@ -245,10 +250,11 @@ class TestSplitItems:
                         for node, plan in enumerate(solver.plans):
                             edges = solver._edge_masks(node)
                             cuts, mode = solver._side_candidates(node, edges)
-                            assert list(cuts) == plan.sides
+                            cuts = dict(cuts)
+                            assert list(cuts)[:len(plan.sides)] == plan.sides
                             split = solver._splitter(node, edges)
                             bag_rows = solver._bag_rows(node, edges)
-                            for mask in plan.sides:
+                            for mask in cuts:
                                 side = vertex_set(mask)
                                 kids, edges = split_items(solver, node, side)
                                 crossing, traces = split(mask)
@@ -582,6 +588,20 @@ class TestSolveEndToEnd:
                         rebuilt += 1
         assert rebuilt > 50
 
+    def test_rebuild_complements_within_a_cone_larger_than_the_bag(self):
+        # node 1 (bag {1, 3}, adhesion {1}) is visited wanting vertex 1 off
+        # the part, and its row's side is {1}: its part {0, 1, 10} is
+        # complemented within its cone {0, 1, 3, 4, 9, 10}, which takes
+        # along child 3's vertices 4 and 9, left out of the bag
+        g = Graph(11, [(0, 10), (1, 2), (1, 8), (1, 10), (3, 9), (3, 10),
+                       (4, 9), (5, 6), (5, 7), (5, 8), (6, 7)])
+        bags = ({1}, {1, 3}, {0, 1, 3, 10}, {3, 4, 9}, {1, 2}, {1, 5, 6, 7, 8})
+        td = RootedDecomposition(11, tuple(map(frozenset, bags)),
+                                 (None, 0, 1, 1, 0, 0))
+        res = solve(g, 2, 1, SolveOptions(decomposition=td))
+        assert res.solver.plans[1].menus[0][0][2][:2] == ("bag", vertex_mask({1}))
+        assert res.witness.side_a == rebuild_reference(res.solver) == {3, 4, 9}
+
     def test_witness_deeper_than_the_recursion_limit(self):
         # bags {0, i, i+1} on an 1100-cycle: a path of 1098 nodes, past
         # Python's default limit of 1000 frames
@@ -726,6 +746,20 @@ class TestSolveEndToEnd:
         with pytest.raises(TypeError, match=message):
             solve(gnm_random(10, 14, seed=3), 3, 1,
                   SolveOptions(max_construct_vertices=value))
+
+    @pytest.mark.parametrize("name,args,options,label", [
+        ("graph", (None, 3, 1), {}, "a Graph"),
+        ("graph", ([(0, 1)], 1, 1), {}, "a Graph"),
+        ("decomposition", (cycle_graph(4), 1, 1), dict(decomposition=[[0, 1]]),
+         "a RootedDecomposition or None"),
+        ("witness", (cycle_graph(4), 2, 1), dict(witness=None), "a bool"),
+        ("witness", (cycle_graph(4), 2, 1), dict(witness=1), "a bool"),
+    ])
+    def test_mistyped_solve_argument_named(self, name, args, options, label):
+        value = args[0] if name == "graph" else options[name]
+        with pytest.raises(TypeError, match=re.escape(
+                f"{name} must be {label}, got {value!r}")):
+            solve(*args, SolveOptions(**options))
 
     def test_family_stats_only_when_a_family_was_drawn(self):
         # auto mode lists every node's sides exactly here, so no family is
@@ -909,7 +943,7 @@ class TestModes:
                     drawn = dp(g, td, 1, k, mode="colorcode",
                                family_kind="randomized", family_seed=5,
                                family_rounds=rounds, record_choices=False)
-                listed = dp(g, td, 1, k, record_choices=False)
+                listed = UnboundedFillSolver(g, td, 1, k, record_choices=False).run()
                 for node, ctx in enumerate(drawn.contexts):
                     bag = sorted(ctx.bag)
                     sides = {frozenset(vertex_set(side))
@@ -989,8 +1023,9 @@ class TestModes:
 
 class TestZeroUsageBound:
     """A zero-usage row fits every budget, so the fill builds no row of a
-    later side of its key that costs as much: checked against the
-    unbounded fill in ``conftest``."""
+    later side of its key that costs as much, and the root reads no side
+    once its cap is below the least cost of a root row: checked against
+    the unbounded fill in ``conftest``, which reads every side."""
 
     @staticmethod
     def dropped_rows_are_beaten(menu, reference):
@@ -1012,9 +1047,11 @@ class TestZeroUsageBound:
         {}, dict(mode="colorcode", family_kind="randomized", family_seed=7)],
         ids=["auto", "colorcode"])
     def test_matches_unbounded_fill_on_corpus(self, options):
-        # every choice, value, witness, side and counter but the families
-        # evaluated is the reference's; menus lose only beaten rows
-        saved = 0
+        # every choice, value, witness and counter but the three that count
+        # families and sides is the reference's; each node's sides are a
+        # prefix of the reference's, and menus lose only beaten rows; the
+        # root stops early on at least 100 decisions, at no other node
+        saved = stopped = 0
         for g in make_corpus(60, seed=20250808):
             for k in range(7):
                 td = construct(g, k)
@@ -1030,18 +1067,45 @@ class TestZeroUsageBound:
                     assert solver.root_value() == reference.root_value()
                     if solver.root_value() <= k:
                         assert solver.rebuild_side() == reference.rebuild_side()
-                    for plan, ref_plan in zip(solver.plans, reference.plans):
-                        assert plan.sides == ref_plan.sides
+                    for node, (plan, ref_plan) in enumerate(
+                            zip(solver.plans, reference.plans)):
+                        assert plan.sides == ref_plan.sides[:len(plan.sides)]
+                        if len(plan.sides) < len(ref_plan.sides):
+                            assert node == td.root
+                            stopped += 1
                         assert plan.menus.keys() == ref_plan.menus.keys()
                         for key, menu in plan.menus.items():
                             assert self.dropped_rows_are_beaten(
                                 menu, ref_plan.menus[key])
+                    for counter in ("sides_considered", "overloaded_side_prunes"):
+                        assert solver.stats.pop(counter) <= reference.stats.pop(counter)
                     found = solver.stats.pop("families_evaluated")
                     full = reference.stats.pop("families_evaluated")
                     assert found <= full
                     saved += full - found
                     assert solver.stats == reference.stats
         assert saved > 0
+        assert stopped >= 100, stopped
+
+    @pytest.mark.parametrize("pendant,free", [(False, {0, 1, 2}), (True, {3, 4, 5})],
+                             ids=["two-triangles", "with-pendant"])
+    def test_root_of_disconnected_graph_stops_after_first_free_side(
+            self, pendant, free):
+        # two triangles, the first perhaps with vertex 6 hanging off vertex
+        # 0, in one bag: a root row may cost 0, so the root reads sides
+        # until its first cost-0 side, past the pendant's cost-1 side
+        edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+        g = Graph(6 + pendant, edges + [(0, 6)] * pendant)
+        td = RootedDecomposition(g.n, (frozenset(range(g.n)),), (None,))
+        solver = dp(g, td, 2, 4)
+        reference = UnboundedFillSolver(g, td, 2, 4).run()
+        sides = solver.plans[0].sides
+        assert solver.root_value() == reference.root_value() == 0
+        assert sides[-1] == vertex_mask(free)
+        assert sides == reference.plans[0].sides[:len(sides)]
+        assert len(sides) < len(reference.plans[0].sides)
+        assert dict(solver.table.entries()) == dict(reference.table.entries())
+        assert solver.rebuild_side() == reference.rebuild_side() == free
 
     def test_later_sides_beaten_by_a_free_row_are_skipped(self):
         # the path 0-1-2 in one bag: on the empty adhesion every row has
@@ -1078,7 +1142,7 @@ class TestRealizability:
             plan = solver.plans[node]
             edges = local_edges(graph, ctx)
             rest = sorted(ctx.cone - ctx.bag)
-            for side in plan.sides:
+            for side in listed_cuts(solver, node):
                 for budget in plan.budgets:
                     value = cost_under(side_rows(solver, node, side), budget)
                     if value is INFEASIBLE:
