@@ -761,6 +761,22 @@ class TestSolveEndToEnd:
                 f"{name} must be {label}, got {value!r}")):
             solve(*args, SolveOptions(**options))
 
+    @pytest.mark.parametrize("name,value", [
+        ("graph", None), ("graph", [(0, 1)]), ("decomposition", None),
+        ("decomposition", [[0, 1]]), ("record_choices", None),
+        ("record_choices", 1)])
+    def test_mistyped_solver_argument_named(self, name, value):
+        # DPSolver needs a decomposition; None does not ask for one
+        g = cycle_graph(4)
+        args = dict(graph=g, td=construct(g, 2), record_choices=True)
+        args["td" if name == "decomposition" else name] = value
+        label = dict(graph="a Graph", decomposition="a RootedDecomposition",
+                     record_choices="a bool")[name]
+        with pytest.raises(TypeError, match=re.escape(
+                f"{name} must be {label}, got {value!r}")):
+            DPSolver(args["graph"], args["td"], 1, 2,
+                     record_choices=args["record_choices"])
+
     def test_family_stats_only_when_a_family_was_drawn(self):
         # auto mode lists every node's sides exactly here, so no family is
         # drawn and the family keys stay out of the stats
@@ -1047,10 +1063,11 @@ class TestZeroUsageBound:
         {}, dict(mode="colorcode", family_kind="randomized", family_seed=7)],
         ids=["auto", "colorcode"])
     def test_matches_unbounded_fill_on_corpus(self, options):
-        # every choice, value, witness and counter but the three that count
-        # families and sides is the reference's; each node's sides are a
-        # prefix of the reference's, and menus lose only beaten rows; the
-        # root stops early on at least 100 decisions, at no other node
+        # every choice, value, witness and counter but the one that counts
+        # families is the reference's, and so are the two that count sides
+        # where the root does not stop early; each node's sides are a prefix
+        # of the reference's, and menus lose only beaten rows; the root
+        # stops early on at least 100 decisions, at no other node
         saved = stopped = 0
         for g in make_corpus(60, seed=20250808):
             for k in range(7):
@@ -1077,8 +1094,14 @@ class TestZeroUsageBound:
                         for key, menu in plan.menus.items():
                             assert self.dropped_rows_are_beaten(
                                 menu, ref_plan.menus[key])
-                    for counter in ("sides_considered", "overloaded_side_prunes"):
-                        assert solver.stats.pop(counter) <= reference.stats.pop(counter)
+                    # the root that stops early counts only the sides it
+                    # read, and prunes no more of them than the reference
+                    read = sum(len(plan.sides) for plan in solver.plans)
+                    assert solver.stats["sides_considered"] == read
+                    if read < sum(len(plan.sides) for plan in reference.plans):
+                        for counter in ("sides_considered", "overloaded_side_prunes"):
+                            assert solver.stats.pop(counter) \
+                                <= reference.stats.pop(counter)
                     found = solver.stats.pop("families_evaluated")
                     full = reference.stats.pop("families_evaluated")
                     assert found <= full
