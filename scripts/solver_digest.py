@@ -4,9 +4,11 @@
 Solves seeded instances built with ``dcut.generators`` and prints one
 SHA-256 per slice over the answers, witnesses, cut sizes, routes and
 ``stats`` of every decision and, on the ``dp`` route, the solver's plan
-sides, menus, tables, choices and counters.  The choice of each finite
-table entry is read as ``cheapest(menu, budget)``, the call the fill and
-the witness rebuild make.  The ``construct`` slice digests the
+sides, tables, choices and counters.  The choice of each finite table
+entry is read from the row the entry holds, as the witness rebuild reads
+it.  Each record keeps the slot that once held the solver's menus, now
+always None, so that digests taken before and after the menus were
+dropped can be compared.  The ``construct`` slice digests the
 decomposition layer on its own instead: the text form of what
 ``construct`` builds, or the class and text of the error it raises, and
 the ``verify`` summary of the single whole-graph bag.  The ``verify``
@@ -22,7 +24,7 @@ Every set is written as a sorted tuple: a frozenset's ``repr`` follows
 its hash table, so equal sets built in different orders can print
 differently.  The digest does not depend on how the solver holds a side:
 every side, whether a vertex set or a vertex mask, is written as its
-sorted vertex tuple, and every table, menu and choice key as the smaller
+sorted vertex tuple, and every table and choice key as the smaller
 of the sorted vertex tuples of the keyed side and its adhesion
 complement.
 
@@ -71,7 +73,7 @@ from dcut import (Graph, SolveOptions, brute_force_min_dcut, construct,
 from dcut.decomposition import DecompositionError, RootedDecomposition
 from dcut.generators import gnm_random, grid_graph, two_cliques_bridged
 from dcut.graph import DisconnectedGraph, SizeLimitExceeded
-from dcut.solver import INFEASIBLE, cheapest
+from dcut.solver import INFEASIBLE
 
 SLICES = ("corpus", "colorcode", "large-n", "construct", "oracle", "verify")
 
@@ -104,7 +106,7 @@ def side_key(adhesion, side):
 
 
 def choice_record(choice):
-    """A menu row's choice with its side, if it has one, as a vertex set."""
+    """A row's choice with its side, if it has one, as a vertex set."""
     kind, *data = choice
     if kind == "bag":
         side, picks = data
@@ -112,31 +114,21 @@ def choice_record(choice):
     return choice
 
 
-def solver_record(solver, excluded, menus=True, sides=True):
-    """The plan sides (if ``sides`` is true), menus (if ``menus`` is true),
+def solver_record(solver, excluded, sides=True):
+    """The plan sides (if ``sides`` is true), the menus' slot (None), the
     table, each finite entry's choice and the counters not in ``excluded``
     of a filled solver, with every side and key in the form above."""
     adhesions = [ctx.adhesion for ctx in solver.contexts]
-
-    def row(entry):
-        usage, cost, choice = entry
-        return (usage, cost, choice_record(choice))
 
     def keyed(key):
         node, side, budget = key
         return (node, side_key(adhesions[node], side), budget)
 
-    def choice(key):
-        node, side, budget = key
-        return cheapest(solver.plans[node].menus[side], budget)[2]
-
     return [[[vertex_set(side) for side in plan.sides] for plan in solver.plans]
             if sides else None,
-            [{side_key(adhesions[node], key): [row(entry) for entry in menu]
-              for key, menu in plan.menus.items()}
-             for node, plan in enumerate(solver.plans)] if menus else None,
+            None,
             {keyed(key): value for key, value in solver.table.entries()},
-            {keyed(key): choice_record(choice(key))
+            {keyed(key): choice_record(solver.table.row(*key)[2])
              for key, value in solver.table.entries() if value is not INFEASIBLE},
             {key: value for key, value in solver.stats.items() if key not in excluded}]
 
@@ -168,16 +160,16 @@ def decisions(name, count, seed):
             for d in (1, 2) for k in range(7)]
 
 
-def record(result, excluded, menus=True, sides=True):
+def record(result, excluded, sides=True):
     """Everything one decision decides and records, canonicalised; the
-    menus only if ``menus`` is true, the plan sides only if ``sides`` is."""
+    plan sides only if ``sides`` is true."""
     witness = result.witness
     stats = {key: value for key, value in result.stats.items()
              if key not in excluded}
     out = [result.answer, witness and witness.side_a, result.cut_size,
            result.route, stats]
     if result.solver is not None:
-        out += solver_record(result.solver, excluded, menus, sides)
+        out += solver_record(result.solver, excluded, sides)
     return canonical(out)
 
 
@@ -265,7 +257,7 @@ def verify_record(graph, td, k):
                       contexts))
 
 
-def slice_records(name, count, seed, excluded, menus=True, sides=True):
+def slice_records(name, count, seed, excluded, sides=True):
     """One record per decision, per (graph, k) of the construct slice, or
     per (graph, d) of the oracle slice."""
     if name == "oracle":
@@ -281,13 +273,13 @@ def slice_records(name, count, seed, excluded, menus=True, sides=True):
         graphs = corpus_graphs(count, seed) + large_graphs() + [
             gnm_random(n, int(1.6 * n), seed=seed + n) for n in range(16, 25)]
         return [construct_record(g, k) for g in graphs for k in range(7)]
-    return [record(solve(graph, k, d, options), excluded, menus, sides)
+    return [record(solve(graph, k, d, options), excluded, sides)
             for graph, k, d, options in decisions(name, count, seed)]
 
 
-def slice_digest(name, count, seed, excluded, menus=True, sides=True):
+def slice_digest(name, count, seed, excluded, sides=True):
     digest = hashlib.sha256()
-    records = slice_records(name, count, seed, excluded, menus, sides)
+    records = slice_records(name, count, seed, excluded, sides)
     for rec in records:
         digest.update(repr(rec).encode())
         digest.update(b"\n")
@@ -306,16 +298,12 @@ def main(argv=None):
                         metavar="KEY",
                         help="leave this key out of the solve() stats and "
                              "the solver's counters")
-    parser.add_argument("--exclude-menus", action="store_true",
-                        help="leave the solver's menus out; the choices "
-                             "read from them stay in")
     parser.add_argument("--exclude-plan-sides", action="store_true",
                         help="leave out the sides each node's fill read")
     args = parser.parse_args(argv)
     for name in args.slice or SLICES:
         runs, hexdigest = slice_digest(name, args.count, args.seed,
                                        set(args.exclude_stat),
-                                       not args.exclude_menus,
                                        not args.exclude_plan_sides)
         print(f"{name} {runs} {hexdigest}")
     return 0

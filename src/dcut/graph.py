@@ -36,6 +36,8 @@ class Graph:
     __slots__ = ("n", "edges", "adj", "adj_masks", "_hash")
 
     def __init__(self, n: int, edges):
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise TypeError(f"vertex count must be an int, got {n!r}")
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         seen = set()

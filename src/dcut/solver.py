@@ -11,27 +11,19 @@ vertices use at most their budgeted number of cross neighbors.  Costs
 live in {0..k, inf}; any sum exceeding k saturates to infinity, since such
 partitions can never take part in an acceptable cut.
 
-Each entry is the cheapest fitting row of one cost-sorted menu per side:
-a row for each way to split the bag along a small candidate side, paying
-for each child and bag edge the side breaks, and, under the empty side, a
-row for each way to descend entirely into one child.  Candidate sides are
+Each entry holds the cheapest fitting row of one cost-sorted menu per
+key, and its value is that row's cost.  A menu has a row for each way to
+split the bag along a small candidate side, paying for each child and
+bag edge the side breaks, and, under the empty side, a row for each way
+to descend entirely into one child.  Candidate sides are
 the bag subsets of at most k vertices connected in a helper graph
 (adhesions turned into cliques plus the bag edges), listed exactly, grown
 size by size.  With a randomized covering family they are the helper
 graph's components of at most k vertices, short of the bag, on the
-family's members, read in blocks of round-bitset columns, one per bag
-vertex.  A round reaches each small component along a chain of sets,
-from its lowest vertex adding the lowest drawn helper neighbour each
-step, and it fits every set on the chain: draws it, with no vertex given
-k or more drawn neighbours.  A chain adds a set's vertices in an order
-that depends on the set alone, so the sets form a tree, which each block
-grows from the singletons along the steps of its fitting rounds,
-skipping the subtrees whose sets are all kept.  A block costs the chains
-of its rounds rather than the C(b, <= k) connected sets, and drawing
-stops after the block that keeps the last connected set of at most k
-vertices: the block that first isolates the last listed side, never
-later than a family holding every bag subset.  Each side comes with the
-number of bag edges it splits, which is carried as a side grows.
+family's members, grown along chains of drawn sets in blocks of
+round-bitset columns until the last listed side is isolated
+(:meth:`DPSolver._drawn_sides`).  Each side comes with the number of bag
+edges it splits, which is carried as a side grows.
 
 A row using no adhesion vertex's budget fits every budget, so once a
 side offers one at cost c, the menu's later sides are split only for
@@ -41,14 +33,14 @@ adhesion is empty, every row is of this kind.  Root rows cost at least
 1 on a connected graph; below that cap the root lists no further side.
 
 The fill works on integer masks over vertex ids, and a side takes no
-other form: node contexts, sides, table keys, menus and the witness
+other form: node contexts, sides, table keys, rows and the witness
 rebuild hold masks, and only the rebuilt witness is a frozenset.  The
-menus record the fill's choices: the rebuild reads each as the menu's
-cheapest fitting row, the same call the fill made.  A side splitting
-more than k bag edges is pruned before it is split; otherwise its split
-edges and children are read with popcounts on masks built once per
-node, and a side splitting more than k of them is pruned before any
-item exists.  The split edges enter the budget search as a
+entries' rows are the one record of the fill's choices, which the
+witness rebuild reads; a node's menus are dropped once it is filled.  A
+side splitting more than k bag edges is pruned before it is split;
+otherwise its split edges and children are read with popcounts on masks
+built once per node, and a side splitting more than k of them is pruned
+before any item exists.  The split edges enter the budget search as a
 start vector, and each child's finite options are read once per trace.
 """
 
@@ -73,33 +65,36 @@ class WitnessCertificationError(RuntimeError):
     """A reconstructed witness failed certification; internal bug signal."""
 
 
-def _check_arguments(graph, td, k, d, mode, family_kind, family_seed, family_rounds,
-                     flags, build=False, **sizes):
-    """Reject a mistyped argument (``td`` may be None, to be built, if
-    ``build``) or a bad k, d, seed, round count, mode or family kind;
-    ``flags`` (bools) and ``sizes`` (ints) map argument names to values."""
-    rounds = 1 if family_rounds is None else family_rounds  # None: heuristic rounds
-    ints = dict(k=k, d=d, family_seed=family_seed, family_rounds=rounds, **sizes)
-    for name, value, kind, label in (
-            ("graph", graph, Graph, "a Graph"),
-            ("decomposition", td, (RootedDecomposition, type(None) if build else ()),
-             "a RootedDecomposition" + " or None" * build),
-            *((name, value, bool, "a bool") for name, value in flags.items()),
-            *((name, value, int, "an int") for name, value in ints.items())):
-        if not isinstance(value, kind) or kind is int and isinstance(value, bool):
+def _check_arguments(graph, k, d, options, build=False, **flags):
+    """Reject a bad k, d, seed, round count, mode or family kind, or a
+    mistyped argument or option: ``flags`` are bool arguments beside the
+    ``witness`` option, and the decomposition may be None only if ``build``."""
+    typed = [("graph", graph, Graph, "a Graph"), ("k", k, int, "an int"),
+             ("d", d, int, "an int"), ("options", options, SolveOptions, "a SolveOptions")]
+    for name, value, kind, label in typed:  # the options' fields join once typed
+        if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
             raise TypeError(f"{name} must be {label}, got {value!r}")
+        if name == "options":  # family_rounds None draws heuristic rounds
+            typed += [("decomposition", options.decomposition,
+                       (RootedDecomposition, type(None) if build else ()),
+                       "a RootedDecomposition" + " or None" * build),
+                      *((flag, on, bool, "a bool")
+                        for flag, on in dict(flags, witness=options.witness).items()),
+                      *((field, getattr(options, field), int, "an int") for field in
+                        ("family_seed", "enumerate_budget", "max_construct_vertices")),
+                      ("family_rounds", options.family_rounds, (int, type(None)), "an int")]
     if k < 0:
         raise ValueError("k must be non-negative")
     if d < 1:
         raise ValueError("d must be at least 1")
-    if mode not in ("auto", "colorcode"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if family_kind not in ("exhaustive", "randomized"):
-        raise ValueError(f"unknown family kind {family_kind!r}")
-    if family_rounds is not None and family_rounds < 1:
-        raise ValueError(f"family_rounds must be at least 1, got {family_rounds}")
-    if family_seed < 0:  # random.Random seeds with the absolute value
-        raise ValueError(f"family_seed must be non-negative, got {family_seed}")
+    if options.mode not in ("auto", "colorcode"):
+        raise ValueError(f"unknown mode {options.mode!r}")
+    if options.family_kind not in ("exhaustive", "randomized"):
+        raise ValueError(f"unknown family kind {options.family_kind!r}")
+    if options.family_rounds is not None and options.family_rounds < 1:
+        raise ValueError(f"family_rounds must be at least 1, got {options.family_rounds}")
+    if options.family_seed < 0:  # random.Random seeds with the absolute value
+        raise ValueError(f"family_seed must be non-negative, got {options.family_seed}")
 
 
 def budget_families(items, d, k, cost_cap, usage_order, start=None) -> list:
@@ -180,7 +175,8 @@ class CostTable:
     """The cost table, keyed per side of a node's adhesion, given as a
     vertex mask, under whichever of the side and its adhesion complement
     leaves out the adhesion's least vertex (the semantics are symmetric in
-    the two), written exactly once per key."""
+    the two), written exactly once per key with the fill's chosen row,
+    ``(usage, cost, choice)``, or None: its value is the cost or INFEASIBLE."""
 
     def __init__(self, adhesions):
         self._adhesions = list(adhesions)  # vertex masks, one per node
@@ -204,17 +200,23 @@ class CostTable:
             found.append((found[-1] - 1) & rest)
         return found[::-1]
 
-    def set(self, node, side, budget, value):
+    def set(self, node, side, budget, row):
         key = (node, self.key(node, side), budget)
         if key in self._data:
             raise RuntimeError(f"table key written twice: {key}")
-        self._data[key] = value
+        self._data[key] = row
 
-    def get(self, node, side, budget):
+    def row(self, node, side, budget):
+        """The entry's chosen row, or None when no row fits."""
         return self._data[(node, self.key(node, side), budget)]
 
+    def get(self, node, side, budget):
+        row = self.row(node, side, budget)
+        return INFEASIBLE if row is None else row[1]
+
     def entries(self):
-        yield from self._data.items()
+        for key, row in self._data.items():
+            yield key, INFEASIBLE if row is None else row[1]
 
     def __len__(self):
         return len(self._data)
@@ -227,33 +229,30 @@ class NodePlan:
     adhesion_order: list
     budgets: list         # count vectors on adhesion_order
     sides: list           # sides the fill read, as vertex masks; their order ranks them
-    menus: dict           # table key -> cost-sorted (usage, cost, choice), if recorded
     mode: str
 
 
 class DPSolver:
-    """Fills the cost table bottom-up over a verified decomposition."""
+    """Fills the cost table bottom-up over a verified decomposition.  The
+    type-checked ``record_choices`` has no effect: the benchmark passes it,
+    and ROADMAP item 3 part B deletes it."""
 
     def __init__(self, graph: Graph, td: RootedDecomposition, d: int, k: int, *,
                  contexts=None, mode: str = "auto", family_kind: str = "exhaustive",
                  family_seed: int = 0, family_rounds=None,
                  enumerate_budget: int = ENUMERATE_BUDGET,
                  record_choices: bool = True):
-        _check_arguments(graph, td, k, d, mode, family_kind, family_seed, family_rounds,
-                         dict(record_choices=record_choices),
-                         enumerate_budget=enumerate_budget)
+        self.options = SolveOptions(  # the side search's settings
+            mode=mode, family_kind=family_kind, family_seed=family_seed,
+            family_rounds=family_rounds, decomposition=td,
+            enumerate_budget=enumerate_budget)
+        _check_arguments(graph, k, d, self.options, record_choices=record_choices)
         self.graph = graph
         self.td = td
         self.d = d
         self.k = k
         self.contexts = list(contexts) if contexts is not None else derive_contexts(graph, td)
         self.children = td.children()
-        self.mode = mode
-        self.family_kind = family_kind
-        self.family_seed = family_seed
-        self.family_rounds = family_rounds
-        self.enumerate_budget = enumerate_budget
-        self.record_choices = record_choices
         self.table = CostTable(ctx.adhesion_mask for ctx in self.contexts)
         self.root_floor = 1 if is_connected(graph) else 0  # least root row cost
         self.plans = [None] * td.node_count
@@ -368,6 +367,20 @@ class DPSolver:
 
         return rows
 
+    def _child_rows(self, node):
+        """The node's ``(usage, cost, ("child", child, budget))`` rows for
+        descending into one child: one per finite child entry on no trace."""
+        adhesion_order = self.plans[node].adhesion_order
+        rows = []
+        for c in self.children[node]:
+            child_plan = self.plans[c]
+            for cb in child_plan.budgets:
+                if (row := self.table.row(c, 0, cb)) is not None:
+                    counts = dict(zip(child_plan.adhesion_order, cb))
+                    usage = tuple(counts.get(v, 0) for v in adhesion_order)
+                    rows.append((usage, row[1], ("child", c, cb)))
+        return rows
+
     def _side_candidates(self, node, edges):
         """Candidate sides for splitting the bag, as an iterable, to be read
         once, of ``(vertex mask, number of bag edges the side splits)``
@@ -380,12 +393,13 @@ class DPSolver:
         b = len(bag_order)
         subset_count = sum(math.comb(b, i) for i in range(min(self.k, b) + 1))
         nbrs = self._helper_masks(node)
-        if self.family_kind == "randomized" and (
-                self.mode == "colorcode" or subset_count > self.enumerate_budget):
-            rounds = self.family_rounds or heuristic_rounds(
+        opts = self.options
+        if opts.family_kind == "randomized" and (
+                opts.mode == "colorcode" or subset_count > opts.enumerate_budget):
+            rounds = opts.family_rounds or heuristic_rounds(
                 b, self.k, self.k * self.k + self.k)
             return self._drawn_sides(bag_order, nbrs, edges,
-                                     self.family_seed * 100003 + node * 7919,
+                                     opts.family_seed * 100003 + node * 7919,
                                      rounds), "colorcode"
         return self._listed_sides(bag_order, nbrs, edges), "enumerate"
 
@@ -541,18 +555,19 @@ class DPSolver:
         return nbrs
 
     def fill_node(self, node):
-        """Fill the node's table entries from one cost-sorted menu per key.
-        Each side's rows are built under the cap of k and of one less than
-        the least cost of a zero-usage row that an earlier side of its key
-        offers, so the menu holds no row that such a row beats.  The root
-        reads no side once its cap is below the least root row cost."""
+        """Give each of the node's table entries the cheapest fitting row of
+        its key's cost-sorted menu.  Each side's rows are built under the
+        cap of k and of one less than the least cost of a zero-usage row
+        that an earlier side of its key offers, so the menu holds no row
+        that such a row beats.  The root reads no side once its cap is below
+        the least root row cost."""
         adhesion_mask = self.contexts[node].adhesion_mask
         adhesion_order = _members(adhesion_mask)
         budgets = bounded_multisets(adhesion_order, self.d, self.k)
         edges = self._edge_masks(node)
         cuts, mode = self._side_candidates(node, edges)
         self.stats["modes"][mode] = self.stats["modes"].get(mode, 0) + 1
-        plan = self.plans[node] = NodePlan(adhesion_order, budgets, [], {}, mode)
+        plan = self.plans[node] = NodePlan(adhesion_order, budgets, [], mode)
         # Rows rank by cost (at most k: families are capped at k, children
         # offer finite table values), then side (a child after every side),
         # then usage; the sort is stable, so the first family, child and
@@ -578,43 +593,30 @@ class DPSolver:
             if caps.get(0, k) < floor:  # no later root side has a row
                 break
         self.stats["sides_considered"] += len(plan.sides)
-        for c in self.children[node]:
-            child_plan = self.plans[c]
-            for cb in child_plan.budgets:
-                cost = self.table.get(c, 0, cb)
-                if cost is not INFEASIBLE:
-                    counts = dict(zip(child_plan.adhesion_order, cb))
-                    usage = tuple(counts.get(v, 0) for v in adhesion_order)
-                    ranked[0].append((cost, len(plan.sides), usage, ("child", c, cb)))
+        ranked[0] += [(cost, len(plan.sides), usage, choice)
+                      for usage, cost, choice in self._child_rows(node)]
         for key, rows in ranked.items():
-            rows.sort(key=lambda row: row[:3])
-            menu = tuple((usage, cost, choice) for cost, _, usage, choice in rows)
-            if self.record_choices:
-                plan.menus[key] = menu
+            menu = [(usage, cost, choice) for cost, _, usage, choice
+                    in sorted(rows, key=lambda row: row[:3])]
             for budget in budgets:
-                hit = cheapest(menu, budget)
-                self.table.set(node, key, budget,
-                               INFEASIBLE if hit is None else hit[1])
+                self.table.set(node, key, budget, cheapest(menu, budget))
 
     # ------------------------------------------------------------------
     # witness reconstruction
 
     def rebuild_side(self):
         """The A side of a partition achieving the root value.  A visited
-        node takes its menu's cheapest row under its budget, as the fill
-        did; its part is the row's side with its visited children's parts,
-        or their complement in its cone, whichever meets its adhesion in the
-        wanted trace.  Nodes are visited top-down and closed bottom-up."""
+        node reads the row of its entry under the wanted trace and its
+        budget; its part is the row's side with its visited children's
+        parts, or their complement in its cone, whichever meets its adhesion
+        in the wanted trace.  Nodes are visited top-down and closed bottom-up."""
         value = self.root_value()
         if value is INFEASIBLE or value > self.k:
             raise RuntimeError("no witness: root value exceeds k")
-        if not self.record_choices:
-            raise RuntimeError("witness reconstruction needs recorded choices")
         visits = [(self.td.root, (), 0, None)]  # node, budget, wanted trace, caller
         parts = []
         for node, budget, wanted, _ in visits:  # visits grows as it is walked
-            menu = self.plans[node].menus[self.table.key(node, wanted)]
-            kind, *data = cheapest(menu, budget)[2]
+            kind, *data = self.table.row(node, wanted, budget)[2]
             # descending into one child is the empty side splitting it alone
             side, picks = (0, {data[0]: data[1]}) if kind == "child" else data
             parts.append(side)
@@ -680,11 +682,8 @@ def solve(graph: Graph, k: int, d: int, options: SolveOptions = None) -> SolveRe
     is verified before the route is chosen, so a bad one is rejected on
     every route.
     """
-    opts = options or SolveOptions()
-    _check_arguments(graph, opts.decomposition, k, d, opts.mode, opts.family_kind,
-                     opts.family_seed, opts.family_rounds, dict(witness=opts.witness),
-                     build=True, enumerate_budget=opts.enumerate_budget,
-                     max_construct_vertices=opts.max_construct_vertices)
+    opts = SolveOptions() if options is None else options
+    _check_arguments(graph, k, d, opts, build=True)
     stats = {"n": graph.n, "m": graph.m, "k": k, "d": d}
     td = opts.decomposition
     if td is not None:
@@ -709,8 +708,7 @@ def solve(graph: Graph, k: int, d: int, options: SolveOptions = None) -> SolveRe
                           family_kind=opts.family_kind,
                           family_seed=opts.family_seed,
                           family_rounds=opts.family_rounds,
-                          enumerate_budget=opts.enumerate_budget,
-                          record_choices=opts.witness)
+                          enumerate_budget=opts.enumerate_budget)
         solver.run()
         value = solver.root_value()
         route, answer = "dp", value <= k

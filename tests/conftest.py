@@ -8,7 +8,6 @@ from dcut.generators import gnm_random
 from dcut.decomposition import NodeContext
 from dcut.graph import Bipartition, SizeLimitExceeded, _max_flow, is_d_cut
 from dcut.oracle import OracleResult
-from dcut.solver import cheapest
 
 
 def path_graph(n):
@@ -308,9 +307,10 @@ def min_cut_reference(graph):
 
 class UnboundedFillSolver(DPSolver):
     """The solver with every side's rows built up to cost k, whatever
-    zero-usage rows earlier sides of the same key hold, and every candidate
-    side read at the root too: a reference for the fill's bound and the
-    root's stop, whose menus hold every row."""
+    zero-usage rows earlier sides of the same key offer, and every
+    candidate side read at the root too: a reference for the fill's bound
+    and the root's stop, whose menus hold every row and whose entries hold
+    the rows that the fill's entries must equal."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -323,12 +323,12 @@ class UnboundedFillSolver(DPSolver):
 
 def rebuild_reference(solver):
     """Reference for ``DPSolver.rebuild_side``: the recursive rebuild, one
-    call per visited node, each taking the menu row cheapest under its
-    budget.  Recurses as deep as the decomposition."""
+    call per visited node, each reading the row of the node's entry under
+    the wanted trace and its budget.  Recurses as deep as the
+    decomposition."""
     def rebuild(node, budget, wanted):
         ctx = solver.contexts[node]
-        menu = solver.plans[node].menus[solver.table.key(node, wanted)]
-        kind, *data = cheapest(menu, budget)[2]
+        kind, *data = solver.table.row(node, wanted, budget)[2]
         if kind == "child":
             c, cb = data
             part = rebuild(c, cb, 0)
@@ -401,13 +401,14 @@ class ComponentSplitSolver(DPSolver):
     with the solver under test."""
 
     def _side_candidates(self, node, edges):
-        if self.mode != "colorcode" or self.family_kind != "randomized":
+        opts = self.options
+        if opts.mode != "colorcode" or opts.family_kind != "randomized":
             return super()._side_candidates(node, edges)
         bag = self.contexts[node].bag
-        rounds = self.family_rounds or heuristic_rounds(
+        rounds = opts.family_rounds or heuristic_rounds(
             len(bag), self.k, self.k * self.k + self.k)
         members = randomized_members_reference(
-            bag, self.family_seed * 100003 + node * 7919, rounds)
+            bag, opts.family_seed * 100003 + node * 7919, rounds)
         adj = {v: {w for w in bag if mask >> w & 1}
                for v, mask in self._helper_masks(node).items()}
         sides = {side for member in set(members)

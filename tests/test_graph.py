@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,12 @@ class TestGraphConstruction:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph(2, [(0, 2)])
+
+    @pytest.mark.parametrize("n", ["3", 3.0, None, True])
+    def test_rejects_non_int_vertex_count(self, n):
+        with pytest.raises(TypeError, match=re.escape(
+                f"vertex count must be an int, got {n!r}")):
+            Graph(n, [])
 
     def test_edges_sorted_and_adjacency_consistent(self):
         g = Graph(3, [(2, 1), (0, 2)])

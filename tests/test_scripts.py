@@ -46,8 +46,9 @@ def test_solver_digest_repeats_itself():
     assert outputs[1].stdout == outputs[0].stdout
 
 
-def test_solver_digest_menus_excluded():
-    # leaving the menus out changes the dp slices' digests, and only theirs
+def test_solver_digest_plan_sides_excluded():
+    # leaving the plan sides out changes the dp slices' digests, and only
+    # theirs
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -55,29 +56,9 @@ def test_solver_digest_menus_excluded():
                "--slice", "corpus", "--slice", "oracle", "--count", "2"]
     outputs = [subprocess.run(command + extra, env=env, capture_output=True,
                               text=True, timeout=60)
-               for extra in ([], ["--exclude-menus"])]
+               for extra in ([], ["--exclude-plan-sides"])]
     for proc in outputs:
         assert proc.returncode == 0, proc.stdout + proc.stderr
     full, bare = (proc.stdout.splitlines() for proc in outputs)
     assert [line.split()[:2] for line in bare] == [["corpus", "28"], ["oracle", "19"]]
     assert bare[0] != full[0] and bare[1] == full[1]
-
-
-def test_solver_digest_plan_sides_excluded():
-    # leaving the plan sides out changes the dp slices' digests, and only
-    # theirs; leaving the menus out as well changes them again
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(ROOT, "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    command = [sys.executable, os.path.join(ROOT, "scripts", "solver_digest.py"),
-               "--slice", "corpus", "--slice", "oracle", "--count", "2"]
-    outputs = [subprocess.run(command + extra, env=env, capture_output=True,
-                              text=True, timeout=60)
-               for extra in ([], ["--exclude-plan-sides"],
-                             ["--exclude-plan-sides", "--exclude-menus"])]
-    for proc in outputs:
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-    full, bare, barer = (proc.stdout.splitlines() for proc in outputs)
-    assert [line.split()[:2] for line in bare] == [["corpus", "28"], ["oracle", "19"]]
-    assert bare[0] != full[0] and bare[1] == full[1]
-    assert barer[0] not in (full[0], bare[0]) and barer[1] == full[1]

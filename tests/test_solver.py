@@ -1,6 +1,8 @@
+import gc
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -15,7 +17,7 @@ from dcut import decomposition, setfamily
 from dcut import solver as solver_module
 from dcut.decomposition import (DecompositionError, RootedDecomposition,
                                 construct, derive_contexts)
-from dcut.generators import gnm_random, two_cliques_bridged
+from dcut.generators import gnm_random, grid_graph, two_cliques_bridged
 from dcut.setfamily import draw_rounds, heuristic_rounds, round_columns
 from dcut.solver import CostTable, budget_families, cheapest
 
@@ -25,18 +27,17 @@ def dp(graph, td, d, k, **kw):
 
 
 def cost_under(entries, budget):
-    """Cost of the cheapest entry fitting the budget; infinity if none."""
-    hit = cheapest(entries, budget)
+    """Cost of the cheapest ``(usage, cost, ...)`` entry fitting the
+    budget; infinity if none."""
+    hit = cheapest(sorted(entries, key=lambda entry: entry[1]), budget)
     return INFEASIBLE if hit is None else hit[1]
 
 
-def choice_rows(plan, kind, which=None):
-    """The plan's menu rows whose choice is of the kind ("bag" or "child"),
-    for the side (a vertex mask) or child ``which`` if given, as ``(usage, cost, child
-    budgets)`` for a side and ``(usage, cost, child budget)`` for a child."""
-    return tuple((usage, cost, choice[2]) for menu in plan.menus.values()
-                 for usage, cost, choice in menu
-                 if choice[0] == kind and which in (None, choice[1]))
+def child_rows(solver, node):
+    """The node's rows for descending into one child, as ``(usage, cost,
+    child budget)``."""
+    return tuple((usage, cost, choice[2])
+                 for usage, cost, choice in solver._child_rows(node))
 
 
 def listed_cuts(solver, node):
@@ -114,7 +115,7 @@ class TestEdgeCosts:
         kids, edges = split_items(solver, 0, frozenset({0}))
         assert kids == [] and edges == [(0, 1)]
         # one family: the split edge alone, on an empty adhesion
-        assert choice_rows(solver.plans[0], "bag", vertex_mask({0})) == (((), 1, {}),)
+        assert side_rows(solver, 0, vertex_mask({0})) == (((), 1, {}),)
 
     def test_split_trace_with_both_budgeted_costs_one(self):
         g = path_graph(2)
@@ -130,9 +131,8 @@ class TestEdgeCosts:
         # in the child, side {0} splits the bag edge (0,3): adhesion vertex
         # 0 must be granted its cross neighbor
         solver = dp(*c4_fixture, 1, 2)
-        plan = solver.plans[1]
-        entries = choice_rows(plan, "bag", vertex_mask({0}))
-        assert plan.adhesion_order == [0, 1]
+        entries = side_rows(solver, 1, vertex_mask({0}))
+        assert solver.plans[1].adhesion_order == [0, 1]
         assert entries == (((1, 0), 1, {}),)
         assert cost_under(entries, (1, 0)) == 1
         assert cost_under(entries, (0, 1)) is INFEASIBLE
@@ -341,20 +341,20 @@ class TestFamilyCost:
         # the edgeless leaf: a side splitting nothing costs nothing
         solver = DPSolver(*nested_p2, 1, 2)
         solver.fill_node(1)
-        assert choice_rows(solver.plans[1], "bag", vertex_mask({0})) == (((0, 0), 0, {}),)
+        assert side_rows(solver, 1, vertex_mask({0})) == (((0, 0), 0, {}),)
 
     def test_single_edge_family(self):
         g = path_graph(2)
         td = RootedDecomposition(2, (frozenset({0, 1}),), (None,))
         solver = dp(g, td, 1, 2)
         # one family: the split edge at cost one, with no child budgets
-        assert choice_rows(solver.plans[0], "bag", vertex_mask({0})) == (((), 1, {}),)
+        assert side_rows(solver, 0, vertex_mask({0})) == (((), 1, {}),)
         # below an adhesion {0, 1}, the split edge (1, 2) spends one at 1
         g = Graph(3, [(0, 1), (0, 2), (1, 2)])
         td = RootedDecomposition(3, (frozenset({0, 1}), frozenset({0, 1, 2})),
                                  (None, 0))
-        plan = dp(g, td, 1, 2).plans[1]
-        assert choice_rows(plan, "bag", vertex_mask({0, 2})) == (((0, 1), 1, {}),)
+        solver = dp(g, td, 1, 2)
+        assert side_rows(solver, 1, vertex_mask({0, 2})) == (((0, 1), 1, {}),)
 
 
 class TestBestFamilyCost:
@@ -362,27 +362,26 @@ class TestBestFamilyCost:
         star = Graph(5, [(0, i) for i in range(1, 5)])
         td = RootedDecomposition(5, (frozenset(range(5)),), (None,))
         solver = dp(star, td, 1, 3)
-        assert choice_rows(solver.plans[0], "bag", vertex_mask({0})) == ()
         assert solver.stats["overloaded_side_prunes"] >= 1
+        # the centre splits four edges; a leaf splits one
+        assert side_rows(solver, 0, vertex_mask({0})) == ()
+        assert side_rows(solver, 0, vertex_mask({1})) == (((), 1, {}),)
 
     def test_side_splitting_nothing_costs_zero(self, nested_p2):
         # fill only the edgeless leaf: the full run would trip the split-cost
         # sanity assert at the root, which presumes a compact decomposition
         solver = DPSolver(*nested_p2, 1, 2)
         solver.fill_node(1)
-        plan = solver.plans[1]
-        assert cost_under(choice_rows(plan, "bag", vertex_mask({0})), (1, 1)) == 0
+        assert cost_under(side_rows(solver, 1, vertex_mask({0})), (1, 1)) == 0
 
     def test_c4_child_side_costs_two(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 3)
-        plan = solver.plans[1]
-        assert cost_under(choice_rows(plan, "bag", vertex_mask({2, 3})), (1, 1)) == 2
+        assert cost_under(side_rows(solver, 1, vertex_mask({2, 3})), (1, 1)) == 2
 
     def test_budget_restricts_value(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 3)
-        plan = solver.plans[1]
         side = vertex_mask({2, 3})
-        assert cost_under(choice_rows(plan, "bag", side), (0, 0)) is INFEASIBLE
+        assert cost_under(side_rows(solver, 1, side), (0, 0)) is INFEASIBLE
 
     def test_invalid_sides_rejected(self, c4_fixture):
         # empty, whole-bag and oversized sides never get a family table
@@ -395,10 +394,13 @@ class TestBestFamilyCost:
 
 
 def cost_via_bag(solver, node, side_class, budget):
-    plan = solver.plans[node]
+    """The least cost of a row fitting the budget of any candidate side
+    whose trace on the adhesion has the key of ``side_class``."""
     key = solver.table.key(node, side_class)
-    return cost_under([row for row in plan.menus[key] if row[2][0] == "bag"],
-                      budget)
+    adhesion = solver.contexts[node].adhesion_mask
+    return cost_under([row for side in listed_cuts(solver, node)
+                       if solver.table.key(node, side & adhesion) == key
+                       for row in side_rows(solver, node, side)], budget)
 
 
 class TestBagSplitSearch:
@@ -422,15 +424,18 @@ class TestChildDescent:
         g = path_graph(2)
         td = RootedDecomposition(2, (frozenset({0, 1}),), (None,))
         solver = dp(g, td, 1, 2)
-        assert choice_rows(solver.plans[0], "child") == ()
-        assert cost_under(choice_rows(solver.plans[0], "child"), ()) is INFEASIBLE
+        assert child_rows(solver, 0) == ()
+        assert cost_under(child_rows(solver, 0), ()) is INFEASIBLE
+        # the root's entry holds the split of its bag instead
+        assert solver.table.row(0, 0, ()) == ((), 1, ("bag", vertex_mask({0}), {}))
 
     def test_child_entry_of_two_flows_up(self, c4_fixture):
         solver = dp(*c4_fixture, 1, 3)
         # nontrivial partitions of the child's local path 1-2-3-0 that do
         # not split {0,1} cost two edges
         assert solver.table.get(1, 0, (1, 1)) == 2
-        assert cost_under(choice_rows(solver.plans[0], "child"), ()) == 2
+        assert child_rows(solver, 0) == (((), 2, (1, 1)),)
+        assert cost_under(child_rows(solver, 0), ()) == 2
         assert solver.root_value() == 2
 
 
@@ -599,7 +604,8 @@ class TestSolveEndToEnd:
         td = RootedDecomposition(11, tuple(map(frozenset, bags)),
                                  (None, 0, 1, 1, 0, 0))
         res = solve(g, 2, 1, SolveOptions(decomposition=td))
-        assert res.solver.plans[1].menus[0][0][2][:2] == ("bag", vertex_mask({1}))
+        assert res.solver.table.row(0, 0, ())[2] == ("child", 1, (0,))
+        assert res.solver.table.row(1, 0, (0,))[2][:2] == ("bag", vertex_mask({1}))
         assert res.witness.side_a == rebuild_reference(res.solver) == {3, 4, 9}
 
     def test_witness_deeper_than_the_recursion_limit(self):
@@ -613,13 +619,35 @@ class TestSolveEndToEnd:
         assert res.answer and res.cut_size == 2
         assert res.witness.side_a == {0, n - 1}
 
-    def test_unrecorded_choices_keep_no_menus(self, c4_fixture):
+    def test_record_choices_changes_nothing(self, c4_fixture):
+        # every entry holds its chosen row either way
         solver = dp(*c4_fixture, 1, 2, record_choices=False)
-        assert [plan.menus for plan in solver.plans] == [{}, {}]
-        assert dict(solver.table.entries()) == \
-            dict(dp(*c4_fixture, 1, 2).table.entries())
-        with pytest.raises(RuntimeError, match="needs recorded choices"):
-            solver.rebuild_side()
+        recorded = dp(*c4_fixture, 1, 2)
+        entries = dict(recorded.table.entries())
+        assert dict(solver.table.entries()) == entries
+        assert [solver.table.row(*key) for key in entries] == \
+            [recorded.table.row(*key) for key in entries]
+        assert solver.rebuild_side() == recorded.rebuild_side()
+
+    def test_witness_holds_little_more_memory(self):
+        # the entries' rows are all a witness needs, so solve() with a
+        # witness holds at most 1.5 times the memory it holds without one
+        g = grid_graph(4, 5)
+        td = construct(g, 4)
+
+        def held(witness):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                result = solve(g, 4, 2, SolveOptions(decomposition=td, witness=witness))
+                assert result.answer and result.route == "dp"
+                return tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        with_witness, without = held(True), held(False)
+        assert with_witness <= 1.5 * without, (with_witness, without)
 
     def test_witness_skippable(self):
         res = solve(cycle_graph(4), 2, 1, SolveOptions(witness=False))
@@ -761,6 +789,13 @@ class TestSolveEndToEnd:
                 f"{name} must be {label}, got {value!r}")):
             solve(*args, SolveOptions(**options))
 
+    @pytest.mark.parametrize("options", [{"witness": True}, {}, (), "auto"])
+    def test_options_not_solve_options_named(self, options):
+        # the options are typed before any of their fields is read
+        with pytest.raises(TypeError, match=re.escape(
+                f"options must be a SolveOptions, got {options!r}")):
+            solve(gnm_random(8, 10, seed=1), 3, 1, options)
+
     @pytest.mark.parametrize("name,value", [
         ("graph", None), ("graph", [(0, 1)]), ("decomposition", None),
         ("decomposition", [[0, 1]]), ("record_choices", None),
@@ -889,7 +924,7 @@ class TestModes:
                              family_kind="randomized", family_seed=1,
                              family_rounds=1, record_choices=False)
                 for key, value in full.table.entries():
-                    assert starved.table._data[key] >= value
+                    assert starved.table.get(*key) >= value
 
     @pytest.mark.parametrize("rounds", [None, 1])
     def test_mask_split_equals_component_split(self, monkeypatch, rounds):
@@ -1043,31 +1078,15 @@ class TestZeroUsageBound:
     once its cap is below the least cost of a root row: checked against
     the unbounded fill in ``conftest``, which reads every side."""
 
-    @staticmethod
-    def dropped_rows_are_beaten(menu, reference):
-        """Whether the menu is an ordered subsequence of the reference
-        menu, and every reference row it leaves out comes after a
-        zero-usage row, which ``cheapest`` returns first."""
-        kept = iter(menu)
-        row = next(kept, None)
-        beaten = False
-        for ref in reference:
-            if row is not None and ref == row:
-                row = next(kept, None)
-            elif not beaten:
-                return False
-            beaten = beaten or not any(ref[0])
-        return row is None
-
     @pytest.mark.parametrize("options", [
         {}, dict(mode="colorcode", family_kind="randomized", family_seed=7)],
         ids=["auto", "colorcode"])
     def test_matches_unbounded_fill_on_corpus(self, options):
-        # every choice, value, witness and counter but the one that counts
-        # families is the reference's, and so are the two that count sides
-        # where the root does not stop early; each node's sides are a prefix
-        # of the reference's, and menus lose only beaten rows; the root
-        # stops early on at least 100 decisions, at no other node
+        # every entry's value and row, every witness and every counter but
+        # the one that counts families is the reference's, and so are the
+        # two that count sides where the root does not stop early; each
+        # node's sides are a prefix of the reference's; the root stops
+        # early on at least 100 decisions, at no other node
         saved = stopped = 0
         for g in make_corpus(60, seed=20250808):
             for k in range(7):
@@ -1077,10 +1096,8 @@ class TestZeroUsageBound:
                     reference = UnboundedFillSolver(g, td, d, k, **options).run()
                     entries = dict(solver.table.entries())
                     assert entries == dict(reference.table.entries())
-                    for (node, key, budget), value in entries.items():
-                        if value is not INFEASIBLE:
-                            assert cheapest(solver.plans[node].menus[key], budget) \
-                                == cheapest(reference.plans[node].menus[key], budget)
+                    for key in entries:
+                        assert solver.table.row(*key) == reference.table.row(*key)
                     assert solver.root_value() == reference.root_value()
                     if solver.root_value() <= k:
                         assert solver.rebuild_side() == reference.rebuild_side()
@@ -1090,10 +1107,6 @@ class TestZeroUsageBound:
                         if len(plan.sides) < len(ref_plan.sides):
                             assert node == td.root
                             stopped += 1
-                        assert plan.menus.keys() == ref_plan.menus.keys()
-                        for key, menu in plan.menus.items():
-                            assert self.dropped_rows_are_beaten(
-                                menu, ref_plan.menus[key])
                     # the root that stops early counts only the sides it
                     # read, and prunes no more of them than the reference
                     read = sum(len(plan.sides) for plan in solver.plans)
@@ -1138,12 +1151,15 @@ class TestZeroUsageBound:
         td = RootedDecomposition(3, (frozenset({0, 1, 2}),), (None,))
         solver = dp(g, td, 2, 2)
         reference = UnboundedFillSolver(g, td, 2, 2).run()
-        assert solver.plans[0].menus[0] == (((), 1, ("bag", vertex_mask({0}), {})),)
-        assert [(cost, vertex_set(choice[1]))
-                for _, cost, choice in reference.plans[0].menus[0]] == [
-            (1, {0}), (1, {2}), (1, {0, 1}), (1, {1, 2}), (2, {1})]
         assert solver.stats["families_evaluated"] == 1
         assert reference.stats["families_evaluated"] == 5
+        assert solver.plans[0].sides == [vertex_mask({0})]
+        assert solver.table.row(0, 0, ()) == ((), 1, ("bag", vertex_mask({0}), {}))
+        # the reference's menu, by cost and then rank
+        assert sorted(((cost, vertex_set(side)) for side in listed_cuts(reference, 0)
+                       for _, cost, _ in side_rows(reference, 0, side)),
+                      key=lambda row: row[0]) == [
+            (1, {0}), (1, {2}), (1, {0, 1}), (1, {1, 2}), (2, {1})]
         assert solver.root_value() == reference.root_value() == 1
         assert solver.rebuild_side() == reference.rebuild_side() == {0}
 
