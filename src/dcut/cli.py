@@ -194,9 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default="fpt")
     parser.add_argument("--family-seed", type=int, default=0)
     parser.add_argument("--family-rounds", type=int, default=None,
-                        help="draw every node's candidate sides from a randomized "
-                             "covering family of this many rounds (default: list "
-                             "them exactly)")
+                        help="keep the listed candidate sides that some round of "
+                             "a randomized covering family of this many rounds "
+                             "isolates (default: keep them all)")
     parser.add_argument("--td-in", metavar="FILE",
                         help="use this decomposition (verified before use)")
     parser.add_argument("--td-out", metavar="FILE",

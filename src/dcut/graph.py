@@ -43,7 +43,13 @@ class Graph:
         seen = set()
         adj = [set() for _ in range(n)]
         masks = [0] * n
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {edge!r} is not a pair of vertices") from None
+            if type(u) is not int or type(v) is not int:  # bools are ints too
+                raise TypeError(f"edge {edge!r} has an endpoint that is not an int")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:

@@ -15,15 +15,14 @@ Each entry holds the cheapest fitting row of one cost-sorted menu per
 key, and its value is that row's cost.  A menu has a row for each way to
 split the bag along a small candidate side, paying for each child and
 bag edge the side breaks, and, under the empty side, a row for each way
-to descend entirely into one child.  Candidate sides are
-the bag subsets of at most k vertices connected in a helper graph
-(adhesions turned into cliques plus the bag edges), listed exactly, grown
-size by size.  With a randomized covering family they are the helper
-graph's components of at most k vertices, short of the bag, on the
-family's members, grown along chains of drawn sets in blocks of
-round-bitset columns until the last listed side is isolated
-(:meth:`DPSolver._drawn_sides`).  Each side comes with the number of bag
-edges it splits, which is carried as a side grows.
+to descend entirely into one child.  Candidate sides are the bag subsets
+of at most k vertices connected in a helper graph (adhesions turned into
+cliques plus the bag edges) that split at most k bag edges and children,
+listed exactly by a search that drops a branch once its split bound
+passes k (:meth:`DPSolver._listed_sides`).  With a randomized covering
+family, colorcode mode keeps the listed sides that some drawn round
+isolates (:meth:`DPSolver._drawn_sides`).  Each side comes with the
+number of bag edges it splits, which is carried as a side grows.
 
 A row using no adhesion vertex's budget fits every budget, so once a
 side offers one at cost c, the menu's later sides are split only for
@@ -37,11 +36,9 @@ other form: node contexts, sides, table keys, rows and the witness
 rebuild hold masks, and only the rebuilt witness is a frozenset.  The
 entries' rows are the one record of the fill's choices, which the
 witness rebuild reads; a node's menus are dropped once it is filled.  A
-side splitting more than k bag edges is pruned before it is split;
-otherwise its split edges and children are read with popcounts on masks
-built once per node, and a side splitting more than k of them is pruned
-before any item exists.  The split edges enter the budget search as a
-start vector, and each child's finite options are read once per trace.
+side's split edges and children are read with popcounts on masks built
+once per node.  The split edges enter the budget search as a start
+vector, and each child's finite options are read once per trace.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ from .multisets import bounded_multisets
 from .setfamily import heuristic_rounds, round_columns
 
 INFEASIBLE = math.inf
-ENUMERATE_BUDGET = 10 ** 6  # auto draws a randomized family above this many bag subsets
+ENUMERATE_BUDGET = 10 ** 6  # enumerate_budget's default; it has no effect
 
 
 class WitnessCertificationError(RuntimeError):
@@ -234,8 +231,9 @@ class NodePlan:
 
 class DPSolver:
     """Fills the cost table bottom-up over a verified decomposition.  The
-    type-checked ``record_choices`` has no effect: the benchmark passes it,
-    and ROADMAP item 3 part B deletes it."""
+    type-checked ``enumerate_budget`` and ``record_choices`` have no
+    effect: the benchmark passes them, and ROADMAP item 3 part B deletes
+    them."""
 
     def __init__(self, graph: Graph, td: RootedDecomposition, d: int, k: int, *,
                  contexts=None, mode: str = "auto", family_kind: str = "exhaustive",
@@ -310,16 +308,15 @@ class DPSolver:
         splitting the bag along it that cost at most the cap, one per
         budget family, in the order :func:`budget_families` lists them.
 
-        A side splitting more than k bag edges is pruned before it is
-        split, and one splitting more than k bag edges and children before
-        any item is built.  After these prunes, which the counters record,
-        a side splitting more bag edges and children than the cap yields no
-        row, as every split child costs at least one.  The split edges,
-        each with the one finite option of one cross neighbor at either end
-        for cost one, become the start vector of :func:`budget_families`;
-        only the split children branch.  A child's finite ``(budget,
-        value)`` options are read once per trace and kept for every side
-        leaving that trace."""
+        A side splitting more than k bag edges and children, which the
+        list never offers, is pruned before any item is built, and the
+        counters record it.  A side splitting more bag edges and children
+        than the cap yields no row, as every split child costs at least
+        one.  The split edges, each with the one finite option of one cross
+        neighbor at either end for cost one, become the start vector of
+        :func:`budget_families`; only the split children branch.  A
+        child's finite ``(budget, value)`` options are read once per trace
+        and kept for every side leaving that trace."""
         k, d, stats = self.k, self.d, self.stats
         usage_order = self.plans[node].adhesion_order
         split = self._splitter(node, edges)
@@ -338,9 +335,6 @@ class DPSolver:
             return (c, plan.adhesion_order, opts) if opts else None
 
         def rows(side, edges, cap):
-            if edges > k:
-                stats["overloaded_side_prunes"] += 1
-                return []
             crossing, traces = split(side)
             if edges + len(traces) > k:
                 stats["overloaded_side_prunes"] += 1
@@ -384,161 +378,116 @@ class DPSolver:
     def _side_candidates(self, node, edges):
         """Candidate sides for splitting the bag, as an iterable, to be read
         once, of ``(vertex mask, number of bag edges the side splits)``
-        pairs in rank order, plus how they were found: ``"colorcode"`` when
-        drawn from the randomized family, which happens in colorcode mode
-        or, in auto mode, when the bag has more than ``enumerate_budget``
-        subsets of at most k vertices; ``"enumerate"`` when listed exactly.
-        ``edges`` holds the node's bag-edge masks (:meth:`_edge_masks`)."""
+        pairs in rank order, plus how they were found: ``"enumerate"`` when
+        listed exactly (:meth:`_listed_sides`), ``"colorcode"`` when the
+        listed sides are filtered by the rounds of a randomized family
+        (:meth:`_drawn_sides`), which colorcode mode alone does.  ``edges``
+        holds the node's bag-edge masks (:meth:`_edge_masks`)."""
         bag_order = _members(self.contexts[node].bag_mask)
-        b = len(bag_order)
-        subset_count = sum(math.comb(b, i) for i in range(min(self.k, b) + 1))
         nbrs = self._helper_masks(node)
+        listed = self._listed_sides(node, bag_order, nbrs, edges)
         opts = self.options
-        if opts.family_kind == "randomized" and (
-                opts.mode == "colorcode" or subset_count > opts.enumerate_budget):
-            rounds = opts.family_rounds or heuristic_rounds(
-                b, self.k, self.k * self.k + self.k)
-            return self._drawn_sides(bag_order, nbrs, edges,
-                                     opts.family_seed * 100003 + node * 7919,
-                                     rounds), "colorcode"
-        return self._listed_sides(bag_order, nbrs, edges), "enumerate"
+        if opts.mode != "colorcode" or opts.family_kind != "randomized":
+            return listed, "enumerate"
+        rounds = opts.family_rounds or heuristic_rounds(
+            len(bag_order), self.k, self.k * self.k + self.k)
+        return self._drawn_sides(listed, bag_order, nbrs,
+                                 opts.family_seed * 100003 + node * 7919,
+                                 rounds), "colorcode"
 
-    def _drawn_sides(self, bag_order, nbrs, edges, seed, rounds):
-        """The helper graph's components of 1..k vertices, short of the
-        whole bag, on the drawn rounds, in lexicographic order, each with
-        the number of bag edges it splits.  The rounds are
-        :func:`dcut.setfamily.round_columns`' blocks, drawn only as far as
-        needed.
-
-        A round R reaches each such component C along a chain of sets: from
-        C's lowest vertex, each step adds the lowest helper neighbour that
-        R draws.  The order in which a chain adds a set's vertices depends
-        on the set alone, so each set has one parent, and the sets form a
-        tree.  Each vertex of C has at most |C| - 1 drawn neighbours, so R
-        fits every set on the chain: it draws the set and gives none of its
-        vertices k or more drawn neighbours (a bit-sliced count per vertex
-        and block).  Each block grows the tree from the singletons, handing
-        each set the rounds in which a chain reaches it and stepping, in
-        each, to the lowest drawn neighbour, a child when it may follow the
-        set on a chain; a set is kept as a side once one of its rounds
-        draws none of its neighbours.  So a block costs the chains of its
-        fitting rounds, and a dense bag's C(b, <= k) connected sets are
-        never listed.
-
-        A set is finished once it is kept and so is every set below it,
-        and a block no longer enters it.  The draw stops after the block
-        that finishes every singleton: every connected set of at most k
-        vertices is then kept, so this is the block in which the last
-        listed side is first isolated."""
-        limit = min(self.k, len(bag_order) - 1)
-        bits = [1 << v for v in bag_order]
-        helper = {1 << v: nbrs[v] for v in bag_order}
-        # a reached set: [its members' helper neighbours, split count, kept,
-        # its children not finished plus one while it is not kept, the
-        # vertices that may follow it on a chain, its parent]
-        reached = {}
-        for bit in bits if limit > 0 else ():
-            after = ~(2 * bit - 1)
-            reached[bit] = [helper[bit], edges[bit].bit_count(), False,
-                            1 + ((helper[bit] & after).bit_count() if limit > 1 else 0),
-                            after, 0]
-        unfinished = len(reached)  # singletons
-        for _, columns in round_columns(len(bag_order), seed,
-                                        rounds if reached else 0):
-            drawn = dict(zip(bits, columns))
-            fits = {}  # rounds drawing the vertex and at most limit - 1 neighbours
-            for bit in bits:
-                around = helper[bit]
-                if around.bit_count() < limit:
-                    fits[bit] = drawn[bit]
-                    continue
-                more = [0] * limit  # more[j]: rounds with more than j drawn neighbours
-                while around:
-                    low = around & -around
-                    around ^= low
-                    column = drawn[low]
-                    for j in range(limit - 1, 0, -1):
-                        more[j] |= more[j - 1] & column
-                    more[0] |= column
-                fits[bit] = drawn[bit] & ~more[-1]
-            level = {bit: fits[bit] for bit in bits if reached[bit][3]}
-            for size in range(1, limit + 1):
-                below = {}  # the next size's sets and the rounds that reach them
-                for side, live in level.items():
-                    entry = reached[side]
-                    near, cut, kept, _, after, _ = entry
-                    rest = near & ~side
-                    while rest and live:
-                        low = rest & -rest
-                        rest ^= low
-                        # the rounds whose lowest drawn neighbour is low
-                        step = live & drawn[low]
-                        live ^= step
-                        if not low & after or size == limit:
-                            continue
-                        step &= fits[low]
-                        if not step:
-                            continue
-                        grown = side | low
-                        child = reached.get(grown)
-                        if child is None:
-                            out, wider = edges[low], near | helper[low]
-                            # a neighbour below low would have come before it
-                            follow = after & ~(near & (2 * low - 1))
-                            child = reached[grown] = [
-                                wider, cut + (out & ~side).bit_count()
-                                - (out & side).bit_count(), False,
-                                1 + ((wider & ~grown & follow).bit_count()
-                                     if size + 1 < limit else 0), follow, side]
-                        if child[3]:
-                            below[grown] = step
-                    if live and not kept:  # rounds with no drawn neighbour
-                        entry[2] = True
-                        entry[3] -= 1
-                        while not entry[3]:  # finished, and so perhaps its parent
-                            if not entry[5]:
-                                unfinished -= 1
-                                break
-                            entry = reached[entry[5]]
-                            entry[3] -= 1
-                level = below
-            if not unfinished:
+    @staticmethod
+    def _drawn_sides(listed, bag_order, nbrs, seed, rounds):
+        """The listed ``(side, split count)`` pairs that some drawn round
+        isolates, in lexicographic order: the round draws every vertex of
+        the side and none of its helper neighbours.  The rounds are
+        :func:`dcut.setfamily.round_columns`' blocks over ``bag_order``,
+        drawn up to the block that isolates the last listed side."""
+        left = []
+        for side, cut in listed:
+            near = 0
+            for v in _members(side):
+                near |= nbrs[v]
+            left.append((side, cut, _members(side), _members(near & ~side)))
+        kept = []
+        for _, columns in round_columns(len(bag_order), seed, rounds if left else 0):
+            column = dict(zip(bag_order, columns))
+            missed = []
+            for side, cut, inside, around in left:
+                hit = -1  # the block's rounds that isolate the side
+                for v in inside:
+                    hit &= column[v]
+                for w in around:
+                    hit &= ~column[w]
+                if hit:
+                    kept.append((side, cut))
+                else:
+                    missed.append((side, cut, inside, around))
+            left = missed
+            if not left:
                 break
-        kept = [side for side, entry in reached.items() if entry[2]]
-        return [(side, reached[side][1])
-                for side in sorted(kept, key=_lex_key, reverse=True)]
+        return sorted(kept, key=lambda pair: _lex_key(pair[0]), reverse=True)
 
-    def _listed_sides(self, bag_order, nbrs, edges):
+    def _listed_sides(self, node, bag_order, nbrs, edges):
         """The helper graph's connected bag subsets of 1..k vertices, short
-        of the whole bag, with their split bag edges, by size and then
-        lexicographically, yielded as ``(side, split count)`` pairs; a size
-        is grown when its first side is asked for.
+        of the whole bag, that split at most k bag edges and children, with
+        their split bag edges, by size and then lexicographically, yielded
+        as ``(side, split count)`` pairs; the singletons come before any
+        larger side is grown.
 
         A disconnected side never beats its component that meets the
-        adhesion, and that component comes first in this order.  Every
-        connected set of s + 1 vertices holds a connected set of s, so
-        each size is grown from the last by one helper neighbour; each set
-        is kept with the union of its members' neighbours and its split
-        edges, which adding v changes by v's edges leaving the set less
-        those entering it."""
-        level = {1 << v: (nbrs[v], edges[1 << v].bit_count()) for v in bag_order}
-        by_bit = {1 << v: nbrs[v] for v in bag_order}
-        for size in range(1, min(self.k, len(bag_order) - 1) + 1):
-            if size > 1:
-                grown = {}
-                for side, (near, cut) in level.items():
-                    rest = near & ~side
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        if side | low not in grown:
-                            out = edges[low]
-                            grown[side | low] = (near | by_bit[low], cut
-                                                 + (out & ~side).bit_count()
-                                                 - (out & side).bit_count())
-                level = grown
-            for side in sorted(level, key=_lex_key, reverse=True):
-                yield side, level[side][1]
+        adhesion, and that component comes first in this order.  A side is
+        grown from its lowest vertex, the vertices below it excluded: each
+        step takes the lowest undecided helper neighbour and adds it or
+        excludes it.  The bag edges between the side and the excluded
+        vertices, plus the children whose adhesion meets both, bound the
+        split count of every side on the branch and only grow along it, so
+        a branch is dropped once they pass k (Fomin and Villanger's count
+        of connected sets with a bounded boundary).  A side is final when
+        it has no undecided neighbour, and its bound is then its split
+        count, as every bag edge and child adhesion is a helper clique; or
+        when it reaches the size limit.  It is kept if its split count is
+        at most k."""
+        k = self.k
+        limit = min(k, len(bag_order) - 1)
+        kids = [self.contexts[c].adhesion_mask for c in self.children[node]]
+        helper = {1 << v: nbrs[v] for v in bag_order}
+        # the children whose adhesion holds the vertex, as bits over kids
+        meets = {bit: sum(1 << i for i, a in enumerate(kids) if a & bit) for bit in helper}
+
+        def split(side, cut):  # the split bag edges and children
+            return cut + sum(1 for a in kids if a & side and a & ~side)
+
+        singles = [(bit, edges[bit].bit_count()) for bit in helper] if limit else []
+        yield from ((bit, cut) for bit, cut in singles if split(bit, cut) <= k)
+        found = [[] for _ in range(limit + 1)]
+        below = 0  # the children meeting a vertex below the current one
+        for bit, cut in singles if limit > 1 else ():
+            out = bit - 1
+            # a branch: the side, the excluded vertices, the side's helper
+            # neighbours, its split bag edges, the bag edges between the
+            # side and the excluded vertices, and the children meeting each
+            stack = [(bit, out, helper[bit], cut, (edges[bit] & out).bit_count(),
+                      meets[bit], below)]
+            below |= meets[bit]
+            while stack:
+                side, out, near, cut, crossed, inner, outer = stack.pop()
+                if crossed + (inner & outer).bit_count() > k:
+                    continue
+                rest = near & ~side & ~out
+                size = side.bit_count()
+                if not rest or size == limit:
+                    if size > 1 and split(side, cut) <= k:
+                        found[size].append((side, cut))
+                    continue
+                low = rest & -rest
+                lines = edges[low]
+                stack.append((side, out | low, near, cut, crossed + (lines & side).bit_count(),
+                              inner, outer | meets[low]))
+                stack.append((side | low, out, near | helper[low],
+                              cut + (lines & ~side).bit_count() - (lines & side).bit_count(),
+                              crossed + (lines & out).bit_count(), inner | meets[low], outer))
+        for level in found:
+            yield from sorted(level, key=lambda pair: _lex_key(pair[0]), reverse=True)
 
     def _helper_masks(self, node):
         """Each bag vertex's neighbours, as a vertex mask, in the helper
@@ -640,8 +589,8 @@ class DPSolver:
 
 @dataclass
 class SolveOptions:
-    # auto | colorcode.  With a randomized family, colorcode draws every
-    # node's sides, and auto only those of bags past enumerate_budget.
+    # auto | colorcode.  With a randomized family, colorcode keeps the
+    # listed sides that a drawn round isolates; auto lists them exactly.
     mode: str = "auto"
     family_kind: str = "exhaustive"    # exhaustive | randomized
     family_seed: int = 0

@@ -285,6 +285,44 @@ def split_items(solver, node, side):
     return kids, edges
 
 
+def split_count(solver, node, side):
+    """The number of bag edges and children that the side, a vertex mask,
+    splits at the node, by :func:`split_items`."""
+    kids, edges = split_items(solver, node, vertex_set(side))
+    return len(kids) + len(edges)
+
+
+def listed_sides_reference(solver, node):
+    """Reference for ``DPSolver._listed_sides`` before its split bound:
+    every helper-connected bag subset of 1..min(k, b - 1) vertices, as
+    ``(vertex mask, split bag edges)`` pairs by size and then by sorted
+    vertex tuple, whatever it splits.  Each size is grown from the last by
+    one helper neighbour, and each set carries the union of its members'
+    neighbours and its split edges, which adding v changes by v's edges
+    leaving the set less those entering it."""
+    edges = solver._edge_masks(node)
+    nbrs = {1 << v: mask for v, mask in solver._helper_masks(node).items()}
+    level = {bit: (nbrs[bit], edges[bit].bit_count()) for bit in nbrs}
+    listed = []
+    for size in range(1, min(solver.k, len(nbrs) - 1) + 1):
+        if size > 1:
+            grown = {}
+            for side, (near, cut) in level.items():
+                rest = near & ~side
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    if side | low not in grown:
+                        out = edges[low]
+                        grown[side | low] = (near | nbrs[low], cut
+                                             + (out & ~side).bit_count()
+                                             - (out & side).bit_count())
+            level = grown
+        listed += [(side, level[side][1])
+                   for side in sorted(level, key=lambda side: sorted(vertex_set(side)))]
+    return listed
+
+
 def min_cut_reference(graph):
     """Reference for ``graph.global_min_cut`` on a connected graph of at
     least two vertices: every flow from vertex 0 run to its end, and side A

@@ -39,6 +39,18 @@ class TestGraphConstruction:
                 f"vertex count must be an int, got {n!r}")):
             Graph(n, [])
 
+    @pytest.mark.parametrize("edge", [(0.0, 1), ("0", 1), (True, 2), (1, None)])
+    def test_rejects_non_int_endpoint(self, edge):
+        with pytest.raises(TypeError, match=re.escape(
+                f"edge {edge!r} has an endpoint that is not an int")):
+            Graph(3, [(0, 2), edge])
+
+    @pytest.mark.parametrize("edge", [(0, 1, 2), (0,), 1, None])
+    def test_rejects_malformed_edge(self, edge):
+        with pytest.raises(ValueError, match=re.escape(
+                f"edge {edge!r} is not a pair of vertices")):
+            Graph(3, [edge])
+
     def test_edges_sorted_and_adjacency_consistent(self):
         g = Graph(3, [(2, 1), (0, 2)])
         assert g.edges == ((0, 2), (1, 2))

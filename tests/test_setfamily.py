@@ -1,10 +1,9 @@
 import random
-from types import SimpleNamespace
 
 import pytest
 
 from conftest import (find_covering_family, randomized_members_reference,
-                      verify_covering, vertex_mask)
+                      verify_covering, vertex_mask, vertex_set)
 from dcut import DPSolver, build_exhaustive, build_randomized, heuristic_rounds
 from dcut import setfamily
 from dcut.graph import SizeLimitExceeded
@@ -143,17 +142,17 @@ class TestDistinctDraws:
     @pytest.mark.parametrize("positions", [[0], [3, 5], [0, 2, 3], [1, 64, 130],
                                            [0, 1, 2, 3, 4]])
     def test_stops_at_a_complete_family(self, monkeypatch, positions):
-        # a drawing node on a clique bag over the positions, whose sides
-        # are its proper subsets, reads the columns up to the end of the
-        # block (2^size rounds) in which the rounds first hold every
-        # proper subset, so never past the block in which they hold every
-        # subset, and keeps each subset with its split edges; generator
-        # outputs are counted through a random.Random subclass
+        # a clique bag over the positions, with its proper subsets listed
+        # by size: the filter reads the columns up to the end of the block
+        # (2^size rounds) in which the rounds first hold every proper
+        # subset, so never past the block in which they hold every subset,
+        # and keeps each subset with its split edges in lexicographic
+        # order; generator outputs are counted through a random.Random
+        # subclass
         size = len(positions)
         rounds = 400 << size
         clique = vertex_mask(positions)
         nbrs = {p: clique ^ 1 << p for p in positions}
-        edges = {1 << p: clique ^ 1 << p for p in positions}
         proper = range(1, (1 << size) - 1)
         expected = {vertex_mask(p for i, p in enumerate(positions) if mask >> i & 1):
                     mask.bit_count() * (size - mask.bit_count()) for mask in proper}
@@ -179,11 +178,11 @@ class TestDistinctDraws:
                 return super().getrandbits(bits)
 
         monkeypatch.setattr(setfamily.random, "Random", Counting)
-        node = SimpleNamespace(k=size - 1)
+        listed = sorted(expected.items(), key=lambda pair: (
+            pair[0].bit_count(), sorted(vertex_set(pair[0]))))
         for seed, sides_end, family_end in ends:
             outputs.clear()
-            sides = dict(DPSolver._drawn_sides(node, positions, nbrs, edges,
-                                               seed, rounds))
+            sides = dict(DPSolver._drawn_sides(listed, positions, nbrs, seed, rounds))
             assert sides == expected
             assert list(sides) == sorted(expected, key=_lex_key, reverse=True)
             assert sum(outputs) == sides_end * size <= family_end * size

@@ -8,9 +8,9 @@ import pytest
 
 from conftest import (AllSubsetsSolver, ComponentSplitSolver,
                       UnboundedFillSolver, complete_graph, components,
-                      cycle_graph, is_d_matching, local_edges, make_corpus,
-                      path_graph, rebuild_reference, split_items, vertex_mask,
-                      vertex_set)
+                      cycle_graph, is_d_matching, listed_sides_reference,
+                      local_edges, make_corpus, path_graph, rebuild_reference,
+                      split_count, split_items, vertex_mask, vertex_set)
 from dcut import (DPSolver, Graph, INFEASIBLE, SolveOptions, bounded_multisets,
                   brute_force_min_dcut, edge_cut, is_d_cut, solve)
 from dcut import decomposition, setfamily
@@ -47,13 +47,13 @@ def listed_cuts(solver, node):
 
 
 def side_rows(solver, node, side):
-    """Every row the row builder gives the candidate side (a vertex mask)
-    under the cap k, as ``(usage, cost, child budgets)``: the side's rows
-    whether or not an earlier side's zero-usage row keeps them off the
-    menu, or the root's stop keeps them unread."""
-    edges = solver._edge_masks(node)
+    """Every row the row builder gives the side (a vertex mask) under the
+    cap k, as ``(usage, cost, child budgets)``: the side's rows whether or
+    not an earlier side's zero-usage row keeps them off the menu, or the
+    root's stop keeps them unread, or the list leaves the side out."""
+    cut = len(split_items(solver, node, vertex_set(side))[1])
     return tuple((usage, cost, choice[2]) for usage, cost, choice in solver._bag_rows(
-        node, edges)(side, listed_cuts(solver, node)[side], solver.k))
+        node, solver._edge_masks(node))(side, cut, solver.k))
 
 
 def families(items, d, k, cost_cap=INFEASIBLE, usage_order=()):
@@ -235,10 +235,12 @@ class TestSplitItems:
         assert mask_split(solver, 0, frozenset({1})) == (kids, 1)
 
     def test_mask_counts_match_reference_on_corpus(self):
-        # every candidate side, listed or drawn: its carried count is its
-        # split edges, the same split children, each side vertex's cross
-        # neighbours are its split edges, and a side is pruned exactly
-        # when it splits more than k items
+        # every side of the level-growth reference list, whatever it
+        # splits: the reference's carried count is its split edges, the
+        # same split children, each side vertex's cross neighbours are its
+        # split edges, and the row builder prunes a side exactly when it
+        # splits more than k items; each candidate side, listed or drawn,
+        # carries the reference's count
         checked = dict.fromkeys(("enumerate", "colorcode"), 0)
         for options in ({}, dict(mode="colorcode", family_kind="randomized",
                                  family_seed=7)):
@@ -254,11 +256,13 @@ class TestSplitItems:
                             assert list(cuts)[:len(plan.sides)] == plan.sides
                             split = solver._splitter(node, edges)
                             bag_rows = solver._bag_rows(node, edges)
-                            for mask in cuts:
+                            listed = dict(listed_sides_reference(solver, node))
+                            assert all(cuts[mask] == listed[mask] for mask in cuts)
+                            for mask in listed:
                                 side = vertex_set(mask)
                                 kids, edges = split_items(solver, node, side)
                                 crossing, traces = split(mask)
-                                assert cuts[mask] == len(edges)
+                                assert listed[mask] == len(edges)
                                 assert traces == [(c, vertex_mask(t)) for c, t in kids]
                                 assert sorted((low.bit_length() - 1, out)
                                               for low, out in crossing) == sorted(
@@ -266,7 +270,7 @@ class TestSplitItems:
                                                     for w in e if w != v))
                                     for v in side if any(v in e for e in edges))
                                 before = solver.stats["overloaded_side_prunes"]
-                                bag_rows(mask, cuts[mask], k)
+                                bag_rows(mask, listed[mask], k)
                                 pruned = solver.stats["overloaded_side_prunes"] > before
                                 assert pruned == (len(kids) + len(edges) > k)
                                 checked[mode] += 1
@@ -359,12 +363,15 @@ class TestFamilyCost:
 
 class TestBestFamilyCost:
     def test_overloaded_side_pruned_without_enumeration(self):
+        # the centre splits four edges, so the list leaves it out and the
+        # row builder prunes it; a leaf splits one
         star = Graph(5, [(0, i) for i in range(1, 5)])
         td = RootedDecomposition(5, (frozenset(range(5)),), (None,))
         solver = dp(star, td, 1, 3)
-        assert solver.stats["overloaded_side_prunes"] >= 1
-        # the centre splits four edges; a leaf splits one
+        assert vertex_mask({0}) not in listed_cuts(solver, 0)
+        assert solver.stats["overloaded_side_prunes"] == 0
         assert side_rows(solver, 0, vertex_mask({0})) == ()
+        assert solver.stats["overloaded_side_prunes"] == 1
         assert side_rows(solver, 0, vertex_mask({1})) == (((), 1, {}),)
 
     def test_side_splitting_nothing_costs_zero(self, nested_p2):
@@ -928,9 +935,10 @@ class TestModes:
 
     @pytest.mark.parametrize("rounds", [None, 1])
     def test_mask_split_equals_component_split(self, monkeypatch, rounds):
-        # the randomized family's sides, tables and all, against the
-        # per-bit family split by components, on corpus graphs and on two
-        # dense one-bag graphs, where most rounds fit no set; under the
+        # the randomized family's sides, against those of the per-bit
+        # family split by components that split at most k bag edges and
+        # children, and its tables, on corpus graphs and on two
+        # dense one-bag graphs, where most sides split more; under the
         # heuristic rounds some nodes isolate every listed side and stop
         # drawing early while others draw every round, and one round never
         # stops early
@@ -957,8 +965,9 @@ class TestModes:
                                    record_choices=False)
                     one = DPSolver(*args, **options).run()
                     two = ComponentSplitSolver(*args, **options).run()
-                    assert [p.sides for p in one.plans] == \
-                        [p.sides for p in two.plans]
+                    assert [p.sides for p in one.plans] == [
+                        [side for side in p.sides if split_count(two, node, side) <= k]
+                        for node, p in enumerate(two.plans)]
                     assert dict(one.table.entries()) == \
                         dict(two.table.entries())
         assert full_length[True] > 0, full_length
@@ -1051,15 +1060,15 @@ class TestModes:
             assert res.answer and res.cut_size == 2
 
     def test_auto_past_enumerate_budget(self):
-        # a node draws only from a randomized family; without one it lists
-        # its sides exactly, whatever its subset count
+        # auto mode lists its sides exactly, whatever its subset count and
+        # family: enumerate_budget has no effect
         g = complete_graph(5)
         td = construct(g, 2)
-        listed = dp(g, td, 1, 2, enumerate_budget=3)
-        assert listed.stats["modes"] == {"enumerate": 1}
-        assert dict(listed.table.entries()) == dict(dp(g, td, 1, 2).table.entries())
-        drawn = dp(g, td, 1, 2, enumerate_budget=3, family_kind="randomized")
-        assert drawn.stats["modes"] == {"colorcode": 1}
+        tables = dict(dp(g, td, 1, 2).table.entries())
+        for kind in ("exhaustive", "randomized"):
+            listed = dp(g, td, 1, 2, enumerate_budget=3, family_kind=kind)
+            assert listed.stats["modes"] == {"enumerate": 1}
+            assert dict(listed.table.entries()) == tables
 
     def test_auto_uses_enumerate_at_desk_scale(self):
         res = solve(cycle_graph(6), 2, 1)
@@ -1070,6 +1079,81 @@ class TestModes:
             DPSolver(*c4_fixture, 1, 2, mode="magic")
         with pytest.raises(ValueError):
             DPSolver(*c4_fixture, 1, 2, family_kind="psychic")
+
+
+class TestBoundedList:
+    """The list drops a branch once the bag edges and children between its
+    side and the excluded vertices pass k, and keeps a final side only if
+    it splits at most k of them."""
+
+    def test_equals_reference_within_split_bound(self):
+        # the level-growth reference's sides that split at most k bag
+        # edges and children, in the same order and with the same counts,
+        # on corpus graphs and on two dense one-bag graphs
+        kept = dropped = 0
+        dense = [complete_graph(12), gnm_random(12, 54, seed=9)]
+        for g in make_corpus(60, seed=20250808) + dense:
+            for k in range(7):
+                td = construct(g, k)
+                solver = DPSolver(g, td, 1, k)
+                for node in range(td.node_count):
+                    reference = listed_sides_reference(solver, node)
+                    expected = [(side, cut) for side, cut in reference
+                                if split_count(solver, node, side) <= k]
+                    cuts, mode = solver._side_candidates(node, solver._edge_masks(node))
+                    assert mode == "enumerate"
+                    assert list(cuts) == expected, (node, k)
+                    kept += len(expected)
+                    dropped += len(reference) - len(expected)
+        assert kept > 10000 and dropped > 10000, (kept, dropped)
+
+    def test_children_bound_branches(self):
+        # a root bag of 12 edgeless vertices, one child over each pair: the
+        # helper graph is complete, every side of s vertices splits
+        # s * (12 - s) children, and only the children's term in the bound
+        # drops a branch; the list reads a vertex's bag edges once per
+        # singleton and per branching step, fewer than 100 times against
+        # the 1,585 connected sets of 1..5 vertices
+        class Reads(dict):
+            count = 0
+
+            def __getitem__(self, key):
+                Reads.count += 1
+                return super().__getitem__(key)
+
+        pairs = list(itertools.combinations(range(12), 2))
+        g = Graph(12 + len(pairs), [(v, 12 + i) for i, pair in enumerate(pairs)
+                                    for v in pair])
+        td = RootedDecomposition(g.n, (frozenset(range(12)), *(
+            frozenset({*pair, 12 + i}) for i, pair in enumerate(pairs))),
+            (None,) + (0,) * len(pairs))
+        solver = DPSolver(g, td, 1, 5)
+        edges = Reads(solver._edge_masks(0))
+        assert list(solver._listed_sides(0, list(range(12)),
+                                         solver._helper_masks(0), edges)) == []
+        assert Reads.count < 100, Reads.count
+
+    @pytest.mark.parametrize("n,k", [(20, 5), (24, 6), (24, 7), (24, 8)])
+    @pytest.mark.parametrize("options", [
+        dict(mode="colorcode", family_kind="randomized", family_seed=1), {},
+        dict(family_kind="randomized", family_seed=1)],
+        ids=["colorcode", "auto", "auto-randomized"])
+    def test_dense_bag_lists_no_side(self, monkeypatch, n, k, options):
+        # one-bag K_n: every side splits more than k edges, so no side is
+        # listed or filtered and no round is drawn, in every mode
+        drawn = []
+
+        def counted(size, seed, rounds):
+            for count, columns in round_columns(size, seed, rounds):
+                drawn.append(count)
+                yield count, columns
+
+        monkeypatch.setattr(solver_module, "round_columns", counted)
+        td = RootedDecomposition(n, (frozenset(range(n)),), (None,))
+        res = solve(complete_graph(n), k, 1, SolveOptions(decomposition=td, **options))
+        assert not res.answer
+        assert res.stats["sides_considered"] == 0
+        assert drawn == []
 
 
 class TestZeroUsageBound:
